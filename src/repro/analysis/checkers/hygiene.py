@@ -11,11 +11,6 @@
 * ``H003`` — shadowing a builtin (``len``, ``sum``, ``id``, ...) with a
   parameter or local.  In numeric code ``sum`` and ``max`` are load-
   bearing; rebinding them produces confusing late failures.
-* ``H004`` — importing or calling a deprecated run entry point
-  (``run_loadtest``, ``sweep_thresholds``, ...) outside the packages
-  that own the compatibility shims.  New code goes through
-  :class:`repro.api.Session`; the shims exist only so downstream users
-  get a :class:`DeprecationWarning` instead of an ImportError.
 """
 
 from __future__ import annotations
@@ -64,15 +59,6 @@ class ApiHygieneChecker(Checker):
             Severity.WARNING,
             "Rebinding len/sum/max/... in numeric code invites "
             "confusing failures far from the rebind.",
-        ),
-        Rule(
-            "H004",
-            "deprecated run entry point used internally",
-            Severity.ERROR,
-            "The legacy run_*/sweep_* functions are DeprecationWarning "
-            "shims kept for downstream users; internal code must go "
-            "through repro.api.Session (or the execute_*/evaluate_* "
-            "engines the shims delegate to).",
         ),
     )
 
@@ -174,55 +160,6 @@ class ApiHygieneChecker(Checker):
                     f"parameter `{arg.arg}` of `{node.name}` shadows the "
                     f"builtin `{arg.arg}`",
                 )
-
-    # -- H004 ------------------------------------------------------------
-    def _legacy_exempt(self) -> bool:
-        """Is the current file allowed to touch the legacy entry points?
-
-        Only the packages that own the shims (``repro.api``,
-        ``repro.core``, ``repro.runtime`` by default) are; files outside
-        the root package (benchmarks, examples) never are.
-        """
-        ctx = self.ctx
-        assert ctx is not None
-        module = ctx.module
-        if module is None:
-            return False
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in self.config.legacy_entry_allowed
-        )
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        """Flag imports of the deprecated run entry points (H004)."""
-        if self._legacy_exempt():
-            return
-        for alias in node.names:
-            if alias.name in self.config.legacy_entry_points:
-                self.report(
-                    "H004",
-                    node,
-                    f"`{alias.name}` is a deprecated shim; use "
-                    "repro.api.Session instead (see docs/api.md)",
-                )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag attribute calls of the deprecated entry points (H004)."""
-        if self._legacy_exempt():
-            return
-        func = node.func
-        name = (
-            func.attr if isinstance(func, ast.Attribute)
-            else func.id if isinstance(func, ast.Name)
-            else None
-        )
-        if name in self.config.legacy_entry_points:
-            self.report(
-                "H004",
-                node,
-                f"call to deprecated `{name}`; use repro.api.Session "
-                "instead (see docs/api.md)",
-            )
 
     def visit_Assign(self, node: ast.Assign) -> None:
         """Flag assignments that shadow builtins (H003)."""

@@ -45,30 +45,6 @@ DEFAULT_LAYER_RANKS: dict[str, int] = {
     "cli": 13,
 }
 
-#: Legacy run entry points whose *direct* use is frozen (H004).  New
-#: code goes through ``repro.api.Session``; only the facade itself and
-#: the engine layers may keep touching these names.
-DEFAULT_LEGACY_ENTRY_POINTS: frozenset[str] = frozenset(
-    {
-        "run_loadtest",
-        "run_smoke",
-        "run_chaos",
-        "run_chaos_smoke",
-        "sweep_thresholds",
-        "workload_sensitivity",
-    }
-)
-
-#: Module prefixes allowed to reference the legacy entry points: the
-#: facade (which wraps them), and the packages that *define* them and
-#: re-export them from their facades.
-DEFAULT_LEGACY_ENTRY_ALLOWED: tuple[str, ...] = (
-    "repro.api",
-    "repro.core",
-    "repro.deploy",
-    "repro.runtime",
-)
-
 #: ``np.random`` attributes that are legitimate under seeded use.
 DEFAULT_ALLOWED_NP_RANDOM: frozenset[str] = frozenset(
     {
@@ -171,10 +147,6 @@ class LintConfig:
         "repro.deploy.bus",
         "repro.runtime.transport",
     )
-    #: Deprecated run entry points the hygiene checker (H004) flags.
-    legacy_entry_points: frozenset[str] = DEFAULT_LEGACY_ENTRY_POINTS
-    #: Module prefixes exempt from H004 (the facade and engine homes).
-    legacy_entry_allowed: tuple[str, ...] = DEFAULT_LEGACY_ENTRY_ALLOWED
     #: RNG stream role → name substrings (rngflow checker).
     rng_stream_names: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_RNG_STREAM_NAMES)
@@ -273,10 +245,6 @@ def load_config(pyproject: Path | None = None) -> LintConfig:
                 "[tool.repro-lint] monotonic-modules must be a list of strings"
             )
         changes["monotonic_modules"] = tuple(modules)
-    if "legacy-entry-points" in table:
-        changes["legacy_entry_points"] = _coerce_rule_set(
-            table["legacy-entry-points"], "legacy-entry-points"
-        )
     if "rng-streams" in table:
         streams = table["rng-streams"]
         if not isinstance(streams, dict) or not all(
@@ -305,13 +273,4 @@ def load_config(pyproject: Path | None = None) -> LintConfig:
                     f"[tool.repro-lint.{key}] must map names to stream names"
                 )
             changes[attr] = dict(mapping)
-    if "legacy-entry-allowed" in table:
-        allowed = table["legacy-entry-allowed"]
-        if not isinstance(allowed, list) or not all(
-            isinstance(module, str) for module in allowed
-        ):
-            raise LintConfigError(
-                "[tool.repro-lint] legacy-entry-allowed must be a list of strings"
-            )
-        changes["legacy_entry_allowed"] = tuple(allowed)
     return config.with_updates(**changes) if changes else config

@@ -16,7 +16,7 @@ Every method — :meth:`Session.loadtest`, :meth:`Session.chaos`,
 :meth:`Session.sensitivity`, :meth:`Session.sample`,
 :meth:`Session.bench` — takes its inputs from one normalised
 :class:`RunSpec` and returns one :class:`RunReport` shape, replacing
-the five keyword dialects the legacy entry points grew over time.
+the keyword dialects the engines grew over time.
 Execution shape (process topology, origin shards, wire codec) lives in
 one :class:`~repro.config.DeploySpec` threaded as ``RunSpec.deploy``.
 """

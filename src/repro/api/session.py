@@ -1,19 +1,12 @@
 """`RunSpec` / `Session` / `RunReport` — the one front door for runs.
 
-Before this module existed, every way of running the reproduction had
-its own shape: ``run_loadtest(workload, settings, verify_batch=)``,
-``run_chaos(workload, chaos_settings)``, ``run_smoke(seed, tolerance=)``,
-``sweep_thresholds(experiment, thresholds, workers=)``,
-``workload_sensitivity(parameter, values, train_fraction=, workers=)``
-— five keyword dialects for one underlying idea (seeded workload +
-knobs + cost model → ratios).  :class:`RunSpec` normalises the shared
-inputs once, :class:`Session` exposes one method per run kind, and
-every method returns the same :class:`RunReport` (ratios + time-series
-+ trace handle), with a single :class:`~repro.obs.ObsConfig` threaded
-through all of them.
-
-The legacy functions remain as thin :class:`DeprecationWarning` shims;
-the ``H004`` lint rule keeps new internal code off them.
+Every way of running the reproduction is one idea (seeded workload +
+knobs + cost model → ratios), but the engines each take it in their own
+keyword dialect.  :class:`RunSpec` normalises the shared inputs once,
+:class:`Session` exposes one method per run kind, and every method
+returns the same :class:`RunReport` (ratios + time-series + trace
+handle), with a single :class:`~repro.obs.ObsConfig` threaded through
+all of them.
 """
 
 from __future__ import annotations

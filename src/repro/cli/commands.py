@@ -361,45 +361,6 @@ def _live_summary(report) -> list[str]:
     return lines
 
 
-def _legacy_loadtest_deploy(args):
-    """Fold the deprecated ``--codec``/``--workers`` flags into a spec.
-
-    Execution shape (worker shards, wire codec) lives in
-    :class:`~repro.config.DeploySpec` now; the flags survive as shims
-    that build the equivalent local spec and warn.
-    """
-    import warnings
-
-    from ..config import DeploySpec
-
-    if args.codec is None and args.workers is None:
-        return None
-    flags = ", ".join(
-        flag
-        for flag, value in (
-            ("--codec", args.codec),
-            ("--workers", args.workers),
-        )
-        if value is not None
-    )
-    with warnings.catch_warnings():
-        # DeprecationWarning is hidden outside __main__ by default;
-        # a CLI deprecation the user never sees deprecates nothing.
-        warnings.simplefilter("always", DeprecationWarning)
-        warnings.warn(
-            f"`repro loadtest {flags}` is deprecated; execution shape "
-            "(workers, wire codec) lives in DeploySpec — use "
-            "`repro deploy` or thread RunSpec.deploy through "
-            "repro.api.Session",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return DeploySpec(
-        workers=args.workers if args.workers is not None else 1,
-        codec=args.codec,
-    )
-
-
 def cmd_loadtest(args) -> None:
     """``repro loadtest`` — drive the live runtime on the in-memory net."""
     import json as _json
@@ -412,17 +373,11 @@ def cmd_loadtest(args) -> None:
     )
     from ..workload import preset
 
-    deploy = _legacy_loadtest_deploy(args)
     if args.smoke:
         # The CI gate: deterministic live run, self-verified against the
         # batch combined simulator; raises RuntimeProtocolError (exit 3)
-        # on divergence beyond the tolerance.  CI's codec matrix runs
-        # this once per codec and diffs the ratios bit-for-bit.
-        report = execute_smoke(
-            args.seed,
-            tolerance=args.tolerance,
-            deploy=deploy,
-        )
+        # on divergence beyond the tolerance.
+        report = execute_smoke(args.seed, tolerance=args.tolerance)
     else:
         try:
             workload = (
@@ -441,10 +396,7 @@ def cmd_loadtest(args) -> None:
         )
         try:
             report = execute_loadtest(
-                workload,
-                settings,
-                verify_batch=args.verify_batch,
-                deploy=deploy,
+                workload, settings, verify_batch=args.verify_batch
             )
         except (RuntimeProtocolError, TransportError):
             raise  # mapped to dedicated exit codes by main()

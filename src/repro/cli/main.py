@@ -231,22 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verification (exit 3 on divergence)",
     )
     loadtest.add_argument(
-        "--codec",
-        default=None,
-        choices=["binary", "json"],
-        help="DEPRECATED: wire codec now lives in DeploySpec (see "
-        "`repro deploy`); passing it here warns and builds the "
-        "equivalent local spec",
-    )
-    loadtest.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="DEPRECATED: worker sharding now lives in DeploySpec (see "
-        "`repro deploy`); passing it here warns and builds the "
-        "equivalent local spec",
-    )
-    loadtest.add_argument(
         "--json", action="store_true", help="print the full report as JSON"
     )
     loadtest.set_defaults(handler=commands.cmd_loadtest)

@@ -19,11 +19,10 @@ from .experiment import (
     SweepPoint,
     evaluate_thresholds,
     interpolate_at_traffic,
-    sweep_thresholds,
     train_test_split,
 )
 from .reporting import format_series, format_table
-from .sensitivity import SensitivityPoint, sweep_workload, workload_sensitivity
+from .sensitivity import SensitivityPoint, sweep_workload
 from .combined import CombinedProtocolSimulator, CombinedResult
 from .sampling import (
     client_contributions,
@@ -41,13 +40,11 @@ __all__ = [
     "SweepPoint",
     "train_test_split",
     "evaluate_thresholds",
-    "sweep_thresholds",
     "interpolate_at_traffic",
     "format_table",
     "format_series",
     "SensitivityPoint",
     "sweep_workload",
-    "workload_sensitivity",
     "CombinedProtocolSimulator",
     "CombinedResult",
     "client_contributions",

@@ -10,7 +10,6 @@ speculation, and compare the four ratios while sweeping one knob.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -144,8 +143,7 @@ def evaluate_thresholds(
 ) -> list[SweepPoint]:
     """The Figure-5 sweep: the four ratios across ``T_p`` values.
 
-    This is the engine behind :meth:`repro.api.Session.sweep` (and the
-    deprecated :func:`sweep_thresholds` shim).
+    This is the engine behind :meth:`repro.api.Session.sweep`.
 
     Args:
         experiment: A prepared experiment.
@@ -169,28 +167,6 @@ def evaluate_thresholds(
         experiment.baseline()
         return parallel_map(point, thresholds, workers=workers)
     return [point(threshold) for threshold in thresholds]
-
-
-def sweep_thresholds(
-    experiment: Experiment,
-    thresholds: list[float],
-    *,
-    policy_factory: Callable[[float], SpeculationPolicy] | None = None,
-    workers: int | None = None,
-) -> list[SweepPoint]:
-    """Deprecated shim; use :meth:`repro.api.Session.sweep`.
-
-    Delegates unchanged to :func:`evaluate_thresholds`.
-    """
-    warnings.warn(
-        "sweep_thresholds() is deprecated; use repro.api.Session.sweep "
-        "(see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return evaluate_thresholds(
-        experiment, thresholds, policy_factory=policy_factory, workers=workers
-    )
 
 
 def interpolate_at_traffic(

@@ -10,7 +10,6 @@ automates the loop; results print with
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 from ..config import BASELINE, BaselineConfig
@@ -50,8 +49,7 @@ def sweep_workload(
 ) -> list[SensitivityPoint]:
     """Sweep one workload parameter and measure the speculation ratios.
 
-    This is the engine behind :meth:`repro.api.Session.sensitivity`
-    (and the deprecated :func:`workload_sensitivity` shim).
+    This is the engine behind :meth:`repro.api.Session.sensitivity`.
 
     Args:
         parameter: A :class:`GeneratorConfig` field name.
@@ -94,34 +92,3 @@ def sweep_workload(
         return SensitivityPoint(value=value, ratios=ratios, n_requests=len(trace))
 
     return parallel_map(point, values, workers=workers or 1)
-
-
-def workload_sensitivity(
-    parameter: str,
-    values: list,
-    *,
-    base_config: GeneratorConfig | None = None,
-    policy: SpeculationPolicy | None = None,
-    sim_config: BaselineConfig = BASELINE,
-    train_fraction: float = 0.5,
-    workers: int | None = None,
-) -> list[SensitivityPoint]:
-    """Deprecated shim; use :meth:`repro.api.Session.sensitivity`.
-
-    Delegates unchanged to :func:`sweep_workload`.
-    """
-    warnings.warn(
-        "workload_sensitivity() is deprecated; use "
-        "repro.api.Session.sensitivity (see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return sweep_workload(
-        parameter,
-        values,
-        base_config=base_config,
-        policy=policy,
-        sim_config=sim_config,
-        train_fraction=train_fraction,
-        workers=workers,
-    )

@@ -2,7 +2,7 @@
 
 A :class:`TcpMesh` gives the unmodified
 :class:`~repro.runtime.loadgen.LoadGenerator` and
-:class:`~repro.runtime.proxy.ProxyNode` a real-socket transport with the
+:class:`~repro.runtime.node.CacheNode` a real-socket transport with the
 same endpoint surface as
 :class:`~repro.runtime.transport.InMemoryNetwork`: ``endpoint(name)``
 returns an object with ``name`` / ``start`` / ``next_request_id`` /

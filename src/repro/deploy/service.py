@@ -39,7 +39,8 @@ from typing import Any, Sequence
 from ..config import BASELINE, LOCAL_DEPLOY, BaselineConfig, DeploySpec
 from ..errors import RuntimeProtocolError, SimulationError
 from ..obs import merge_registry_states
-from ..runtime.loadgen import LoadConfig, LoadGenerator
+from ..runtime.assembly import load_config
+from ..runtime.loadgen import LoadGenerator
 from ..runtime.metrics import default_registry, live_ratios, verify_conservation
 from ..runtime.service import (
     ChaosReport,
@@ -306,13 +307,7 @@ async def _coordinate(
         prepared.serve.by_client(),
         origin_name=prepared.tree.root,
         config=prepared.config,
-        load=LoadConfig(
-            concurrency=settings.concurrency,
-            request_timeout=settings.request_timeout,
-            retries=settings.retries,
-            cooperative=settings.cooperative,
-            backoff_seed=settings.seed,
-        ),
+        load=load_config(settings),
         metrics=metrics,
         resolver=HashRing(spec.shards).resolver(spec.replicas),
     )

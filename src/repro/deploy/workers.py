@@ -13,7 +13,7 @@ A deployment forks two kinds of workers from the coordinator:
   Every reply names the *logical* origin, so client-side accounting is
   oblivious to sharding.
 * **Proxy hosts** (:func:`run_proxy_host`) — each hosts a subset of the
-  region :class:`~repro.runtime.proxy.ProxyNode` instances, one TCP
+  region :class:`~repro.runtime.node.CacheNode` instances, one TCP
   listener per proxy, with upstream forwards resolved through the ring
   over a :class:`~repro.deploy.mesh.TcpMesh`.
 
@@ -43,8 +43,8 @@ from typing import Any
 from ..errors import SimulationError
 from ..runtime.messages import Message, make_error
 from ..runtime.metrics import MetricsRegistry, default_registry
+from ..runtime.node import CacheNode
 from ..runtime.origin import OriginServer
-from ..runtime.proxy import ProxyNode
 from ..runtime.resilience import CircuitBreaker
 from ..runtime.transport import TcpServer
 from .bus import (
@@ -174,7 +174,7 @@ def _publish_worker_error(bus_path: str, node: str, err: Exception) -> None:
     )
 
 
-async def _apply_placement(node: ProxyNode, payload: dict[str, Any]) -> None:
+async def _apply_placement(node: CacheNode, payload: dict[str, Any]) -> None:
     """Apply one placement event through the proxy's public push path.
 
     Raises:
@@ -196,7 +196,7 @@ async def _apply_placement(node: ProxyNode, payload: dict[str, Any]) -> None:
         )
 
 
-async def _replay_placement(bus: EventBus, node: ProxyNode) -> None:
+async def _replay_placement(bus: EventBus, node: CacheNode) -> None:
     """Anti-entropy by log replay: re-apply every placement for ``node``."""
     for event in bus.replay(TOPIC_PLACEMENT):
         if event.kind == "placement" and event.payload.get("proxy") == node.name:
@@ -217,7 +217,7 @@ class DeployFaultHandler:
 
     def __init__(
         self,
-        node: ProxyNode,
+        node: CacheNode,
         gate: GatedEndpoint,
         *,
         fault: ProxyFault | None = None,
@@ -369,14 +369,16 @@ async def _proxy_host_main(ctx: ProxyHostContext) -> None:
         directory, codec=ctx.codec, timeout=settings.request_timeout
     )
     resolve = HashRing(ctx.shards).resolver(ctx.replicas)
-    nodes: dict[str, ProxyNode] = {}
+    nodes: dict[str, CacheNode] = {}
     gates: dict[str, GatedEndpoint] = {}
+    # Holdings start empty: they arrive as placement events below.
+    specs = {spec.name: spec for spec in prepared.node_specs(speculative=False)}
     for region in ctx.proxies:
         gate = GatedEndpoint(mesh.endpoint(region))
-        nodes[region] = ProxyNode(
-            region,
+        nodes[region] = CacheNode(
+            specs[region],
             gate,
-            upstream=prepared.tree.root,
+            label="proxy",
             metrics=metrics,
             upstream_timeout=settings.request_timeout,
             breaker=CircuitBreaker(

@@ -6,8 +6,9 @@ both the per-region and per-subnet levels of the clientele
 :class:`~repro.topology.tree.RoutingTree`.  Each node's holdings are
 planned from its **own subtree's demand**, the total storage budget is
 divided across nodes by the storage-partition optimizer, and lookups
-run a deterministic local → sibling probe → parent → origin protocol
-on the existing :mod:`repro.runtime` transports.  Pluggable placement
+run the deterministic local → sibling probe → parent → origin protocol
+of :class:`~repro.runtime.node.CacheNode` — the same node class the flat
+tier uses, with siblings and caching ancestors in its specs.  Pluggable placement
 policies cover the paper's log-driven and geographic baselines plus the
 cooperative (Avrachenkov et al.) and power-of-d (Pourmiri et al.)
 refinements from the related-work set.
@@ -17,11 +18,8 @@ Entry points: :meth:`repro.api.Session.fleet` (the front door), the
 / :func:`~repro.fleet.service.execute_fleet_smoke` directly.
 """
 
-from .loadgen import FleetLoadGenerator
-from .node import FleetNode
 from .plan import (
     FLEET_POLICIES,
-    FleetNodeSpec,
     FleetPlan,
     build_fleet_plan,
     build_single_tier_plan,
@@ -36,9 +34,6 @@ from .service import (
 
 __all__ = [
     "FLEET_POLICIES",
-    "FleetLoadGenerator",
-    "FleetNode",
-    "FleetNodeSpec",
     "FleetPlan",
     "FleetReport",
     "FleetSettings",

@@ -4,10 +4,10 @@ The paper's footnote-5 refinement distributes the dissemination budget
 over a *hierarchy* of proxies, each driven by its own subtree's demand.
 :func:`build_fleet_plan` turns a training trace and the clientele
 :class:`~repro.topology.tree.RoutingTree` into a frozen
-:class:`FleetPlan`: one :class:`FleetNodeSpec` per caching node with its
-holdings, its upstream (the nearest caching ancestor, else the origin)
-and its sibling group (same-parent caching nodes it may probe on a
-miss).
+:class:`FleetPlan`: one :class:`~repro.runtime.node.NodeSpec` per
+caching node with its holdings, its upstream (the nearest caching
+ancestor, else the origin) and its sibling group (same-parent caching
+nodes it may probe on a miss).
 
 The storage-partition optimizer
 (:func:`~repro.dissemination.allocation.exponential_allocation`) divides
@@ -42,11 +42,11 @@ Placement policies
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
 from ..dissemination.allocation import ServerModel, exponential_allocation
 from ..errors import AllocationError, SimulationError
+from ..runtime.node import NodeSpec
 from ..topology.placement import geographic_placement, greedy_tree_placement
 from ..topology.tree import RoutingTree
 from ..trace.records import Trace
@@ -59,38 +59,6 @@ FLEET_POLICIES = (
     "greedy",
     "geographic",
 )
-
-
-@dataclass(frozen=True)
-class FleetNodeSpec:
-    """One caching node of the fleet.
-
-    Attributes:
-        name: Tree node id (doubles as the endpoint name).
-        depth: Tree depth of the node.
-        upstream: Endpoint misses are forwarded to — the nearest
-            caching ancestor, or the tree root (origin).
-        upstream_distance: Tree hops between this node and its
-            upstream (cost of one forwarded byte).
-        siblings: Same-parent caching nodes, in deterministic order;
-            candidates for the sibling-probe step of a lookup.
-        sibling_distance: Tree hops to a sibling (up to the shared
-            parent and back down: 2 for a true sibling group).
-        holdings: Disseminated ``(doc_id, size)`` pairs, sorted.
-    """
-
-    name: str
-    depth: int
-    upstream: str
-    upstream_distance: int
-    siblings: tuple[str, ...] = ()
-    sibling_distance: int = 2
-    holdings: tuple[tuple[str, int], ...] = ()
-
-    @property
-    def holdings_bytes(self) -> int:
-        """Total disseminated bytes at this node."""
-        return sum(size for _, size in self.holdings)
 
 
 @dataclass(frozen=True)
@@ -110,19 +78,12 @@ class FleetPlan:
     root: str
     policy: str
     budget_bytes: float
-    nodes: tuple[FleetNodeSpec, ...]
+    nodes: tuple[NodeSpec, ...]
     probe_mode: str = "directory"
 
     def node_names(self) -> tuple[str, ...]:
         """All caching node ids, in plan order."""
         return tuple(spec.name for spec in self.nodes)
-
-    def holdings_of(self, name: str) -> dict[str, int]:
-        """One node's planned holdings as a ``doc_id → size`` dict."""
-        for spec in self.nodes:
-            if spec.name == name:
-                return dict(spec.holdings)
-        raise SimulationError(f"no fleet node named {name!r}")
 
     def total_bytes(self) -> int:
         """Disseminated bytes summed over every node (≤ the budget)."""
@@ -321,17 +282,11 @@ def _nearest_site_ancestor(
     return tree.root
 
 
-def _hashed_rank(doc_id: str, sibling: str) -> str:
-    """Deterministic per-(doc, sibling) rank for power-of-d probing."""
-    key = f"{doc_id}|{sibling}".encode("utf-8")
-    return hashlib.sha1(key).hexdigest()
-
-
 def _build_specs(
     tree: RoutingTree,
     sites: list[str],
     holdings: dict[str, tuple[tuple[str, int], ...]],
-) -> tuple[FleetNodeSpec, ...]:
+) -> tuple[NodeSpec, ...]:
     """Assemble node specs (upstream, siblings, distances) for sites."""
     site_set = set(sites)
     siblings = _group_siblings(tree, sites)
@@ -339,7 +294,7 @@ def _build_specs(
     for site in sorted(sites, key=lambda s: (tree.depth(s), s)):
         upstream = _nearest_site_ancestor(tree, site, site_set)
         specs.append(
-            FleetNodeSpec(
+            NodeSpec(
                 name=site,
                 depth=tree.depth(site),
                 upstream=upstream,

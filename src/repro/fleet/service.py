@@ -23,43 +23,29 @@ bit-identical across repeated seeded runs.
 
 from __future__ import annotations
 
-import asyncio
 import json
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
-from ..config import BASELINE, SECONDS_PER_DAY, BaselineConfig, DeploySpec
-from ..core.planner import DisseminationPlanner
-from ..core.sampling import estimate_ratios
-from ..errors import RuntimeProtocolError, SimulationError, TransportError
-from ..obs import (
-    ArmObservations,
-    ObsBundle,
-    ObsConfig,
-    RunObservations,
-    run_manifest,
+from ..config import BASELINE, BaselineConfig, DeploySpec
+from ..errors import RuntimeProtocolError, SimulationError
+from ..obs import ArmObservations, ObsConfig, RunObservations
+from ..runtime.assembly import (
+    PreparedTrace,
+    entry_routes,
+    resolve_local_deploy,
+    run_live,
 )
 from ..runtime.clock import run_virtual
-from ..runtime.estimator import OnlineDependencyEstimator
-from ..runtime.faults import FaultInjector, FaultPlan
-from ..runtime.loadgen import ClientRoute, LoadConfig
-from ..runtime.messages import Message
+from ..runtime.faults import FaultPlan
 from ..runtime.metrics import live_ratios, verify_conservation
-from ..runtime.origin import OriginServer
 from ..runtime.service import smoke_workload
-from ..runtime.transport import InMemoryNetwork
 from ..speculation.dependency import DependencyModel
 from ..speculation.metrics import SpeculationRatios
-from ..speculation.policies import SpeculationPolicy, ThresholdPolicy
-from ..topology.builder import build_clientele_tree
-from ..topology.tree import RoutingTree
-from ..trace.profiler import TraceProfiler, WorkloadProfile
-from ..trace.records import Trace
-from ..trace.sampling import SampledRatioReport, SamplingConfig, sample_clients
-from ..workload.generator import GeneratorConfig, SyntheticTraceGenerator
-from .loadgen import FleetLoadGenerator
-from .node import FleetNode
-from .plan import FleetPlan, build_fleet_plan, build_single_tier_plan
+from ..trace.profiler import WorkloadProfile
+from ..trace.sampling import SampledRatioReport, SamplingConfig
+from ..workload.generator import GeneratorConfig
+from .plan import build_fleet_plan, build_single_tier_plan
 
 #: The four headline ratios, in report order.
 RATIO_NAMES = ("bandwidth", "server_load", "service_time", "miss_rate")
@@ -198,223 +184,8 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def _entry_routes(
-    tree: RoutingTree, plan: FleetPlan, clients: set[str]
-) -> dict[str, ClientRoute]:
-    """Each client's entry node: its deepest caching ancestor."""
-    sites = set(plan.node_names())
-    routes: dict[str, ClientRoute] = {}
-    for client in clients:
-        path = tree.path_from_root(client)
-        entry = None
-        for node in reversed(path[:-1]):
-            if node in sites:
-                entry = node
-                break
-        if entry is None:
-            routes[client] = ClientRoute(
-                target=tree.root, target_depth=0, depth=tree.depth(client)
-            )
-        else:
-            routes[client] = ClientRoute(
-                target=entry,
-                target_depth=tree.depth(entry),
-                depth=tree.depth(client),
-            )
-    return routes
-
-
-def _tree_hop_count(tree: RoutingTree) -> Callable[[str, str], int]:
-    """A memoized tree-distance latency weight for the network."""
-    cache: dict[tuple[str, str], int] = {}
-
-    def hop_count(source: str, destination: str) -> int:
-        key = (source, destination)
-        hops = cache.get(key)
-        if hops is None:
-            if source in tree and destination in tree:
-                hops = tree.distance(source, destination)
-            else:
-                hops = 1
-            hops = hops if hops > 0 else 1
-            cache[key] = hops
-        return hops
-
-    return hop_count
-
-
-async def _repush_holdings(
-    endpoint, target: str, entries: tuple[tuple[str, int], ...], metrics, timeout
-) -> None:
-    """Anti-entropy: push one restarted node's planned holdings back."""
-    payload_bytes = sum(size for _, size in entries)
-    message = Message(
-        kind="push",
-        sender=endpoint.name,
-        request_id=endpoint.next_request_id(),
-        payload={
-            "documents": [[doc, size] for doc, size in entries],
-            "mode": "replace",
-        },
-        body_bytes=payload_bytes,
-    )
-    try:
-        await endpoint.call(target, message, timeout=timeout)
-    except TransportError:
-        metrics.counter("fleet.failed_repushes").inc()
-        return
-    metrics.counter("fleet.repushes").inc()
-    metrics.counter("fleet.repushed_bytes").inc(payload_bytes)
-
-
-async def _fleet_run_once(
-    serve: Trace,
-    tree: RoutingTree,
-    plan: FleetPlan,
-    routes: dict[str, ClientRoute],
-    *,
-    config: BaselineConfig,
-    settings: FleetSettings,
-    estimator: OnlineDependencyEstimator,
-    model: DependencyModel,
-    origin_policy: SpeculationPolicy | None,
-    node_policy: SpeculationPolicy | None,
-    fault_plan: FaultPlan | None = None,
-    obs: ObsConfig | None = None,
-) -> tuple[dict[str, Any], ArmObservations | None]:
-    """One full fleet replay; returns (snapshot, observations-or-None)."""
-    network = InMemoryNetwork(
-        seed=settings.seed,
-        drop_probability=settings.drop_probability,
-        hop_count=_tree_hop_count(tree),
-        codec=settings.codec,
-    )
-    bundle = ObsBundle.from_config(obs)
-    metrics = bundle.registry
-    metrics.bind_clock(asyncio.get_running_loop().time)
-    injector = None
-    if fault_plan is not None:
-        injector = FaultInjector(fault_plan, seed=settings.seed, metrics=metrics)
-        network.attach_faults(injector)
-
-    origin_endpoint = network.endpoint(tree.root)
-    origin = OriginServer(
-        serve.documents,
-        estimator=estimator,
-        policy=origin_policy,
-        config=config,
-        metrics=metrics,
-        name=tree.root,
-    )
-    origin_endpoint.start(origin.handle)
-
-    endpoints = []
-    nodes: list[FleetNode] = []
-    for spec in plan.nodes:
-        endpoint = network.endpoint(spec.name)
-        directory = (
-            plan.directory_for(spec.name)
-            if plan.probe_mode == "directory"
-            else {}
-        )
-        node = FleetNode(
-            spec,
-            endpoint,
-            metrics=metrics,
-            directory=directory,
-            probe_mode=plan.probe_mode,
-            probe_siblings=settings.probe_siblings,
-            probe_timeout=settings.probe_timeout,
-            model=model,
-            policy=node_policy,
-            catalog=serve.documents,
-            config=config,
-            upstream_timeout=settings.request_timeout,
-            backoff_seed=settings.seed,
-        )
-        endpoint.start(node.handle)
-        endpoints.append(endpoint)
-        nodes.append(node)
-
-    repush_tasks: list[asyncio.Task[None]] = []
-    injector_task = None
-    if injector is not None:
-
-        def restart_hook(restarted: FleetNode) -> Callable[[], None]:
-            entries = restarted.spec.holdings
-
-            def hook() -> None:
-                restarted.on_restart()
-                if not entries:
-                    return
-                repush_tasks.append(
-                    asyncio.get_running_loop().create_task(
-                        _repush_holdings(
-                            origin_endpoint,
-                            restarted.name,
-                            entries,
-                            metrics,
-                            settings.request_timeout,
-                        )
-                    )
-                )
-
-            return hook
-
-        for node in nodes:
-            injector.register_node(
-                node.name,
-                on_crash=node.on_crash,
-                on_restart=restart_hook(node),
-            )
-        injector_task = asyncio.get_running_loop().create_task(injector.run())
-
-    generator = FleetLoadGenerator(
-        network,
-        routes,
-        serve.by_client(),
-        origin_name=tree.root,
-        config=config,
-        load=LoadConfig(
-            concurrency=settings.concurrency,
-            request_timeout=settings.request_timeout,
-            retries=settings.retries,
-            cooperative=settings.cooperative,
-            backoff_seed=settings.seed,
-        ),
-        metrics=metrics,
-    )
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    try:
-        await generator.run()
-    finally:
-        background = [
-            task
-            for task in (injector_task, *repush_tasks)
-            if task is not None and not task.done()
-        ]
-        for task in background:
-            task.cancel()
-        if background:
-            await asyncio.gather(*background, return_exceptions=True)
-        for node in nodes:
-            await node.close()
-        for endpoint in endpoints:
-            await endpoint.close()
-        await origin_endpoint.close()
-
-    metrics.counter("run.virtual_seconds").inc(round(loop.time() - started, 9))
-    for name, amount in network.stats().items():
-        metrics.counter(f"network.{name}").inc(amount)
-    observed = (
-        bundle.observations() if obs is not None and obs.enabled else None
-    )
-    return metrics.snapshot(), observed
-
-
-class _FleetPrepared:
-    """Workload, topology and plan prep shared by every fleet arm."""
+class _FleetPrepared(PreparedTrace):
+    """The shared trace prep plus the plans of all three fleet arms."""
 
     def __init__(
         self,
@@ -423,50 +194,12 @@ class _FleetPrepared:
         config: BaselineConfig,
         sampling: SamplingConfig | None = None,
     ):
-        self.settings = settings
-        self.config = config
-        trace = SyntheticTraceGenerator(workload).generate().remote_only()
-        self.sampling_report: SampledRatioReport | None = None
-        self.profile: WorkloadProfile | None = None
-        if sampling is not None:
-            # Same contract as the loadtest engine: estimate the ratios
-            # from the batch replay of the sample against the full
-            # population, then thin every fleet arm to those clients.
-            train_days = (
-                settings.train_fraction * trace.duration / SECONDS_PER_DAY
-            )
-            self.sampling_report = estimate_ratios(
-                trace, sampling, config=config, train_days=train_days
-            )
-            trace = sample_clients(
-                trace, sampling.fraction, seed=sampling.seed
-            )
-            if sampling.profile:
-                self.profile = TraceProfiler(
-                    stride_timeout=config.stride_timeout
-                ).profile(trace)
-        if len(trace) < 10:
-            raise SimulationError("workload too small for a fleet run")
-
-        boundary = trace.start_time + settings.train_fraction * trace.duration
-        self.train = trace.window(trace.start_time, boundary)
-        self.serve = trace.window(boundary, trace.end_time + 1.0)
-        if len(self.train) == 0 or len(self.serve) == 0:
-            raise SimulationError(
-                "train/serve split produced an empty half; "
-                "adjust train_fraction or enlarge the workload"
-            )
-
-        self.tree = build_clientele_tree(trace)
+        super().__init__(workload, settings, config, sampling, what="fleet run")
         self.model = DependencyModel.estimate(
             self.train,
             window=config.stride_timeout,
             stride_timeout=config.stride_timeout,
         )
-        self.policy = ThresholdPolicy(
-            threshold=config.threshold, max_size=config.max_size
-        )
-
         self.fleet_plan = build_fleet_plan(
             self.tree,
             self.train,
@@ -475,51 +208,26 @@ class _FleetPrepared:
             region_fraction=settings.region_fraction,
         )
 
-        serve_clients = self.serve.clients()
-        regions = sorted(
-            {
-                node
-                for client in serve_clients
-                for node in self.tree.path_from_root(client)
-                if node.startswith("region-")
-            }
-        )
+        regions, single_routes = self.region_routes()
         if not regions:
             raise SimulationError("no region covers any serving client")
-        planner = DisseminationPlanner(remote_only=True)
-        planner.add_server(self.tree.root, self.train)
-        single_plan = planner.plan(settings.budget_bytes / len(regions))
-        catalog = trace.documents
-        single_holdings = {
-            doc_id: catalog[doc_id].size
-            for doc_id in single_plan.documents.get(self.tree.root, ())
-            if doc_id in catalog
-        }
-        self.single_plan = build_single_tier_plan(
+        single_plan = build_single_tier_plan(
             self.tree,
             self.train,
             budget_bytes=settings.budget_bytes,
             regions=regions,
-            holdings=single_holdings,
+            holdings=self.origin_plan(settings.budget_bytes / len(regions)),
         )
-        self.demand_plan = self.single_plan.without_holdings()
-
-        self.fleet_routes = _entry_routes(
-            self.tree, self.fleet_plan, serve_clients
+        fleet_routes = entry_routes(
+            self.tree, self.fleet_plan.node_names(), self.serve.clients()
         )
-        self.single_routes = _entry_routes(
-            self.tree, self.single_plan, serve_clients
-        )
-
-    def fresh_estimator(self) -> OnlineDependencyEstimator:
-        """A warm, frozen estimator; each arm gets its own."""
-        estimator = OnlineDependencyEstimator(
-            window=self.config.stride_timeout,
-            stride_timeout=self.config.stride_timeout,
-            learn=False,
-        )
-        estimator.warm(self.train)
-        return estimator
+        node_policy = self.policy if settings.node_speculation else None
+        #: arm → (plan, routes, origin policy, node policy)
+        self.arms = {
+            "demand": (single_plan.without_holdings(), single_routes, None, None),
+            "single": (single_plan, single_routes, self.policy, None),
+            "fleet": (self.fleet_plan, fleet_routes, self.policy, node_policy),
+        }
 
     def arm(
         self,
@@ -529,37 +237,36 @@ class _FleetPrepared:
         obs: ObsConfig | None = None,
     ) -> tuple[dict[str, Any], ArmObservations | None]:
         """Run one arm (``demand`` / ``single`` / ``fleet``) virtually."""
-        if kind == "demand":
-            plan, routes = self.demand_plan, self.single_routes
-            origin_policy = node_policy = None
-        elif kind == "single":
-            plan, routes = self.single_plan, self.single_routes
-            origin_policy, node_policy = self.policy, None
-        elif kind == "fleet":
-            plan, routes = self.fleet_plan, self.fleet_routes
-            origin_policy = self.policy
-            node_policy = (
-                self.policy if self.settings.node_speculation else None
-            )
-        else:
+        if kind not in self.arms:
             raise SimulationError(f"unknown fleet arm {kind!r}")
-        return run_virtual(
-            _fleet_run_once(
+        plan, routes, origin_policy, node_policy = self.arms[kind]
+        metrics, observed = run_virtual(
+            run_live(
                 self.serve,
                 self.tree,
-                plan,
+                plan.nodes,
                 routes,
+                label="fleet",
                 config=self.config,
                 settings=self.settings,
                 estimator=self.fresh_estimator(),
-                model=self.model,
                 origin_policy=origin_policy,
+                model=self.model,
                 node_policy=node_policy,
+                directory_for=(
+                    plan.directory_for
+                    if plan.probe_mode == "directory"
+                    else None
+                ),
+                probe_mode=plan.probe_mode,
+                probe_siblings=self.settings.probe_siblings,
+                probe_timeout=self.settings.probe_timeout,
                 fault_plan=fault_plan,
                 obs=obs,
             ),
             schedule_seed=self.settings.schedule_seed,
         )
+        return metrics.snapshot(), observed
 
 
 def execute_fleet(
@@ -605,15 +312,7 @@ def execute_fleet(
         RuntimeProtocolError: On a byte/frame conservation violation.
     """
     settings = settings if settings is not None else FleetSettings()
-    if deploy is not None:
-        if not deploy.local:
-            raise SimulationError(
-                f"DeploySpec(processes={deploy.processes}) is distributed; "
-                "fleet runs are in-process — use repro.deploy.execute_deploy "
-                "for multi-process topologies"
-            )
-        if deploy.codec is not None:
-            settings = replace(settings, codec=deploy.codec)
+    settings, _ = resolve_local_deploy(settings, deploy)
     prepared = _FleetPrepared(workload, settings, config, sampling)
 
     demand_snap, demand_obs = prepared.arm("demand", obs=obs)
@@ -626,27 +325,6 @@ def execute_fleet(
     verify_conservation(single_snap, strict=strict)
     verify_conservation(fleet_snap, strict=strict)
 
-    observed = None
-    if fleet_obs is not None and demand_obs is not None:
-        extra: dict[str, Any] = {}
-        if prepared.sampling_report is not None:
-            extra["sampling"] = prepared.sampling_report.to_dict()
-        if prepared.profile is not None:
-            extra["workload_profile"] = prepared.profile.to_dict()
-        observed = RunObservations(
-            speculative=fleet_obs,
-            baseline=demand_obs,
-            manifest=run_manifest(
-                seed=workload.seed,
-                config={
-                    "workload": asdict(workload),
-                    "settings": asdict(settings),
-                    "cost_model": asdict(config),
-                    "plan": prepared.fleet_plan.summary(),
-                },
-                extra=extra or None,
-            ),
-        )
     return FleetReport(
         demand=demand_snap,
         single=single_snap,
@@ -654,7 +332,9 @@ def execute_fleet(
         ratios=live_ratios(fleet_snap, demand_snap),
         single_ratios=live_ratios(single_snap, demand_snap),
         plan=prepared.fleet_plan.summary(),
-        observed=observed,
+        observed=prepared.observations(
+            fleet_obs, demand_obs, plan=prepared.fleet_plan.summary()
+        ),
         sampling=prepared.sampling_report,
         profile=prepared.profile,
     )

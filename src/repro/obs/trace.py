@@ -32,8 +32,8 @@ EVENT_KINDS: tuple[str, ...] = (
     "dissemination", # the daemon pushed a plan to a proxy
     "fault",         # a scripted fault fired
     "retry",         # a client retried after a transport failure
-    "fleet-serve",   # a fleet node served a document it held
-    "fleet-probe",   # a sibling probe resolved a fleet-node miss
+    "fleet-serve",   # a cache node served a document it held
+    "fleet-probe",   # a sibling probe answered (or missed) a node's miss
     "event",         # free-form timeline marker
 )
 

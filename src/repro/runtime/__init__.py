@@ -2,7 +2,7 @@
 
 Runs both of the paper's protocols **live** instead of in batch replay:
 an origin server speculates in-band from an online-estimated dependency
-model, proxy nodes serve disseminated documents, a daemon replans
+model, cache nodes serve disseminated documents, a daemon replans
 dissemination from observed popularity, and a load generator drives
 seeded workload sessions with admission control.  Two transports share
 one message protocol — a deterministic in-memory network under a
@@ -19,11 +19,12 @@ carries the run through with the paper's four ratios intact.
 Entry points: :class:`repro.api.Session` (the front door), the
 ``repro serve``, ``repro loadtest`` and ``repro chaos`` CLI commands,
 or the engine functions :func:`~repro.runtime.service.execute_loadtest`
-/ :func:`~repro.runtime.service.execute_chaos`.  The historical
-``run_loadtest`` / ``run_smoke`` / ``run_chaos`` / ``run_chaos_smoke``
-names remain as deprecated shims.
+/ :func:`~repro.runtime.service.execute_chaos`.  Every in-process
+shape is one :func:`~repro.runtime.assembly.run_live` wiring of one
+:class:`~repro.runtime.node.CacheNode` class.
 """
 
+from .assembly import PreparedTrace, run_live
 from .clock import VirtualClock, run_virtual
 from .daemon import DisseminationDaemon
 from .estimator import OnlineDependencyEstimator
@@ -47,8 +48,8 @@ from .metrics import (
     live_ratios,
     verify_conservation,
 )
+from .node import CacheNode, NodeSpec
 from .origin import OriginServer
-from .proxy import ProxyNode
 from .resilience import BackoffPolicy, CircuitBreaker, DuplicateFilter, retry_rng
 from .service import (
     ChaosReport,
@@ -62,10 +63,6 @@ from .service import (
     execute_smoke,
     prepare_live_run,
     require_shard_exact,
-    run_chaos,
-    run_chaos_smoke,
-    run_loadtest,
-    run_smoke,
     smoke_workload,
 )
 from .transport import Endpoint, InMemoryNetwork, TcpServer, tcp_call
@@ -75,6 +72,7 @@ __all__ = [
     "BackoffPolicy",
     "BinaryCodec",
     "CODECS",
+    "CacheNode",
     "ChaosReport",
     "ChaosSettings",
     "CircuitBreaker",
@@ -96,9 +94,10 @@ __all__ = [
     "LoadGenerator",
     "Message",
     "MetricsRegistry",
+    "NodeSpec",
     "OnlineDependencyEstimator",
     "OriginServer",
-    "ProxyNode",
+    "PreparedTrace",
     "TcpServer",
     "VirtualClock",
     "chaos_smoke_settings",
@@ -112,10 +111,7 @@ __all__ = [
     "require_shard_exact",
     "resolve_codec",
     "retry_rng",
-    "run_chaos",
-    "run_chaos_smoke",
-    "run_loadtest",
-    "run_smoke",
+    "run_live",
     "run_virtual",
     "smoke_workload",
     "sniff_codec",

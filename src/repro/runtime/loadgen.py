@@ -9,8 +9,9 @@ with a fresh correlation id.
 Accounting happens **client-side in the paper's cost units** so a live
 run is directly comparable with
 :class:`~repro.core.combined.CombinedProtocolSimulator`: the client
-knows its depth and the serving node's depth (both from the routing
-tree), so it can attribute ``bytes × hops`` and
+knows its depth and its entry node's depth (both from the routing
+tree) and every cache node stamps the ``path_hops`` a reply travelled
+above the entry node, so the client can attribute ``bytes × hops`` and
 ``ServCost + CommCost·bytes·(hops/depth)`` exactly as the batch replay
 does, while measured (virtual) latencies feed separate histograms.
 """
@@ -253,21 +254,34 @@ class LoadGenerator:
         payload: dict,
         cache: ClientCache,
     ) -> None:
-        """Attribute one reply in batch-identical cost units."""
+        """Attribute one reply in batch-identical cost units.
+
+        ``hops = (client → entry node) + path_hops``: cache nodes stamp
+        replies with the tree edges travelled **above** the client's
+        entry node (entry node → sibling → parent → origin chains of
+        any shape), and the client adds its own leg below it.  Replies
+        without ``path_hops`` (a client routed straight at the origin)
+        paid the full root path.  Riders travelled with the demand
+        reply, so they pay the same hop count — cheaper than
+        origin-side speculation whenever the serving node sits below
+        the root.
+        """
         metrics = self.metrics
         config = self._config
         depth = route.depth
         size = int(payload.get("size", request.size))
         served_by = payload.get("served_by", self._origin_name)
+        travelled = payload.get("path_hops")
+        if isinstance(travelled, (int, float)):
+            hops = (depth - route.target_depth) + int(travelled)
+        else:
+            hops = depth
 
         metrics.counter("received_bytes").inc(size)
         if served_by == self._origin_name:
             metrics.counter("origin_requests").inc()
-            serving_depth = 0
         else:
             metrics.counter("proxy_requests").inc()
-            serving_depth = route.target_depth
-        hops = depth - serving_depth
         metrics.counter("bytes_hops").inc(size * hops)
         metrics.counter("service_cost").inc(
             config.serv_cost
@@ -279,5 +293,5 @@ class LoadGenerator:
             rider_id, rider_size = str(entry[0]), int(entry[1])
             metrics.counter("speculated_documents").inc()
             metrics.counter("speculated_bytes").inc(rider_size)
-            metrics.counter("bytes_hops").inc(rider_size * depth)
+            metrics.counter("bytes_hops").inc(rider_size * hops)
             cache.insert(rider_id, rider_size)

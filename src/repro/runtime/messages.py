@@ -192,6 +192,10 @@ _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 _REQ_HEAD = struct.Struct("!dHHHII")
 _RESP_HEAD = struct.Struct("!qHHIIB")
+#: Bits of the response head's trailing flags byte: which optional
+#: fields follow the head, in this order.
+_HAS_SERVICE = 1
+_HAS_HOPS = 2
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
@@ -292,7 +296,8 @@ def _unpack_request(view: memoryview, offset: int) -> tuple[dict[str, Any], int]
 
 def _pack_response(payload: dict[str, Any]) -> bytes | None:
     """Pack a canonical ``make_response`` payload (optionally stamped
-    with the TCP server's ``service_seconds``), or ``None`` when it
+    with the TCP server's ``service_seconds`` and/or a cache node's
+    ``path_hops``, each a flagged optional field), or ``None`` when it
     must take the generic encoding."""
     try:
         doc_id = payload["doc_id"]
@@ -302,7 +307,8 @@ def _pack_response(payload: dict[str, Any]) -> bytes | None:
     except (KeyError, TypeError):
         return None
     service = payload.get("service_seconds")
-    if len(payload) != 4 + (service is not None):
+    hops = payload.get("path_hops")
+    if len(payload) != 4 + (service is not None) + (hops is not None):
         return None
     if type(doc_id) is not str or type(served_by) is not str:
         return None
@@ -311,6 +317,8 @@ def _pack_response(payload: dict[str, Any]) -> bytes | None:
     if type(speculated) is not list:
         return None
     if service is not None and type(service) is not float:
+        return None
+    if hops is not None and (type(hops) is not int or not 0 <= hops <= 0xFFFF):
         return None
     doc_raw = doc_id.encode("utf-8")
     served_raw = served_by.encode("utf-8")
@@ -341,11 +349,13 @@ def _pack_response(payload: dict[str, Any]) -> bytes | None:
             len(served_raw),
             count,
             len(blob),
-            service is not None,
+            (service is not None) * _HAS_SERVICE + (hops is not None) * _HAS_HOPS,
         ),
     ]
     if service is not None:
         chunks.append(_F64.pack(service))
+    if hops is not None:
+        chunks.append(_U16.pack(hops))
     chunks.append(doc_raw)
     chunks.append(served_raw)
     chunks.append(struct.pack(f"!{count}H", *map(len, rider_ids)))
@@ -356,14 +366,18 @@ def _pack_response(payload: dict[str, Any]) -> bytes | None:
 
 def _unpack_response(view: memoryview, offset: int) -> tuple[dict[str, Any], int]:
     """Inverse of :func:`_pack_response`; returns payload + next offset."""
-    size, doc_len, served_len, count, blob_len, has_service = (
+    size, doc_len, served_len, count, blob_len, flags = (
         _RESP_HEAD.unpack_from(view, offset)
     )
     offset += _RESP_HEAD.size
-    service = None
-    if has_service:
+    if flags & ~(_HAS_SERVICE | _HAS_HOPS):
+        raise RuntimeProtocolError(f"unknown response flags {flags:#04x}")
+    if flags & _HAS_SERVICE:
         (service,) = _F64.unpack_from(view, offset)
         offset += 8
+    if flags & _HAS_HOPS:
+        (hops,) = _U16.unpack_from(view, offset)
+        offset += 2
     doc_id = str(view[offset : offset + doc_len], "utf-8")
     offset += doc_len
     served_by = str(view[offset : offset + served_len], "utf-8")
@@ -388,8 +402,10 @@ def _unpack_response(view: memoryview, offset: int) -> tuple[dict[str, Any], int
         "served_by": served_by,
         "speculated": speculated,
     }
-    if has_service:
+    if flags & _HAS_SERVICE:
         payload["service_seconds"] = service
+    if flags & _HAS_HOPS:
+        payload["path_hops"] = hops
     return payload, offset
 
 

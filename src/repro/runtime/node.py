@@ -1,67 +1,127 @@
-"""One fleet cache node: local hit, sibling probe, parent, origin.
+"""The cache node: local hit, sibling probe, upstream, origin.
 
-A :class:`FleetNode` runs the deterministic lookup protocol at one
-caching node of the routing tree:
+The paper has one kind of intermediary — a service proxy on the routing
+tree holding disseminated documents (section 2) — and so does the
+runtime.  A :class:`CacheNode` runs the deterministic lookup protocol
+at one caching node of the tree:
 
 1. **Local**: the document is among this node's disseminated holdings —
    serve it (optionally with locally-speculated riders) at zero extra
-   path hops.
+   path hops; the origin never sees the request (section 2's
+   load-balancing effect).
 2. **Sibling probe**: ask up to ``d`` same-parent siblings, one at a
    time in deterministic order.  A probe is a normal ``request`` with a
    ``probe`` flag; the probed node answers **only** from its own
    holdings (a protocol-error reply signals a probe miss) so probes can
    never recurse or loop.
-3. **Parent**: forward to the upstream caching node (which runs the
-   same protocol) behind the standard circuit breaker with seeded
-   retry backoff.
-4. **Origin**: the recursion's base case — the root upstream is the
-   origin server itself.
+3. **Upstream**: forward to the upstream node — a caching ancestor
+   running the same protocol, or the origin itself (the recursion's
+   base case) — behind a circuit breaker with seeded retry backoff.
+
+A flat region proxy is the degenerate case (the paper's footnote 5): a
+:class:`NodeSpec` with no siblings, the origin as upstream and
+``upstream_distance = depth(region)``, built with no model or policy.
 
 Replies accumulate ``path_hops``, the tree edges the document travelled
 *above* the client's entry node, so the load generator can attribute
 bytes × hops exactly (the client adds its own leg below the entry
-node).  Failure semantics mirror
-:class:`~repro.runtime.proxy.ProxyNode`: open breakers fast-fail and
-queue misses, restarts lose volatile holdings until a re-push, and
-retried demands are counted as duplicate service — with every counter
-labelled ``fleet.<node>.*`` so multi-node runs never collide.
+node).  Holdings change at runtime via ``push`` messages.
+
+Failure semantics (see ``docs/runtime.md``):
+
+* Upstream forwards go through a per-upstream
+  :class:`~repro.runtime.resilience.CircuitBreaker`; after repeated
+  transport failures the node fast-fails misses instead of burning a
+  full timeout per request, and probes the upstream again after the
+  breaker's reset window.
+* Forward attempts retry with seeded exponential backoff before the
+  client's own timeout gives up.
+* While the upstream is unreachable the node keeps serving its
+  disseminated holdings (counted as stale service) and queues the
+  misses it had to reject; once the breaker closes again the queued
+  misses are fetched and folded into holdings.
+* A restart loses the volatile holdings until they are re-pushed.
+* Retried requests whose earlier reply was lost are served again but
+  counted as duplicate service (at-least-once accounting).
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 from collections import OrderedDict
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from ..config import BASELINE, BaselineConfig
 from ..errors import RuntimeProtocolError, TransportError
-from ..runtime.messages import Message, make_error, make_request, make_response
-from ..runtime.metrics import MetricsRegistry, default_registry
-from ..runtime.resilience import (
+from ..speculation.dependency import DependencyModel
+from ..speculation.policies import SpeculationPolicy
+from ..trace.records import Document
+from .messages import Message, make_error, make_request, make_response
+from .metrics import Counter, MetricsRegistry, default_registry
+from .resilience import (
     BREAKER_OPEN,
     BackoffPolicy,
     CircuitBreaker,
     DuplicateFilter,
     retry_rng,
 )
-from ..runtime.transport import Endpoint
-from ..speculation.dependency import DependencyModel
-from ..speculation.policies import SpeculationPolicy
-from ..trace.records import Document
-from .plan import FleetNodeSpec, _hashed_rank
+from .transport import Endpoint
 
 
-class FleetNode:
-    """Protocol logic of one fleet cache; bind ``handle`` to its endpoint.
+@dataclass(frozen=True)
+class NodeSpec:
+    """One caching node's place on the routing tree.
+
+    Attributes:
+        name: Tree node id (doubles as the endpoint name).
+        depth: Tree depth of the node.
+        upstream: Endpoint misses are forwarded to — the nearest
+            caching ancestor, or the tree root (origin).
+        upstream_distance: Tree hops between this node and its
+            upstream (cost of one forwarded byte).
+        siblings: Same-parent caching nodes, in deterministic order;
+            candidates for the sibling-probe step of a lookup.
+        sibling_distance: Tree hops to a sibling (up to the shared
+            parent and back down: 2 for a true sibling group).
+        holdings: Disseminated ``(doc_id, size)`` pairs, sorted.
+    """
+
+    name: str
+    depth: int
+    upstream: str
+    upstream_distance: int
+    siblings: tuple[str, ...] = ()
+    sibling_distance: int = 2
+    holdings: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def holdings_bytes(self) -> int:
+        """Total disseminated bytes at this node."""
+        return sum(size for _, size in self.holdings)
+
+
+def _hashed_rank(doc_id: str, sibling: str) -> str:
+    """Deterministic per-(doc, sibling) rank for power-of-d probing."""
+    key = f"{doc_id}|{sibling}".encode("utf-8")
+    return hashlib.sha1(key).hexdigest()
+
+
+class CacheNode:
+    """Protocol logic of one cache node; bind ``handle`` to its endpoint.
 
     Args:
-        spec: The node's planned geometry (upstream, siblings,
-            distances) and initial holdings.
+        spec: The node's geometry (upstream, siblings, distances) and
+            initial holdings.
         endpoint: The node's own endpoint (used for probes/forwards).
-        metrics: Shared metrics registry; counters are labelled
-            ``fleet.<name>.*``.
-        directory: ``doc_id → sibling names`` probe map from the plan
-            (directory mode); ignored in hashed mode.
+        label: Counter namespace: every counter is named
+            ``<label>.<name>.*`` (``"proxy"`` for the flat tier,
+            ``"fleet"`` for fleet nodes) so multi-node runs never
+            collide and historical counter names stay stable.
+        metrics: Shared metrics registry.
+        directory: ``doc_id → sibling names`` probe map (directory
+            mode); ignored in hashed mode.
         probe_mode: ``"directory"`` or ``"hashed"`` sibling choice.
         probe_siblings: Max siblings probed per miss (``d``); 0
             disables probing.
@@ -73,37 +133,39 @@ class FleetNode:
             can only push bytes it actually has).
         catalog: Full document catalog (rider candidate lookup).
         config: Cost model (``max_size`` caps riders).
-        upstream_timeout: Per-forward timeout (None waits forever).
-        breaker: Upstream circuit breaker; a default one is built when
-            omitted.
-        backoff: Retry backoff policy for upstream forwards.
-        forward_retries: Extra upstream attempts after a transport
-            failure.
+        upstream_timeout: Per-forward timeout in seconds (None waits
+            forever).
+        breaker: Upstream circuit breaker; a default one (4 failures,
+            reset after two upstream timeouts) is built when omitted.
+        backoff: Backoff policy between forward retry attempts.
+        forward_retries: Extra forward attempts after a transport
+            failure before giving up on a request.
         backoff_seed: Seeds this node's retry-jitter RNG.
-        miss_queue_limit: Bound on misses queued while the upstream is
-            unreachable.
+        miss_queue_limit: Bound on misses remembered while the
+            upstream is unreachable (oldest kept).
         resolve_upstream: Optional ``(doc_id, attempt) -> endpoint
-            name`` shard resolver.  Only consulted when this node's
-            upstream is the origin itself: sharded deployments map the
-            logical origin onto the consistent-hash owner of each
-            document, and retry attempts fail over across replicas.
-            Forwards to a *caching* parent are never resolved — the
-            tree geometry is fixed by the plan.
+            name`` shard resolver.  When set, every upstream call is
+            routed through it instead of the static ``spec.upstream``
+            name — sharded deployments map the logical origin onto the
+            consistent-hash owner, and retry attempts fail over across
+            replicas.  ``spec.upstream`` remains the logical name used
+            in error text.
     """
 
     def __init__(
         self,
-        spec: FleetNodeSpec,
+        spec: NodeSpec,
         endpoint: Endpoint,
         *,
+        label: str,
         metrics: MetricsRegistry | None = None,
-        directory: dict[str, tuple[str, ...]] | None = None,
+        directory: Mapping[str, tuple[str, ...]] | None = None,
         probe_mode: str = "directory",
         probe_siblings: int = 2,
         probe_timeout: float | None = 5.0,
         model: DependencyModel | None = None,
         policy: SpeculationPolicy | None = None,
-        catalog: dict[str, Document] | None = None,
+        catalog: Mapping[str, Document] | None = None,
         config: BaselineConfig = BASELINE,
         upstream_timeout: float | None = None,
         breaker: CircuitBreaker | None = None,
@@ -116,15 +178,16 @@ class FleetNode:
         self.name = spec.name
         self.spec = spec
         self._endpoint = endpoint
+        self._prefix = f"{label}.{spec.name}."
         self._holdings: dict[str, int] = dict(spec.holdings)
         self.metrics = metrics if metrics is not None else default_registry()
-        self._directory = dict(directory or {})
+        self._directory = directory if directory is not None else {}
         self._probe_mode = probe_mode
         self._probe_siblings = max(0, probe_siblings)
         self._probe_timeout = probe_timeout
         self._model = model
         self._policy = policy
-        self._catalog = dict(catalog or {})
+        self._catalog = catalog if catalog is not None else {}
         self._config = config
         self._upstream_timeout = upstream_timeout
         if breaker is None:
@@ -164,8 +227,8 @@ class FleetNode:
         """Doc ids queued while the upstream was unreachable."""
         return tuple(self._missed)
 
-    def _counter(self, suffix: str):
-        return self.metrics.counter(f"fleet.{self.name}.{suffix}")
+    def _counter(self, suffix: str) -> Counter:
+        return self.metrics.counter(self._prefix + suffix)
 
     def _breaker_transition(self, old_state: str, new_state: str) -> None:
         self._counter(f"breaker.{new_state}").inc()
@@ -215,7 +278,7 @@ class FleetNode:
             self.name,
             message.request_id,
             "protocol",
-            f"fleet node cannot handle kind {message.kind!r}",
+            f"cache node cannot handle kind {message.kind!r}",
         )
 
     def _apply_push(self, message: Message) -> Message:
@@ -265,16 +328,18 @@ class FleetNode:
         )
 
     def _local_riders(
-        self, doc_id: str, cached: set[str]
+        self, doc_id: str, message: Message
     ) -> list[tuple[str, int]]:
         """Riders this node can push from its own holdings.
 
         The footnote-5 refinement: the node speculates from the shared
         dependency model but can only send documents dissemination
-        actually placed here.
+        actually placed here (and the client's digest does not list).
         """
         if self._policy is None or self._model is None:
             return []
+        cached = {str(entry) for entry in message.payload.get("digest", ())}
+        cached.add(doc_id)
         riders: list[tuple[str, int]] = []
         for candidate in self._policy.select(
             doc_id, self._model, self._catalog
@@ -304,13 +369,12 @@ class FleetNode:
             self._counter("bytes_served").inc(size)
             if self._breaker.state == BREAKER_OPEN:
                 # Partitioned from upstream but still serving what
-                # dissemination left here (the paper's immutable copies).
+                # dissemination left here — possibly stale, better than
+                # nothing (the paper's proxies hold immutable copies).
                 self._counter("stale_serves").inc()
 
-        cached = {str(entry) for entry in message.payload.get("digest", ())}
-        cached.add(doc_id)
-        riders = self._local_riders(doc_id, cached)
-        for rider_id, rider_size in riders:
+        riders = self._local_riders(doc_id, message)
+        for _, rider_size in riders:
             if duplicate:
                 self._counter("duplicate_bytes").inc(rider_size)
             else:
@@ -380,7 +444,9 @@ class FleetNode:
                 self._missed.pop(doc_id, None)  # repro-lint: disable=A001
                 continue
             self._breaker.record_success()
-            # Safe window: same pop-with-default idiom as above.
+            # Safe window: same pop-with-default idiom as above; a
+            # concurrent re-queue of doc_id after our successful fetch
+            # is served from holdings on its next request anyway.
             self._missed.pop(doc_id, None)  # repro-lint: disable=A001
             size = reply.payload.get("size")
             if isinstance(size, (int, float)):

@@ -1,13 +1,14 @@
-"""Wiring: build and run the full live system on the in-memory transport.
+"""Engines: run the live system and report the paper's four ratios.
 
-:func:`run_loadtest` is the one-call harness behind ``repro loadtest``
-and the integration tests.  It generates a workload, splits it into a
-training half (the paper's HistoryLength) and a serving half, stands up
-an origin + one proxy per region on a seeded
-:class:`~repro.runtime.transport.InMemoryNetwork`, replays the serving
-half through the load generator **twice** — once demand-only
-(baseline), once with dissemination holdings and a speculation policy —
-and reports the paper's four ratios from the two metrics snapshots.
+:func:`execute_loadtest` is the engine behind ``repro loadtest`` and
+the integration tests.  It generates a workload, splits it into a
+training half (the paper's HistoryLength) and a serving half, and
+replays the serving half through
+:func:`~repro.runtime.assembly.run_live` **twice** — once demand-only
+(baseline), once with dissemination holdings on one
+:class:`~repro.runtime.node.CacheNode` per region and a speculation
+policy at the origin — and reports the paper's four ratios from the two
+metrics snapshots.
 
 Because the in-memory network runs under a virtual clock and the
 estimator defaults to a frozen (warm-up-trained) model, a run is fully
@@ -15,7 +16,7 @@ deterministic *and* decision-for-decision comparable with
 :class:`~repro.core.combined.CombinedProtocolSimulator` on the same
 workload — ``verify_batch=True`` performs that comparison inline.
 
-:func:`run_chaos` (behind ``repro chaos``) replays the same serving
+:func:`execute_chaos` (behind ``repro chaos``) replays the same serving
 half **four** times: the clean baseline/speculative pair, then the same
 pair under a scripted :class:`~repro.runtime.faults.FaultPlan` — proxy
 crash + restart, frame-drop ramps, brownouts, partitions.  Because both
@@ -28,50 +29,34 @@ was conjured or silently lost along the way.
 
 from __future__ import annotations
 
-import asyncio
 import math
-import warnings
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterable
 
-from ..config import BASELINE, SECONDS_PER_DAY, BaselineConfig, DeploySpec
+from ..config import BASELINE, BaselineConfig, DeploySpec
 from ..core.combined import CombinedProtocolSimulator, CombinedResult
-from ..core.planner import DisseminationPlanner
-from ..core.sampling import estimate_ratios
 from ..errors import RuntimeProtocolError, SimulationError
 from ..obs import (
     ArmObservations,
     MetricsRegistry,
-    ObsBundle,
     ObsConfig,
     RunObservations,
     merge_registry_states,
-    run_manifest,
 )
 from ..perf.parallel import parallel_map
 from ..speculation.dependency import DependencyModel
 from ..speculation.metrics import SpeculationRatios
 from ..speculation.policies import ThresholdPolicy
-from ..topology.builder import build_clientele_tree
 from ..topology.tree import RoutingTree
-from ..trace.profiler import TraceProfiler, WorkloadProfile
+from ..trace.profiler import WorkloadProfile
 from ..trace.records import Trace
-from ..trace.sampling import (
-    SampledRatioReport,
-    SamplingConfig,
-    client_hash,
-    sample_clients,
-)
-from ..workload.generator import GeneratorConfig, SyntheticTraceGenerator
+from ..trace.sampling import SampledRatioReport, SamplingConfig, client_hash
+from ..workload.generator import GeneratorConfig
+from .assembly import PreparedTrace, resolve_local_deploy, run_live
 from .clock import run_virtual
-from .daemon import DisseminationDaemon
-from .estimator import OnlineDependencyEstimator
-from .faults import FaultInjector, FaultPlan
-from .loadgen import ClientRoute, LoadConfig, LoadGenerator
+from .faults import FaultPlan
 from .metrics import live_ratios, verify_conservation
-from .origin import OriginServer
-from .proxy import ProxyNode
-from .transport import InMemoryNetwork
+from .node import NodeSpec
 
 
 @dataclass(frozen=True)
@@ -194,7 +179,7 @@ class ChaosSettings:
 
     Fault times are **fractions of the fault-free run's virtual
     duration** (measured from the clean speculative arm), so one
-    setting works across workloads of any size; :func:`run_chaos`
+    setting works across workloads of any size; :func:`execute_chaos`
     converts them to absolute virtual seconds when it builds the
     :class:`~repro.runtime.faults.FaultPlan`.
 
@@ -307,26 +292,6 @@ def smoke_workload(seed: int = 0) -> GeneratorConfig:
     )
 
 
-def _region_of(tree: RoutingTree, client: str) -> str | None:
-    for node in tree.path_from_root(client):
-        if node.startswith("region-"):
-            return node
-    return None
-
-
-def _restart_hook(
-    node: ProxyNode, daemon: DisseminationDaemon | None
-) -> Callable[[], None]:
-    """A proxy's restart callback: come back up, ask for a re-push."""
-
-    def hook() -> None:
-        node.on_restart()
-        if daemon is not None:
-            daemon.request_repush(node.name)
-
-    return hook
-
-
 def _shard_clients(
     clients: Iterable[str], workers: int
 ) -> list[tuple[str, ...]]:
@@ -340,185 +305,6 @@ def _shard_clients(
     for client in sorted(clients):
         buckets[client_hash(client) % workers].append(client)
     return [tuple(bucket) for bucket in buckets]
-
-
-def _require_shardable(
-    settings: LiveSettings, obs: ObsConfig | None
-) -> None:
-    """Reject configurations whose counters are not shard-exact.
-
-    Raises:
-        SimulationError: When a knob couples clients across shards —
-            frame drops (shared drop-RNG stream), online learning
-            (estimator state depends on global request order), a
-            replanning daemon (each shard would push and count its own
-            copy), or observability channels (windowed time-series
-            sample per-shard virtual clocks).
-    """
-    problems = []
-    if settings.drop_probability != 0.0:
-        problems.append("drop_probability must be 0")
-    if settings.learn_online:
-        problems.append("learn_online must be False")
-    if settings.dissemination_interval is not None:
-        problems.append("dissemination_interval must be None")
-    if obs is not None and obs.enabled:
-        problems.append("obs channels must be disabled")
-    if problems:
-        raise SimulationError(
-            "sharded loadtest (workers > 1) requires a "
-            f"shard-exact configuration: {'; '.join(problems)}"
-        )
-
-
-async def _run_once(
-    serve: Trace,
-    tree: RoutingTree,
-    routes: dict[str, ClientRoute],
-    proxies: list[str],
-    holdings: dict[str, int],
-    *,
-    config: BaselineConfig,
-    settings: LiveSettings,
-    estimator: OnlineDependencyEstimator,
-    policy: ThresholdPolicy | None,
-    fault_plan: FaultPlan | None = None,
-    obs: ObsConfig | None = None,
-    clients: frozenset[str] | None = None,
-) -> tuple[MetricsRegistry, ArmObservations | None]:
-    """One full live replay; returns (registry, observations-or-None).
-
-    ``clients`` restricts the load generator to a subset of the serving
-    trace's clients (the sharded loadtest's per-worker filter); ``None``
-    replays every client.  Topology, holdings and routing stay those of
-    the full population either way, so shard counters add up exactly.
-    """
-    depth_of = {node: tree.depth(node) for node in tree.nodes()}
-
-    def hop_count(source: str, destination: str) -> int:
-        gap = abs(depth_of.get(source, 0) - depth_of.get(destination, 0))
-        return gap if gap > 0 else 1
-
-    network = InMemoryNetwork(
-        seed=settings.seed,
-        drop_probability=settings.drop_probability,
-        hop_count=hop_count,
-        codec=settings.codec,
-    )
-    bundle = ObsBundle.from_config(obs)
-    metrics = bundle.registry
-    metrics.bind_clock(asyncio.get_running_loop().time)
-    injector = None
-    if fault_plan is not None:
-        injector = FaultInjector(fault_plan, seed=settings.seed, metrics=metrics)
-        network.attach_faults(injector)
-
-    origin_endpoint = network.endpoint(tree.root)
-    origin = OriginServer(
-        serve.documents,
-        estimator=estimator,
-        policy=policy,
-        config=config,
-        metrics=metrics,
-        name=tree.root,
-    )
-    origin_endpoint.start(origin.handle)
-
-    proxy_endpoints = []
-    proxy_nodes: list[ProxyNode] = []
-    for name in proxies:
-        endpoint = network.endpoint(name)
-        node = ProxyNode(
-            name,
-            endpoint,
-            upstream=tree.root,
-            holdings=holdings,
-            metrics=metrics,
-            upstream_timeout=settings.request_timeout,
-            backoff_seed=settings.seed,
-        )
-        endpoint.start(node.handle)
-        proxy_endpoints.append(endpoint)
-        proxy_nodes.append(node)
-
-    daemon = None
-    daemon_task = None
-    if settings.dissemination_interval is not None or injector is not None:
-        # Under a fault plan the daemon always runs (interval=None makes
-        # it anti-entropy only) so restarted proxies get their holdings
-        # re-pushed instead of degrading to forward-everything.
-        daemon = DisseminationDaemon(
-            origin,
-            origin_endpoint,
-            proxies,
-            budget_bytes=settings.budget_bytes,
-            interval=settings.dissemination_interval,
-            metrics=metrics,
-            static_entries=[
-                [doc_id, size] for doc_id, size in sorted(holdings.items())
-            ],
-        )
-        daemon_task = asyncio.get_running_loop().create_task(daemon.run())
-
-    injector_task = None
-    if injector is not None:
-        for node in proxy_nodes:
-            injector.register_node(
-                node.name,
-                on_crash=node.on_crash,
-                on_restart=_restart_hook(node, daemon),
-            )
-        if daemon is not None:
-            injector.register_daemon(pause=daemon.pause, resume=daemon.resume)
-        injector_task = asyncio.get_running_loop().create_task(injector.run())
-
-    streams = serve.by_client()
-    if clients is not None:
-        streams = {
-            client: requests
-            for client, requests in streams.items()
-            if client in clients
-        }
-    generator = LoadGenerator(
-        network,
-        routes,
-        streams,
-        origin_name=tree.root,
-        config=config,
-        load=LoadConfig(
-            concurrency=settings.concurrency,
-            request_timeout=settings.request_timeout,
-            retries=settings.retries,
-            cooperative=settings.cooperative,
-            backoff_seed=settings.seed,
-        ),
-        metrics=metrics,
-    )
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    try:
-        await generator.run()
-    finally:
-        background = [
-            task for task in (daemon_task, injector_task) if task is not None
-        ]
-        for task in background:
-            task.cancel()
-        if background:
-            await asyncio.gather(*background, return_exceptions=True)
-        for node in proxy_nodes:
-            await node.close()
-        for endpoint in proxy_endpoints:
-            await endpoint.close()
-        await origin_endpoint.close()
-
-    metrics.counter("run.virtual_seconds").inc(round(loop.time() - started, 9))
-    for name, value in network.stats().items():
-        metrics.counter(f"network.{name}").inc(value)
-    observed = (
-        bundle.observations() if obs is not None and obs.enabled else None
-    )
-    return metrics, observed
 
 
 def _batch_ratios(
@@ -557,11 +343,11 @@ def _batch_ratios(
     )
 
 
-class _PreparedRun:
-    """Workload, topology and plan prep shared by every live arm.
+class _PreparedRun(PreparedTrace):
+    """The shared trace prep plus the flat tier's topology and plan.
 
-    Built once per :func:`run_loadtest` / :func:`run_chaos` call so the
-    clean and faulted arms replay byte-identical inputs.
+    Built once per :func:`execute_loadtest` / :func:`execute_chaos` call
+    so the clean and faulted arms replay byte-identical inputs.
     """
 
     def __init__(
@@ -571,84 +357,60 @@ class _PreparedRun:
         config: BaselineConfig,
         sampling: SamplingConfig | None = None,
     ):
-        self.settings = settings
-        self.config = config
-        trace = SyntheticTraceGenerator(workload).generate().remote_only()
-        self.sampling_report: SampledRatioReport | None = None
-        self.profile: WorkloadProfile | None = None
-        if sampling is not None:
-            # Estimate the four ratios (with intervals) from the batch
-            # replay of the sample while the full trace is still in
-            # hand, then thin the live replay to the same clients.  The
-            # live arms report the sample's point ratios; the estimates
-            # quantify how far the sample can sit from the population.
-            train_days = (
-                settings.train_fraction * trace.duration / SECONDS_PER_DAY
-            )
-            self.sampling_report = estimate_ratios(
-                trace, sampling, config=config, train_days=train_days
-            )
-            trace = sample_clients(
-                trace, sampling.fraction, seed=sampling.seed
-            )
-            if sampling.profile:
-                self.profile = TraceProfiler(
-                    stride_timeout=config.stride_timeout
-                ).profile(trace)
-        if len(trace) < 10:
-            raise SimulationError("workload too small for a live loadtest")
+        super().__init__(workload, settings, config, sampling, what="live loadtest")
+        self.learn_online = settings.learn_online
+        self.refresh_interval = settings.refresh_interval
+        self.proxies, self.routes = self.region_routes()
+        self.holdings = self.origin_plan(settings.budget_bytes)
 
-        boundary = trace.start_time + settings.train_fraction * trace.duration
-        self.train = trace.window(trace.start_time, boundary)
-        self.serve = trace.window(boundary, trace.end_time + 1.0)
-        if len(self.train) == 0 or len(self.serve) == 0:
-            raise SimulationError(
-                "train/serve split produced an empty half; "
-                "adjust train_fraction or enlarge the workload"
-            )
+    def node_specs(self, *, speculative: bool) -> list[NodeSpec]:
+        """The flat tier as cache-node specs.
 
-        self.tree = build_clientele_tree(trace)
-        self.proxies = sorted(
-            {
-                region
-                for client in self.serve.clients()
-                if (region := _region_of(self.tree, client)) is not None
-            }
+        A region proxy is the degenerate cache node (the paper's
+        footnote 5): no siblings, the origin as upstream, and every
+        replica holding the same origin-computed plan (nothing in the
+        demand-only arm).
+        """
+        held = tuple(sorted(self.holdings.items())) if speculative else ()
+        return [
+            NodeSpec(
+                name=region,
+                depth=self.tree.depth(region),
+                upstream=self.tree.root,
+                upstream_distance=self.tree.depth(region),
+                holdings=held,
+            )
+            for region in self.proxies
+        ]
+
+    def _run(
+        self,
+        *,
+        speculative: bool,
+        fault_plan: FaultPlan | None = None,
+        obs: ObsConfig | None = None,
+        clients: frozenset[str] | None = None,
+    ) -> tuple[MetricsRegistry, ArmObservations | None]:
+        """One arm (or one shard of it) under the virtual clock."""
+        return run_virtual(
+            run_live(
+                self.serve,
+                self.tree,
+                self.node_specs(speculative=speculative),
+                self.routes,
+                label="proxy",
+                config=self.config,
+                settings=self.settings,
+                estimator=self.fresh_estimator(),
+                origin_policy=self.policy if speculative else None,
+                daemon_budget=self.settings.budget_bytes,
+                daemon_interval=self.settings.dissemination_interval,
+                fault_plan=fault_plan,
+                obs=obs,
+                clients=clients,
+            ),
+            schedule_seed=self.settings.schedule_seed,
         )
-        self.routes: dict[str, ClientRoute] = {}
-        for client in self.serve.clients():
-            region = _region_of(self.tree, client)
-            target = region if region is not None else self.tree.root
-            self.routes[client] = ClientRoute(
-                target=target,
-                target_depth=self.tree.depth(target) if region is not None else 0,
-                depth=self.tree.depth(client),
-            )
-
-        planner = DisseminationPlanner(remote_only=True)
-        planner.add_server(self.tree.root, self.train)
-        plan = planner.plan(settings.budget_bytes)
-        plan_docs = plan.documents.get(self.tree.root, ())
-        catalog = trace.documents
-        self.holdings = {
-            doc_id: catalog[doc_id].size
-            for doc_id in plan_docs
-            if doc_id in catalog
-        }
-        self.policy = ThresholdPolicy(
-            threshold=config.threshold, max_size=config.max_size
-        )
-
-    def fresh_estimator(self) -> OnlineDependencyEstimator:
-        """A warm estimator; each arm gets its own (no state bleed)."""
-        estimator = OnlineDependencyEstimator(
-            window=self.config.stride_timeout,
-            stride_timeout=self.config.stride_timeout,
-            learn=self.settings.learn_online,
-            refresh_interval=self.settings.refresh_interval,
-        )
-        estimator.warm(self.train)
-        return estimator
 
     def arm(
         self,
@@ -664,21 +426,8 @@ class _PreparedRun:
             :class:`~repro.obs.ArmObservations` when ``obs`` enables
             any channel (None otherwise).
         """
-        metrics, observed = run_virtual(
-            _run_once(
-                self.serve,
-                self.tree,
-                self.routes,
-                self.proxies,
-                self.holdings if speculative else {},
-                config=self.config,
-                settings=self.settings,
-                estimator=self.fresh_estimator(),
-                policy=self.policy if speculative else None,
-                fault_plan=fault_plan,
-                obs=obs,
-            ),
-            schedule_seed=self.settings.schedule_seed,
+        metrics, observed = self._run(
+            speculative=speculative, fault_plan=fault_plan, obs=obs
         )
         return metrics.snapshot(), observed
 
@@ -703,20 +452,8 @@ class _PreparedRun:
         buckets = _shard_clients(self.serve.clients(), workers)
 
         def run_shard(bucket: tuple[str, ...]) -> dict[str, Any]:
-            metrics, _ = run_virtual(
-                _run_once(
-                    self.serve,
-                    self.tree,
-                    self.routes,
-                    self.proxies,
-                    self.holdings if speculative else {},
-                    config=self.config,
-                    settings=self.settings,
-                    estimator=self.fresh_estimator(),
-                    policy=self.policy if speculative else None,
-                    clients=frozenset(bucket),
-                ),
-                schedule_seed=self.settings.schedule_seed,
+            metrics, _ = self._run(
+                speculative=speculative, clients=frozenset(bucket)
             )
             return metrics.export_state()
 
@@ -725,6 +462,35 @@ class _PreparedRun:
             states, max_counters=("run.virtual_seconds",)
         )
         return merged.snapshot()
+
+    def pair(
+        self,
+        *,
+        fault_plan: FaultPlan | None = None,
+        obs: ObsConfig | None = None,
+        workers: int = 1,
+    ) -> LiveReport:
+        """Run the baseline arm, then the speculative arm, and report."""
+        if workers > 1:
+            baseline = self.arm_sharded(speculative=False, workers=workers)
+            speculative = self.arm_sharded(speculative=True, workers=workers)
+            baseline_obs = speculative_obs = None
+        else:
+            baseline, baseline_obs = self.arm(
+                speculative=False, fault_plan=fault_plan, obs=obs
+            )
+            speculative, speculative_obs = self.arm(
+                speculative=True, fault_plan=fault_plan, obs=obs
+            )
+        return LiveReport(
+            baseline=baseline,
+            speculative=speculative,
+            ratios=live_ratios(speculative, baseline),
+            disseminated_documents=len(self.holdings),
+            observed=self.observations(speculative_obs, baseline_obs),
+            sampling=self.sampling_report,
+            profile=self.profile,
+        )
 
 
 def prepare_live_run(
@@ -751,88 +517,34 @@ def prepare_live_run(
 def require_shard_exact(
     settings: LiveSettings, obs: ObsConfig | None = None
 ) -> None:
-    """Public form of the shard-exactness precondition check.
+    """Reject configurations whose counters are not shard-exact.
 
     Multi-process execution — ``workers > 1`` here, or any distributed
     :class:`~repro.config.DeploySpec` — needs counters that are exact
     under any client-to-process assignment.
 
     Raises:
-        SimulationError: When the configuration couples clients across
-            processes (see :func:`_require_shardable`).
+        SimulationError: When a knob couples clients across shards —
+            frame drops (shared drop-RNG stream), online learning
+            (estimator state depends on global request order), a
+            replanning daemon (each shard would push and count its own
+            copy), or observability channels (windowed time-series
+            sample per-shard virtual clocks).
     """
-    _require_shardable(settings, obs)
-
-
-def _resolve_deploy(
-    settings: LiveSettings, deploy: DeploySpec | None, workers: int
-) -> tuple[LiveSettings, int]:
-    """Fold a local DeploySpec into (settings, workers).
-
-    Raises:
-        SimulationError: When the spec is distributed — in-process
-            executors cannot honour it, and silently downgrading a
-            multi-process request would misreport what ran.
-    """
-    if deploy is None:
-        return settings, workers
-    if not deploy.local:
+    problems = []
+    if settings.drop_probability != 0.0:
+        problems.append("drop_probability must be 0")
+    if settings.learn_online:
+        problems.append("learn_online must be False")
+    if settings.dissemination_interval is not None:
+        problems.append("dissemination_interval must be None")
+    if obs is not None and obs.enabled:
+        problems.append("obs channels must be disabled")
+    if problems:
         raise SimulationError(
-            f"DeploySpec(processes={deploy.processes}) is distributed; "
-            "run it through repro.deploy.execute_deploy "
-            "(or Session.deploy)"
+            "sharded loadtest (workers > 1) requires a "
+            f"shard-exact configuration: {'; '.join(problems)}"
         )
-    if deploy.codec is not None:
-        settings = replace(settings, codec=deploy.codec)
-    return settings, deploy.workers
-
-
-def _deprecated(old: str, new: str) -> None:
-    """Emit the one-line migration warning for a legacy entry point."""
-    warnings.warn(
-        f"{old}() is deprecated; use {new} (see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _run_observations(
-    workload: GeneratorConfig,
-    settings: LiveSettings,
-    config: BaselineConfig,
-    speculative: ArmObservations | None,
-    baseline: ArmObservations | None,
-    extra: dict[str, Any] | None = None,
-) -> RunObservations | None:
-    """Bundle both arms' observations with a provenance manifest."""
-    if speculative is None or baseline is None:
-        return None
-    return RunObservations(
-        speculative=speculative,
-        baseline=baseline,
-        manifest=run_manifest(
-            seed=workload.seed,
-            config={
-                "workload": asdict(workload),
-                "settings": asdict(settings),
-                "cost_model": asdict(config),
-            },
-            extra=extra,
-        ),
-    )
-
-
-def _sampling_manifest_extra(
-    sampling_report: SampledRatioReport | None,
-    profile: WorkloadProfile | None,
-) -> dict[str, Any] | None:
-    """Extra manifest sections for a sampled run (None when unsampled)."""
-    extra: dict[str, Any] = {}
-    if sampling_report is not None:
-        extra["sampling"] = sampling_report.to_dict()
-    if profile is not None:
-        extra["workload_profile"] = profile.to_dict()
-    return extra or None
 
 
 def execute_loadtest(
@@ -848,8 +560,7 @@ def execute_loadtest(
 ) -> LiveReport:
     """Generate a workload and run it live, baseline vs. speculation.
 
-    This is the engine behind :meth:`repro.api.Session.loadtest` (and
-    the deprecated :func:`run_loadtest` shim).
+    This is the engine behind :meth:`repro.api.Session.loadtest`.
 
     Args:
         workload: Synthetic workload configuration (seeded).
@@ -888,82 +599,32 @@ def execute_loadtest(
             if ``deploy`` is a distributed spec.
     """
     settings = settings if settings is not None else LiveSettings()
-    settings, workers = _resolve_deploy(settings, deploy, workers)
+    settings, workers = resolve_local_deploy(settings, deploy, workers)
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
     if workers > 1:
-        _require_shardable(settings, obs)
+        require_shard_exact(settings, obs)
     prepared = _PreparedRun(workload, settings, config, sampling)
-
-    if workers > 1:
-        baseline_snapshot = prepared.arm_sharded(
-            speculative=False, workers=workers
-        )
-        speculative_snapshot = prepared.arm_sharded(
-            speculative=True, workers=workers
-        )
-        baseline_obs = speculative_obs = None
-    else:
-        baseline_snapshot, baseline_obs = prepared.arm(
-            speculative=False, obs=obs
-        )
-        speculative_snapshot, speculative_obs = prepared.arm(
-            speculative=True, obs=obs
-        )
-
-    ratios = live_ratios(speculative_snapshot, baseline_snapshot)
-    batch = None
+    report = prepared.pair(obs=obs, workers=workers)
     if verify_batch:
         model = DependencyModel.estimate(
             prepared.train,
             window=config.stride_timeout,
             stride_timeout=config.stride_timeout,
         )
-        batch = _batch_ratios(
-            prepared.serve,
-            prepared.tree,
-            prepared.proxies,
-            set(prepared.holdings),
-            model,
-            prepared.policy,
-            config,
-        )
-    return LiveReport(
-        baseline=baseline_snapshot,
-        speculative=speculative_snapshot,
-        ratios=ratios,
-        batch_ratios=batch,
-        disseminated_documents=len(prepared.holdings),
-        observed=_run_observations(
-            workload,
-            settings,
-            config,
-            speculative_obs,
-            baseline_obs,
-            _sampling_manifest_extra(
-                prepared.sampling_report, prepared.profile
+        report = replace(
+            report,
+            batch_ratios=_batch_ratios(
+                prepared.serve,
+                prepared.tree,
+                prepared.proxies,
+                set(prepared.holdings),
+                model,
+                prepared.policy,
+                config,
             ),
-        ),
-        sampling=prepared.sampling_report,
-        profile=prepared.profile,
-    )
-
-
-def run_loadtest(
-    workload: GeneratorConfig,
-    settings: LiveSettings | None = None,
-    *,
-    config: BaselineConfig = BASELINE,
-    verify_batch: bool = False,
-) -> LiveReport:
-    """Deprecated shim; use :meth:`repro.api.Session.loadtest`.
-
-    Delegates unchanged to :func:`execute_loadtest`.
-    """
-    _deprecated("run_loadtest", "repro.api.Session.loadtest")
-    return execute_loadtest(
-        workload, settings, config=config, verify_batch=verify_batch
-    )
+        )
+    return report
 
 
 def _build_fault_plan(
@@ -987,20 +648,22 @@ def _build_fault_plan(
     def at(fraction: float) -> float:
         return round(fraction * duration, 9)
 
+    def end(fraction: float | None) -> float | None:
+        """An open end (None) stays open."""
+        return None if fraction is None else at(fraction)
+
     plan = FaultPlan()
     if settings.drop_rate > 0.0:
         plan.drop_rate(
             settings.drop_rate,
             at=at(settings.drop_from),
-            until=None if settings.drop_until is None else at(settings.drop_until),
+            until=end(settings.drop_until),
         )
     if settings.crash_proxy is not None:
         plan.crash(
             proxy_name(settings.crash_proxy),
             at=at(settings.crash_at),
-            restart_at=(
-                None if settings.restart_at is None else at(settings.restart_at)
-            ),
+            restart_at=end(settings.restart_at),
         )
     if settings.latency_extra > 0.0:
         # "origin" is a convenience alias for the tree root's endpoint
@@ -1011,11 +674,7 @@ def _build_fault_plan(
         plan.latency_add(
             settings.latency_extra,
             at=at(settings.latency_from),
-            until=(
-                None
-                if settings.latency_until is None
-                else at(settings.latency_until)
-            ),
+            until=end(settings.latency_until),
             target=(target,) if target else (),
         )
     if settings.partition_proxy is not None:
@@ -1023,20 +682,12 @@ def _build_fault_plan(
             root,
             proxy_name(settings.partition_proxy),
             at=at(settings.partition_from),
-            heal_at=(
-                None
-                if settings.partition_until is None
-                else at(settings.partition_until)
-            ),
+            heal_at=end(settings.partition_until),
         )
     if settings.pause_daemon_from is not None:
         plan.pause_daemon(
             at=at(settings.pause_daemon_from),
-            until=(
-                None
-                if settings.pause_daemon_until is None
-                else at(settings.pause_daemon_until)
-            ),
+            until=end(settings.pause_daemon_until),
         )
     return plan
 
@@ -1051,8 +702,7 @@ def execute_chaos(
 ) -> ChaosReport:
     """Run the live pair fault-free, then again under a fault plan.
 
-    This is the engine behind :meth:`repro.api.Session.chaos` (and the
-    deprecated :func:`run_chaos` shim).
+    This is the engine behind :meth:`repro.api.Session.chaos`.
 
     Args:
         workload: Synthetic workload configuration (seeded).
@@ -1076,68 +726,28 @@ def execute_chaos(
     live = settings.live
     prepared = _PreparedRun(workload, live, config)
 
-    clean_base, clean_base_obs = prepared.arm(speculative=False, obs=obs)
-    clean_spec, clean_spec_obs = prepared.arm(speculative=True, obs=obs)
+    clean = prepared.pair(obs=obs)
     strict = live.drop_probability == 0.0
-    verify_conservation(clean_base, strict=strict)
-    verify_conservation(clean_spec, strict=strict)
+    verify_conservation(clean.baseline, strict=strict)
+    verify_conservation(clean.speculative, strict=strict)
 
     duration = float(
-        clean_spec.get("counters", {}).get("run.virtual_seconds", 0.0)
+        clean.speculative.get("counters", {}).get("run.virtual_seconds", 0.0)
     )
     if fault_plan is None:
         fault_plan = _build_fault_plan(
             settings, prepared.proxies, prepared.tree.root, duration
         )
 
-    faulted_base, faulted_base_obs = prepared.arm(
-        speculative=False, fault_plan=fault_plan, obs=obs
-    )
-    faulted_spec, faulted_spec_obs = prepared.arm(
-        speculative=True, fault_plan=fault_plan, obs=obs
-    )
-    verify_conservation(faulted_base)
-    verify_conservation(faulted_spec)
-
-    clean = LiveReport(
-        baseline=clean_base,
-        speculative=clean_spec,
-        ratios=live_ratios(clean_spec, clean_base),
-        disseminated_documents=len(prepared.holdings),
-        observed=_run_observations(
-            workload, live, config, clean_spec_obs, clean_base_obs
-        ),
-    )
-    faulted = LiveReport(
-        baseline=faulted_base,
-        speculative=faulted_spec,
-        ratios=live_ratios(faulted_spec, faulted_base),
-        disseminated_documents=len(prepared.holdings),
-        observed=_run_observations(
-            workload, live, config, faulted_spec_obs, faulted_base_obs
-        ),
-    )
+    faulted = prepared.pair(fault_plan=fault_plan, obs=obs)
+    verify_conservation(faulted.baseline)
+    verify_conservation(faulted.speculative)
     fault_events = tuple(
         (float(time), str(name))
-        for time, name in faulted_spec.get("events", ())
+        for time, name in faulted.speculative.get("events", ())
         if str(name).startswith("fault:")
     )
     return ChaosReport(clean=clean, faulted=faulted, fault_events=fault_events)
-
-
-def run_chaos(
-    workload: GeneratorConfig,
-    settings: ChaosSettings | None = None,
-    *,
-    config: BaselineConfig = BASELINE,
-    fault_plan: FaultPlan | None = None,
-) -> ChaosReport:
-    """Deprecated shim; use :meth:`repro.api.Session.chaos`.
-
-    Delegates unchanged to :func:`execute_chaos`.
-    """
-    _deprecated("run_chaos", "repro.api.Session.chaos")
-    return execute_chaos(workload, settings, config=config, fault_plan=fault_plan)
 
 
 def execute_smoke(
@@ -1145,20 +755,15 @@ def execute_smoke(
     *,
     tolerance: float = 0.05,
     obs: ObsConfig | None = None,
-    codec: str = "binary",
-    workers: int = 1,
     deploy: DeploySpec | None = None,
 ) -> LiveReport:
     """The ``repro loadtest --smoke`` self-test.
 
     Runs the small smoke workload live, verifies the live ratios
     against the batch reference, and raises on divergence — this is the
-    check CI runs after the test suite.  ``codec`` selects the wire
-    format the in-memory network round-trips every message through
-    (CI's codec matrix runs this once per codec and diffs the four
-    ratios bit-for-bit); ``workers`` shards the client population as in
-    :func:`execute_loadtest`, and ``deploy`` accepts a local
-    :class:`~repro.config.DeploySpec` the same way.
+    check CI runs after the test suite.  ``deploy`` accepts a local
+    :class:`~repro.config.DeploySpec` (worker shards, wire codec) as in
+    :func:`execute_loadtest`.
 
     Raises:
         RuntimeProtocolError: If live and batch ratios diverge beyond
@@ -1166,23 +771,13 @@ def execute_smoke(
     """
     report = execute_loadtest(
         smoke_workload(seed),
-        LiveSettings(seed=seed, codec=codec),
+        LiveSettings(seed=seed),
         verify_batch=True,
         obs=obs,
-        workers=workers,
         deploy=deploy,
     )
     report.require_convergence(tolerance)
     return report
-
-
-def run_smoke(seed: int = 0, *, tolerance: float = 0.05) -> LiveReport:
-    """Deprecated shim; use :meth:`repro.api.Session.loadtest`.
-
-    Delegates unchanged to :func:`execute_smoke`.
-    """
-    _deprecated("run_smoke", "repro.api.Session.loadtest(smoke=True)")
-    return execute_smoke(seed, tolerance=tolerance)
 
 
 def chaos_smoke_settings(seed: int = 0) -> ChaosSettings:
@@ -1225,12 +820,3 @@ def execute_chaos_smoke(
     )
     report.require_resilience(tolerance)
     return report
-
-
-def run_chaos_smoke(seed: int = 0, *, tolerance: float = 0.05) -> ChaosReport:
-    """Deprecated shim; use :meth:`repro.api.Session.chaos`.
-
-    Delegates unchanged to :func:`execute_chaos_smoke`.
-    """
-    _deprecated("run_chaos_smoke", "repro.api.Session.chaos(smoke=True)")
-    return execute_chaos_smoke(seed, tolerance=tolerance)

@@ -83,42 +83,3 @@ class TestRepoHygiene:
             base_dir=repo,
         )
         assert result.findings == []
-
-
-class TestLegacyEntryPoints:
-    def test_importing_a_shim_is_flagged(self, tmp_path):
-        path = tmp_path / "legacy_import.py"
-        path.write_text(
-            "from repro.runtime import run_loadtest\n"
-            "from repro.core import sweep_thresholds\n"
-        )
-        result = run_lint([path], checker_names=["hygiene"], base_dir=tmp_path)
-        assert [f.rule_id for f in result.findings] == ["H004", "H004"]
-        assert all("deprecated shim" in f.message for f in result.findings)
-
-    def test_calling_a_shim_is_flagged(self, tmp_path):
-        path = tmp_path / "legacy_call.py"
-        path.write_text(
-            "import repro.runtime\n"
-            "def direct(run_chaos_smoke):\n"
-            "    run_chaos_smoke(0)\n"
-            "def attribute():\n"
-            "    repro.runtime.run_smoke(0)\n"
-        )
-        result = run_lint([path], checker_names=["hygiene"], base_dir=tmp_path)
-        messages = [f.message for f in result.findings]
-        assert len(messages) == 2
-        assert any("run_chaos_smoke" in m for m in messages)
-        assert any("run_smoke" in m for m in messages)
-        assert all("repro.api.Session" in m for m in messages)
-
-    def test_the_facade_and_engines_are_clean(self, tmp_path):
-        path = tmp_path / "modern.py"
-        path.write_text(
-            "from repro.api import Session\n"
-            "from repro.runtime import execute_loadtest\n"
-            "def run():\n"
-            "    return Session(seed=0).loadtest()\n"
-        )
-        result = run_lint([path], checker_names=["hygiene"], base_dir=tmp_path)
-        assert result.findings == []

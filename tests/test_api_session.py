@@ -1,24 +1,17 @@
-"""The ``repro.api`` front door and the deprecated entry-point shims."""
-
-import warnings
-
-import pytest
+"""The ``repro.api`` front door, checked against the engines it wraps."""
 
 from repro.api import RunReport, RunSpec, Session
 from repro.core import SweepPoint, evaluate_thresholds
-from repro.core.experiment import Experiment, sweep_thresholds
-from repro.core.sensitivity import SensitivityPoint, workload_sensitivity
+from repro.core.experiment import Experiment
+from repro.core.sensitivity import SensitivityPoint
 from repro.fleet import FleetSettings, fleet_smoke_settings
 from repro.obs import ObsConfig
 from repro.runtime import (
     ChaosSettings,
     LiveSettings,
     chaos_smoke_settings,
+    execute_loadtest,
     execute_smoke,
-    run_chaos,
-    run_chaos_smoke,
-    run_loadtest,
-    run_smoke,
     smoke_workload,
 )
 from repro.workload import GeneratorConfig, SyntheticTraceGenerator
@@ -59,6 +52,10 @@ class TestSessionRuns:
         assert report.kind == "loadtest"
         assert report.ratios == execute_smoke(0).ratios
         assert report.detail.batch_ratios is not None
+
+    def test_loadtest_matches_the_engine(self):
+        report = execute_loadtest(smoke_workload(0), LiveSettings(seed=0))
+        assert report.ratios == Session(seed=0).loadtest().ratios
 
     def test_observability_threads_through(self):
         report = Session(seed=0, obs=ObsConfig.full()).loadtest()
@@ -132,44 +129,3 @@ class TestSessionRuns:
         assert report.kind == "bench"
         assert calls["scale"] == ("smoke", 2)
         assert "smoke" in report.detail
-
-
-class TestDeprecatedShims:
-    """Every legacy entry point warns once and delegates unchanged."""
-
-    def test_run_loadtest_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="Session.loadtest"):
-            report = run_loadtest(smoke_workload(0), LiveSettings(seed=0))
-        assert report.ratios == Session(seed=0).loadtest().ratios
-
-    def test_run_smoke_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            report = run_smoke(0)
-        assert report.batch_ratios is not None
-
-    def test_run_chaos_warns(self):
-        with pytest.warns(DeprecationWarning, match="Session.chaos"):
-            report = run_chaos(smoke_workload(0), chaos_smoke_settings(0))
-        assert report.fault_events
-
-    def test_run_chaos_smoke_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            run_chaos_smoke(0)
-
-    def test_sweep_thresholds_warns_and_delegates(self):
-        trace = SyntheticTraceGenerator(TINY).generate()
-        experiment = Experiment(trace, train_days=trace.duration / 86_400 / 2)
-        with pytest.warns(DeprecationWarning, match="Session.sweep"):
-            points = sweep_thresholds(experiment, [0.25])
-        assert points[0].ratios == evaluate_thresholds(experiment, [0.25])[0].ratios
-
-    def test_workload_sensitivity_warns(self):
-        with pytest.warns(DeprecationWarning, match="Session.sensitivity"):
-            points = workload_sensitivity("n_pages", [40], base_config=TINY)
-        assert len(points) == 1
-
-    def test_the_facade_itself_never_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            Session(seed=0).loadtest()
-            Session(workload=TINY).sensitivity("n_pages", [40])

@@ -5,17 +5,14 @@ real sockets; they use the tiny smoke workload so the whole module
 stays in CI-friendly territory.
 """
 
-import argparse
 import asyncio
 import time
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunSpec, Session
-from repro.cli.commands import _legacy_loadtest_deploy
 from repro.config import LOCAL_DEPLOY, DeploySpec
 from repro.deploy import (
     DeployFaultPlan,
@@ -354,17 +351,3 @@ class TestSessionDeploy:
         assert report.kind == "deploy"
         assert report.detail.processes == 1
         assert report.ratios == report.detail.ratios
-
-
-class TestLegacyFlagShims:
-    def test_explicit_flags_warn_and_build_the_equivalent_spec(self):
-        args = argparse.Namespace(codec="json", workers=2)
-        with pytest.warns(DeprecationWarning, match="DeploySpec"):
-            spec = _legacy_loadtest_deploy(args)
-        assert spec == DeploySpec(workers=2, codec="json")
-
-    def test_defaults_stay_silent_and_specless(self):
-        args = argparse.Namespace(codec=None, workers=None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _legacy_loadtest_deploy(args) is None

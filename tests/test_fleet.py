@@ -8,14 +8,12 @@ import pytest
 from repro.errors import RuntimeProtocolError, SimulationError
 from repro.fleet import (
     FLEET_POLICIES,
-    FleetNode,
-    FleetNodeSpec,
     FleetSettings,
     build_fleet_plan,
     build_single_tier_plan,
     execute_fleet,
 )
-from repro.runtime import InMemoryNetwork, smoke_workload
+from repro.runtime import CacheNode, InMemoryNetwork, NodeSpec, smoke_workload
 from repro.runtime.clock import run_virtual
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.messages import make_request, make_response
@@ -217,14 +215,14 @@ class _SiblingHarness:
 
         origin_endpoint.start(origin_handler)
 
-        spec_a = FleetNodeSpec(
+        spec_a = NodeSpec(
             name="subnet-a",
             depth=2,
             upstream="home-server",
             upstream_distance=2,
             siblings=("subnet-b",),
         )
-        spec_b = FleetNodeSpec(
+        spec_b = NodeSpec(
             name="subnet-b",
             depth=2,
             upstream="home-server",
@@ -234,16 +232,17 @@ class _SiblingHarness:
         )
         endpoint_a = network.endpoint("subnet-a")
         endpoint_b = network.endpoint("subnet-b")
-        node_a = FleetNode(
+        node_a = CacheNode(
             spec_a,
             endpoint_a,
+            label="fleet",
             metrics=self.metrics,
             directory={self.DOC: ("subnet-b",)},
             probe_timeout=0.5,
             upstream_timeout=5.0,
         )
-        node_b = FleetNode(
-            spec_b, endpoint_b, metrics=self.metrics, directory={}
+        node_b = CacheNode(
+            spec_b, endpoint_b, label="fleet", metrics=self.metrics
         )
         endpoint_a.start(node_a.handle)
         endpoint_b.start(node_b.handle)
@@ -310,7 +309,7 @@ class TestSiblingProbe:
 
             origin_endpoint.start(origin_handler)
             specs = {
-                name: FleetNodeSpec(
+                name: NodeSpec(
                     name=name,
                     depth=2,
                     upstream="home-server",
@@ -325,9 +324,10 @@ class TestSiblingProbe:
             endpoints, nodes = [], []
             for name, spec in specs.items():
                 endpoint = network.endpoint(name)
-                node = FleetNode(
+                node = CacheNode(
                     spec,
                     endpoint,
+                    label="fleet",
                     metrics=metrics,
                     directory={"/doc/y": (spec.siblings[0],)},
                     upstream_timeout=5.0,

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import RuntimeProtocolError, SimulationError, TransportError
 from repro.runtime import (
     BackoffPolicy,
+    CacheNode,
     CircuitBreaker,
     DuplicateFilter,
     FaultEvent,
@@ -24,9 +25,9 @@ from repro.runtime import (
     LoadConfig,
     LoadGenerator,
     MetricsRegistry,
+    NodeSpec,
     OnlineDependencyEstimator,
     OriginServer,
-    ProxyNode,
     execute_chaos_smoke,
     run_virtual,
     verify_conservation,
@@ -43,6 +44,17 @@ def catalog(*sizes: int) -> dict[str, Document]:
         f"/doc-{index}": Document(doc_id=f"/doc-{index}", size=size)
         for index, size in enumerate(sizes)
     }
+
+
+def flat_spec(name="region-0", *, depth=1, holdings=None) -> NodeSpec:
+    """A flat region proxy: no siblings, the origin one leg upstream."""
+    return NodeSpec(
+        name=name,
+        depth=depth,
+        upstream="home-server",
+        upstream_distance=depth,
+        holdings=tuple(sorted((holdings or {}).items())),
+    )
 
 
 def fresh_origin(documents: dict[str, Document], metrics=None) -> OriginServer:
@@ -433,11 +445,10 @@ class TestProxyResilience:
             origin = fresh_origin(documents, metrics)
             origin_endpoint.start(origin.handle)
             proxy_endpoint = network.endpoint("region-0")
-            proxy = ProxyNode(
-                "region-0",
+            proxy = CacheNode(
+                flat_spec(holdings={"/doc-0": 1000}),
                 proxy_endpoint,
-                upstream="home-server",
-                holdings={"/doc-0": 1000},
+                label="proxy",
                 metrics=metrics,
                 upstream_timeout=0.2,
                 breaker=CircuitBreaker(failure_threshold=1, reset_timeout=1.0),
@@ -510,11 +521,10 @@ class TestProxyResilience:
         metrics = MetricsRegistry()
         network = InMemoryNetwork(seed=0)
         endpoint = network.endpoint("region-0")
-        proxy = ProxyNode(
-            "region-0",
+        proxy = CacheNode(
+            flat_spec(holdings={"/doc-0": 1000, "/doc-1": 2000}),
             endpoint,
-            upstream="home-server",
-            holdings={"/doc-0": 1000, "/doc-1": 2000},
+            label="proxy",
             metrics=metrics,
         )
         proxy.on_crash()

@@ -7,13 +7,14 @@ import pytest
 
 from repro.errors import RuntimeProtocolError, SimulationError, TransportError
 from repro.runtime import (
+    CacheNode,
     DisseminationDaemon,
     InMemoryNetwork,
     LiveSettings,
     MetricsRegistry,
+    NodeSpec,
     OnlineDependencyEstimator,
     OriginServer,
-    ProxyNode,
     TcpServer,
     execute_loadtest,
     execute_smoke,
@@ -22,6 +23,7 @@ from repro.runtime import (
 )
 from repro.runtime.messages import Message, make_request
 from repro.speculation.policies import ThresholdPolicy
+from repro.trace.records import Document
 from repro.workload.generator import GeneratorConfig, generate_trace
 
 SMALL = GeneratorConfig(
@@ -30,6 +32,17 @@ SMALL = GeneratorConfig(
 
 
 SETTINGS = LiveSettings(seed=3, budget_bytes=300_000.0)
+
+
+def flat_spec(name="region-0", *, depth=1, holdings=None) -> NodeSpec:
+    """A flat region proxy: no siblings, the origin one leg upstream."""
+    return NodeSpec(
+        name=name,
+        depth=depth,
+        upstream="home-server",
+        upstream_distance=depth,
+        holdings=tuple(sorted((holdings or {}).items())),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +122,7 @@ class TestDaemon:
             origin = OriginServer(trace.documents, estimator=estimator)
             origin_endpoint.start(origin.handle)
             proxy_endpoint = network.endpoint("region-0")
-            proxy = ProxyNode(
-                "region-0", proxy_endpoint, upstream="home-server"
-            )
+            proxy = CacheNode(flat_spec(), proxy_endpoint, label="proxy")
             proxy_endpoint.start(proxy.handle)
             # Live demand builds the history the daemon plans from.
             for index, request in enumerate(trace):
@@ -200,9 +211,7 @@ class TestDaemon:
             origin = OriginServer(trace.documents, estimator=estimator)
             origin_endpoint.start(origin.handle)
             proxy_endpoint = network.endpoint("region-0")
-            proxy = ProxyNode(
-                "region-0", proxy_endpoint, upstream="home-server"
-            )
+            proxy = CacheNode(flat_spec(), proxy_endpoint, label="proxy")
             proxy_endpoint.start(proxy.handle)
             for index, request in enumerate(trace):
                 await origin.handle(
@@ -290,6 +299,78 @@ class TestDaemon:
         )
         daemon.pause()
         assert registry.snapshot()["counters"]["daemon.pauses"] == 1
+
+
+class TestCacheNode:
+    """The one node class, in its degenerate flat-proxy shape."""
+
+    DOCS = {"/held": 700, "/far": 300}
+
+    async def _ask(self, label, depth, payload_extra):
+        """One client request per entry of ``payload_extra`` at a flat
+        node of the given depth; returns (reply payloads or protocol
+        errors, counters)."""
+        metrics = MetricsRegistry()
+        network = InMemoryNetwork(seed=0)
+        origin_endpoint = network.endpoint("home-server")
+        origin = OriginServer(
+            {doc: Document(doc_id=doc, size=size) for doc, size in self.DOCS.items()},
+            estimator=OnlineDependencyEstimator(learn=False),
+            metrics=metrics,
+        )
+        origin_endpoint.start(origin.handle)
+        endpoint = network.endpoint("region-0")
+        node = CacheNode(
+            flat_spec(depth=depth, holdings={"/held": 700}),
+            endpoint,
+            label=label,
+            metrics=metrics,
+            upstream_timeout=5.0,
+        )
+        endpoint.start(node.handle)
+        client = network.endpoint("c1")
+        client.start(None)
+        outcomes = []
+        try:
+            for doc_id, extra in payload_extra:
+                request = make_request("c1", client.next_request_id(), doc_id, 0.0)
+                request.payload.update(extra)
+                try:
+                    reply = await client.call("region-0", request, timeout=30.0)
+                    outcomes.append(reply.payload)
+                except RuntimeProtocolError as error:
+                    outcomes.append(error)
+        finally:
+            await node.close()
+            for closing in (client, endpoint, origin_endpoint):
+                await closing.close()
+        return outcomes, metrics.snapshot()["counters"]
+
+    @pytest.mark.parametrize("label", ["proxy", "fleet"])
+    def test_probe_for_a_missing_document_is_rejected_not_forwarded(self, label):
+        # A sibling-less, policy-less node still speaks the whole
+        # protocol: a probe it cannot answer locally is a probe miss,
+        # never an upstream forward (probes must not recurse).
+        (outcome,), counters = run_virtual(
+            self._ask(label, 1, [("/far", {"probe": True})])
+        )
+        assert isinstance(outcome, RuntimeProtocolError)
+        assert "probe miss" in str(outcome)
+        assert counters[f"{label}.region-0.probe_rejects"] == 1
+        assert f"{label}.region-0.forwards" not in counters
+        assert "origin.requests" not in counters
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_flat_replies_carry_the_hops_above_the_entry_node(self, depth):
+        (local, relayed), counters = run_virtual(
+            self._ask("proxy", depth, [("/held", {}), ("/far", {})])
+        )
+        assert local["served_by"] == "region-0"
+        assert local["path_hops"] == 0
+        assert relayed["served_by"] == "home-server"
+        assert relayed["path_hops"] == depth
+        assert counters["proxy.region-0.hits"] == 1
+        assert counters["proxy.region-0.forwards"] == 1
 
 
 class TestTcpTransport:

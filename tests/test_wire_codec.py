@@ -33,6 +33,10 @@ from repro.runtime.messages import (
     sniff_codec,
 )
 
+#: Offset of the payload-format byte in a binary frame header
+#: (magic 2, version 1, kind 1, then format).
+_FORMAT_BYTE = 4
+
 # The full JSON value domain, including non-ASCII text, big integers
 # (beyond i64, forcing the codec's arbitrary-precision path), and
 # finite floats.  NaN/inf are excluded: canonical JSON rejects them.
@@ -112,6 +116,61 @@ class TestCodecEquivalence:
             "origin", "c#1", doc_id, size, "origin", speculated=riders
         )
         assert BINARY_CODEC.decode(BINARY_CODEC.encode(message)) == message
+
+    @pytest.mark.parametrize("with_service", [False, True])
+    @pytest.mark.parametrize("with_hops", [False, True])
+    @settings(max_examples=50, deadline=None)
+    @given(
+        doc_id=st.text(min_size=1, max_size=32),
+        size=st.integers(min_value=0, max_value=2**40),
+        riders=st.lists(
+            st.tuples(
+                st.text(max_size=20), st.integers(min_value=0, max_value=2**40)
+            ),
+            max_size=4,
+        ),
+        hops=st.integers(min_value=0, max_value=0xFFFF),
+        service=st.floats(min_value=0, max_value=1e6, allow_nan=False),
+    )
+    def test_optional_response_fields_stay_packed(
+        self, with_hops, with_service, doc_id, size, riders, hops, service
+    ):
+        # path_hops (cache nodes) and service_seconds (the TCP server)
+        # are flagged optional fields of the packed layout: stamping
+        # either must not push a reply onto the generic encoding.
+        message = make_response(
+            "region-1", "c#1", doc_id, size, "origin", speculated=riders
+        )
+        if with_hops:
+            message.payload["path_hops"] = hops
+        if with_service:
+            message.payload["service_seconds"] = service
+        raw = BINARY_CODEC.encode(message)
+        assert raw[_FORMAT_BYTE] == 1  # packed
+        assert BINARY_CODEC.decode(raw) == message
+        assert JSON_CODEC.decode(JSON_CODEC.encode(message)) == message
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"path_hops": -1},
+            {"path_hops": 0x10000},
+            {"path_hops": 2.0},
+            {"path_hops": True},
+            {"path_hops": "2"},
+            {"via": "region-1"},
+            {"path_hops": 2, "via": "region-1"},
+        ],
+    )
+    def test_unpackable_response_fields_fall_back_intact(self, extra):
+        # Out-of-range, mistyped or unknown extra fields must take the
+        # generic encoding whole — never be truncated into the layout.
+        message = make_response("region-1", "c#1", "/a", 10, "origin")
+        message.payload.update(extra)
+        raw = BINARY_CODEC.encode(message)
+        assert raw[_FORMAT_BYTE] == 0  # generic tagged encoding
+        assert BINARY_CODEC.decode(raw) == message
+        assert JSON_CODEC.decode(JSON_CODEC.encode(message)) == message
 
     def test_non_ascii_and_empty_fields(self):
         cases = [
