@@ -63,10 +63,6 @@ class Experiment:
         config: Baseline parameters.
         train_days: History used to estimate the dependency model; the
             remainder of the trace is replayed.
-        backend: Dependency-model backend.  The default ``"sparse"``
-            engine is bit-identical to ``"dict"`` (pinned by
-            ``tests/test_sparse_backend.py``) and several times faster
-            on estimation, closure, and replay.
 
     The no-speculation baseline for the configured cache model is run
     once and cached; :meth:`evaluate` compares any policy against it.
@@ -78,13 +74,10 @@ class Experiment:
         config: BaselineConfig = BASELINE,
         *,
         train_days: float = 60.0,
-        backend: str = "sparse",
     ):
         self._config = config
         self.train, self.test = train_test_split(trace, train_days)
-        self.model = DependencyModel.estimate(
-            self.train, window=config.stride_timeout, backend=backend
-        )
+        self.model = DependencyModel.estimate(self.train, window=config.stride_timeout)
         self._simulator = SpeculativeServiceSimulator(
             self.test, config, model=self.model
         )
@@ -104,7 +97,18 @@ class Experiment:
         cache_factory: Callable[[], ClientCache] | None = None,
         cache_key: str = "default",
     ) -> SimulationRun:
-        """The no-speculation run for a cache model (cached per key)."""
+        """The no-speculation run for a cache model (cached per key).
+
+        Raises:
+            SimulationError: If a ``cache_factory`` is given under the
+                default key — the run would be compared against (or
+                cached as) the default-cache baseline.
+        """
+        if cache_factory is not None and cache_key == "default":
+            raise SimulationError(
+                "a cache_factory needs its own cache_key; 'default' names "
+                "the baseline under the config's SessionTimeout caches"
+            )
         key = ("baseline", cache_key)
         if key not in self._baselines:
             self._baselines[key] = self._simulator.run(
@@ -123,6 +127,7 @@ class Experiment:
         prefetcher=None,
     ) -> tuple[SpeculationRatios, SimulationRun]:
         """Run one policy and compare it to the matching baseline."""
+        base = self.baseline(cache_factory=cache_factory, cache_key=cache_key)
         run = self._simulator.run(
             policy,
             cache_factory=cache_factory,
@@ -130,7 +135,6 @@ class Experiment:
             digest_fp_rate=digest_fp_rate,
             prefetcher=prefetcher,
         )
-        base = self.baseline(cache_factory=cache_factory, cache_key=cache_key)
         return compare(run.metrics, base.metrics), run
 
 

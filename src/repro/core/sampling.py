@@ -86,7 +86,6 @@ def estimate_ratios(
     config: BaselineConfig = BASELINE,
     train_days: float = 60.0,
     policy: SpeculationPolicy | None = None,
-    backend: str = "sparse",
 ) -> SampledRatioReport:
     """Estimate the four ratios from a client-sampled replay.
 
@@ -111,7 +110,6 @@ def estimate_ratios(
         train_days: History used to estimate the dependency model.
         policy: Speculation policy; defaults to the paper's
             :class:`ThresholdPolicy` at ``config.threshold``.
-        backend: Dependency-model backend.
 
     Raises:
         SimulationError: If the split leaves an empty side or the
@@ -126,9 +124,7 @@ def estimate_ratios(
             f"split at {train_days} days leaves train={len(train)} "
             f"test={len(full_test)} requests"
         )
-    model = DependencyModel.estimate(
-        train, window=config.stride_timeout, backend=backend
-    )
+    model = DependencyModel.estimate(train, window=config.stride_timeout)
     test = sample_clients(full_test, sampling.fraction, seed=sampling.seed)
     client_ids, spec, base = client_contributions(
         test, config=config, model=model, policy=policy

@@ -1,18 +1,8 @@
 """Performance engineering for the reproduction: ``repro.perf``.
 
-Three concerns live here, all in service of running the paper's
+Two concerns live here, both in service of running the paper's
 experiments faster without changing a single measured number:
 
-* The **sparse vectorized dependency backend**
-  (:class:`~repro.speculation.sparse.SparseDependencyEngine`, re-exported
-  for convenience) — CSR adjacency over numpy with batched closure-row
-  relaxation, bit-identical to the pure-Python ``dict`` backend.
-* The **columnar replay engine**
-  (:func:`~repro.speculation.columnar.replay_columnar`, re-exported) —
-  whole-trace vectorized replay of the speculative-service simulator,
-  bit-identical to the event loop and dispatched automatically by
-  :meth:`SpeculativeServiceSimulator.run` for fast-path-eligible
-  configurations.
 * The **parallel sweep executor** (:mod:`repro.perf.parallel`) —
   fork-based sharding of embarrassingly parallel sweep points with an
   ordered merge and deterministic per-shard seeding, so parallel runs
@@ -20,10 +10,13 @@ experiments faster without changing a single measured number:
 * The **benchmark trajectory** (:mod:`repro.perf.bench`) — ``repro
   bench`` medians recorded in ``BENCH_PERF.json`` and gated against
   both speedup floors and the committed baseline.
+
+The vectorized engines themselves live beside the semantics they
+implement: :mod:`repro.speculation.sparse` (pair counting, batched
+``P*`` rows) and :mod:`repro.speculation.columnar` (whole-trace
+replay).
 """
 
-from ..speculation.columnar import ColumnarReplay, replay_columnar
-from ..speculation.sparse import SparseDependencyEngine, estimate_pair_counts
 from .bench import (
     MAX_REGRESSION,
     PAIRED_SUFFIXES,
@@ -48,20 +41,16 @@ __all__ = [
     "PAIRED_SUFFIXES",
     "SCALES",
     "BenchScale",
-    "ColumnarReplay",
-    "SparseDependencyEngine",
     "WALL_MAX_REGRESSION",
     "build_report",
     "default_workers",
     "enforce_gate",
-    "estimate_pair_counts",
     "find_regressions",
     "fork_available",
     "load_baseline",
     "machine_fingerprint",
     "merge_reports",
     "parallel_map",
-    "replay_columnar",
     "run_scale",
     "spawn_seeds",
     "time_paired",

@@ -1,35 +1,35 @@
 """Benchmark-trajectory layer: measure, record, and gate engine speed.
 
-``repro bench`` times the engine's hot loops — dependency estimation,
-closure computation, trace replay in both the ``dict`` and ``sparse``
-backends, and the full baseline+policy replay pair through the
-per-event loop versus the vectorized columnar engine — at a fixed
-reference configuration.  The medians land in ``BENCH_PERF.json``
-together with a machine fingerprint and the git revision, so the
-committed file is a performance trajectory of the repository: every
-entry says *this revision ran this fast on this machine*.
+``repro bench`` times the engine's hot loops at a fixed reference
+configuration — dependency estimation and the whole-universe closure
+as absolute medians, and the full baseline+policy replay pair through
+the general event loop versus the vectorized columnar engine.  The
+medians land in ``BENCH_PERF.json`` together with a machine fingerprint
+and the git revision, so the committed file is a performance
+trajectory of the repository: every entry says *this revision ran this
+fast on this machine*.
 
 Two kinds of gate protect that trajectory:
 
-* **Speedup floors** — the optimized implementation must beat its
-  reference partner by a fixed factor (sparse over dict, columnar over
-  event, binary codec over JSON).  Speedup is a *ratio of two
-  measurements on the same machine in the same run*, so it is stable
-  across hardware and is enforced unconditionally.  Scale floors live
-  in :data:`SCALES`; injected sections (:func:`time_paired`) carry
+* **Speedup floors** — where two implementations both stay in ``src/``
+  (columnar replay over the general loop, binary codec over JSON) the
+  fast one must beat the other by a fixed factor.  Speedup is a *ratio
+  of two measurements on the same machine in the same run*, so it is
+  stable across hardware and is enforced unconditionally.  Scale floors
+  live in :data:`SCALES`; injected sections (:func:`time_paired`) carry
   their own ``speedup_floors``.
-* **Absolute regression** — optimized medians may not slow down more
-  than :data:`MAX_REGRESSION` against the committed baseline.
-  Wall-clock medians only compare across runs on the same machine, so
-  this check applies only when the stored fingerprint matches the
-  current one, and each optimized median is load-normalized by the
-  drift of its interleaved reference partner (see
-  :data:`PAIRED_SUFFIXES`) so shared-host noise does not read as a
-  regression.  Reference medians are recorded as the load reference,
-  not gated: their drift *is* the noise measurement.  Injected
-  ``*_wall`` sections (:func:`time_wall` — e.g. the fleet smoke and
-  the sharded loadtest handed down by the CLI) have no reference
-  partner and are gated strictly at the wider
+* **Absolute regression** — medians may not slow down against the
+  committed baseline.  Wall-clock medians only compare across runs on
+  the same machine, so this check applies only when the stored
+  fingerprint matches the current one.  A median with an interleaved
+  reference partner (see :data:`PAIRED_SUFFIXES`) is held to
+  :data:`MAX_REGRESSION` after load-normalizing by the partner's drift,
+  so shared-host noise does not read as a regression; the partner is
+  recorded as the load reference, not gated: its drift *is* the noise
+  measurement.  Every other median — ``estimation``, ``closure`` and
+  the injected ``*_wall`` sections (:func:`time_wall`, e.g. the fleet
+  smoke and the sharded loadtest handed down by the CLI) — has no
+  partner and is gated strictly at the wider
   :data:`WALL_MAX_REGRESSION`.
 
 Violations raise :class:`~repro.errors.PerfRegressionError`, which the
@@ -51,18 +51,20 @@ from typing import Any
 
 from ..config import BASELINE
 from ..errors import PerfRegressionError
+from ..speculation.caches import make_cache_factory
 from ..speculation.dependency import DependencyModel
 from ..speculation.policies import ThresholdPolicy
 from ..speculation.simulator import SpeculativeServiceSimulator
 from ..workload import GeneratorConfig, SyntheticTraceGenerator
 
-#: Allowed slow-down of a median versus the committed baseline before
-#: the gate fails (same-machine comparisons only).
+#: Allowed slow-down of a partnered median versus the committed
+#: baseline before the gate fails (same-machine comparisons only).
 MAX_REGRESSION = 0.25
 
-#: Allowed slow-down of an injected ``*_wall`` median.  Wall sections
-#: carry no interleaved dict partner to normalize machine load away, so
-#: the comparison is strict but the tolerance is wider.
+#: Allowed slow-down of a median with no interleaved reference partner
+#: to normalize machine load away (``estimation``, ``closure``, the
+#: injected ``*_wall`` sections): the comparison is strict but the
+#: tolerance is wider.
 WALL_MAX_REGRESSION = 0.5
 
 #: Default location of the committed baseline, relative to the cwd.
@@ -74,8 +76,7 @@ DEFAULT_BASELINE = Path("BENCH_PERF.json")
 #: right side's drift, and the right side is recorded ungated as the
 #: load reference.
 PAIRED_SUFFIXES: dict[str, str] = {
-    "_sparse": "_dict",
-    "_columnar": "_event",
+    "_columnar": "_general",
     "_binary": "_json",
 }
 
@@ -87,8 +88,8 @@ class BenchScale:
     Attributes:
         workload: Synthetic-workload configuration measured against.
         repeats: Timing repetitions per benchmark (median is reported).
-        speedup_floors: Minimum sparse-over-dict speedup per metric;
-            enforced on every run, independent of any baseline.
+        speedup_floors: Minimum reference-over-optimized speedup per
+            metric; enforced on every run, independent of any baseline.
     """
 
     workload: GeneratorConfig
@@ -97,31 +98,21 @@ class BenchScale:
 
 
 #: The reference scales.  ``full`` matches the committed baseline and
-#: the acceptance floors; ``smoke`` is sized for CI (a few seconds) with
-#: correspondingly relaxed floors, since fixed vectorization overheads
-#: weigh heavier on a small trace.
+#: the acceptance floors; ``smoke`` is sized for CI (a few seconds).
 SCALES: dict[str, BenchScale] = {
     "full": BenchScale(
         workload=GeneratorConfig(
             seed=77, n_pages=120, n_clients=150, n_sessions=1500, duration_days=30
         ),
         repeats=9,
-        speedup_floors={
-            "estimation": 3.0,
-            "replay": 3.0,
-            "replay_columnar": 2.0,
-        },
+        speedup_floors={"replay_columnar": 2.0},
     ),
     "smoke": BenchScale(
         workload=GeneratorConfig(
             seed=77, n_pages=100, n_clients=100, n_sessions=900, duration_days=18
         ),
         repeats=9,
-        speedup_floors={
-            "estimation": 2.0,
-            "replay": 2.0,
-            "replay_columnar": 2.0,
-        },
+        speedup_floors={"replay_columnar": 2.0},
     ),
 }
 
@@ -155,31 +146,42 @@ def git_revision() -> str:
     return probe.stdout.strip() or "unknown"
 
 
+def _median_seconds(runner: Callable[[], Any], repeats: int) -> float:
+    """Median wall-clock seconds of ``repeats`` calls to ``runner``."""
+    samples: list[float] = []
+    for _ in range(repeats):
+        begin = time.perf_counter()
+        runner()
+        samples.append(time.perf_counter() - begin)
+    samples.sort()
+    return samples[repeats // 2]
+
+
 def _paired_medians(
-    dict_pass: Callable[[], Any],
-    sparse_pass: Callable[[], Any],
+    reference_pass: Callable[[], Any],
+    gated_pass: Callable[[], Any],
     repeats: int,
 ) -> tuple[float, float]:
     """Median wall-clock seconds of each pass, sampled interleaved.
 
     The two implementations alternate within every repeat so a burst of
     co-tenant load lands on both rather than blanketing one stage's
-    whole timing window — which keeps the dict stage a valid load
-    reference for its sparse partner.
+    whole timing window — which keeps the reference stage a valid load
+    reference for its gated partner.
     """
-    dict_samples: list[float] = []
-    sparse_samples: list[float] = []
+    reference_samples: list[float] = []
+    gated_samples: list[float] = []
     for _ in range(repeats):
         begin = time.perf_counter()
-        dict_pass()
+        reference_pass()
         split = time.perf_counter()
-        sparse_pass()
-        dict_samples.append(split - begin)
-        sparse_samples.append(time.perf_counter() - split)
-    dict_samples.sort()
-    sparse_samples.sort()
+        gated_pass()
+        reference_samples.append(split - begin)
+        gated_samples.append(time.perf_counter() - split)
+    reference_samples.sort()
+    gated_samples.sort()
     middle = repeats // 2
-    return dict_samples[middle], sparse_samples[middle]
+    return reference_samples[middle], gated_samples[middle]
 
 
 def run_scale(name: str, *, repeats: int | None = None) -> dict[str, Any]:
@@ -191,7 +193,8 @@ def run_scale(name: str, *, repeats: int | None = None) -> dict[str, Any]:
 
     Returns:
         The scale section for the report: the workload configuration,
-        per-benchmark medians in seconds, and sparse-over-dict speedups.
+        per-benchmark medians in seconds, and the columnar-over-general
+        replay speedup.
     """
     if name not in SCALES:
         raise PerfRegressionError(
@@ -202,59 +205,47 @@ def run_scale(name: str, *, repeats: int | None = None) -> dict[str, Any]:
     trace = SyntheticTraceGenerator(scale.workload).generate()
 
     medians: dict[str, float] = {}
-    medians["estimation_dict"], medians["estimation_sparse"] = _paired_medians(
-        lambda: DependencyModel.estimate(trace, window=5.0, backend="dict"),
-        lambda: DependencyModel.estimate(trace, window=5.0, backend="sparse"),
-        reps,
+    medians["estimation"] = _median_seconds(
+        lambda: DependencyModel.estimate(trace, window=5.0), reps
     )
 
-    model_dict = DependencyModel.estimate(trace, window=5.0, backend="dict")
-    model_sparse = DependencyModel.estimate(trace, window=5.0, backend="sparse")
-    documents = sorted(model_dict.occurrence_counts)
+    model = DependencyModel.estimate(trace, window=5.0)
+    documents = sorted(model.occurrence_counts)
 
-    def closure_pass(backend: str) -> None:
+    def closure_pass() -> None:
         # A fresh model per pass so memoized rows never trivialize the
         # timing; closure_rows computes the whole universe in one batch.
         fresh = DependencyModel.from_counts(
-            model_dict.pair_counts, model_dict.occurrence_counts, backend=backend
+            model.pair_counts, model.occurrence_counts
         )
         fresh.closure_rows(documents)
 
-    medians["closure_dict"], medians["closure_sparse"] = _paired_medians(
-        lambda: closure_pass("dict"), lambda: closure_pass("sparse"), reps
-    )
-
-    policy = ThresholdPolicy(threshold=REPLAY_THRESHOLD)
-    replay_dict = SpeculativeServiceSimulator(trace, BASELINE, model=model_dict)
-    replay_sparse = SpeculativeServiceSimulator(trace, BASELINE, model=model_sparse)
-    medians["replay_dict"], medians["replay_sparse"] = _paired_medians(
-        lambda: replay_dict.run(policy), lambda: replay_sparse.run(policy), reps
-    )
+    medians["closure"] = _median_seconds(closure_pass, reps)
 
     # The ratio-producing unit of work: one baseline run plus one policy
-    # run on the same simulator, replayed through the per-event loop
+    # run on the same simulator, replayed through the general event loop
+    # (an explicit cache_factory with the default semantics selects it)
     # versus the vectorized columnar engine (bit-identical results; see
     # tests/test_columnar_replay.py).
-    pair_sim = SpeculativeServiceSimulator(trace, BASELINE, model=model_sparse)
+    policy = ThresholdPolicy(threshold=REPLAY_THRESHOLD)
+    pair_sim = SpeculativeServiceSimulator(trace, BASELINE, model=model)
+    general_caches = make_cache_factory(BASELINE.session_timeout)
 
-    def replay_pair(mode: str) -> None:
-        pair_sim.run(replay=mode)
-        pair_sim.run(policy, replay=mode)
+    def replay_pair(cache_factory: Callable[[], Any] | None) -> None:
+        pair_sim.run(cache_factory=cache_factory)
+        pair_sim.run(policy, cache_factory=cache_factory)
 
-    medians["replay_pair_event"], medians["replay_pair_columnar"] = (
+    medians["replay_pair_general"], medians["replay_pair_columnar"] = (
         _paired_medians(
-            lambda: replay_pair("event"),
-            lambda: replay_pair("columnar"),
+            lambda: replay_pair(general_caches),
+            lambda: replay_pair(None),
             reps,
         )
     )
 
     speedups = {
-        "estimation": medians["estimation_dict"] / medians["estimation_sparse"],
-        "closure": medians["closure_dict"] / medians["closure_sparse"],
-        "replay": medians["replay_dict"] / medians["replay_sparse"],
         "replay_columnar": (
-            medians["replay_pair_event"] / medians["replay_pair_columnar"]
+            medians["replay_pair_general"] / medians["replay_pair_columnar"]
         ),
     }
     return {
@@ -291,15 +282,9 @@ def time_wall(
         A scale-shaped section: ``repeats`` plus ``medians_seconds``.
     """
     reps = max(1, repeats)
-    samples: list[float] = []
-    for _ in range(reps):
-        begin = time.perf_counter()
-        runner()
-        samples.append(time.perf_counter() - begin)
-    samples.sort()
     return {
         "repeats": reps,
-        "medians_seconds": {f"{name}_wall": samples[reps // 2]},
+        "medians_seconds": {f"{name}_wall": _median_seconds(runner, reps)},
     }
 
 
@@ -406,7 +391,7 @@ def _load_scale(
 ) -> float:
     """Machine-load normalization factor for one absolute comparison.
 
-    The reference stages (``*_dict``, ``*_event``, ``*_json``) time
+    The reference stages (``*_general``, ``*_json``) time
     implementations the optimized engines never touch — so when *those*
     medians drift versus the committed baseline, the machine is busier
     (or idler), not the code slower.  An optimized stage is normalized
@@ -446,14 +431,14 @@ def find_regressions(
 
     Speedup floors are checked unconditionally — scale floors from
     :data:`SCALES` plus any ``speedup_floors`` an injected section
-    carries (:func:`time_paired`).  Absolute optimized medians
-    (:data:`PAIRED_SUFFIXES` left-hand suffixes) are compared only when
-    a baseline exists, ``compare_absolute`` is set, and its machine
+    carries (:func:`time_paired`).  Absolute medians are compared only
+    when a baseline exists, ``compare_absolute`` is set, and its machine
     fingerprint matches the current machine.  Matching fingerprints
-    still share the host with other tenants, so each comparison is
-    load-normalized by the paired reference-stage drift
-    (:func:`_load_scale`); the reference medians themselves are the
-    load reference and are not gated.
+    still share the host with other tenants, so each partnered median
+    (:data:`PAIRED_SUFFIXES` left-hand suffixes) is load-normalized by
+    its reference-stage drift (:func:`_load_scale`); the reference
+    medians themselves are the load reference and are not gated, and
+    partnerless medians are compared strictly at the wider tolerance.
     """
     findings: list[str] = []
     for scale_name, section in report.get("scales", {}).items():
@@ -487,16 +472,16 @@ def find_regressions(
                 tolerance = (1.0 + limit) * _load_scale(
                     bench_name, current, committed
                 )
-            elif bench_name.endswith("_wall"):
-                # Injected end-to-end medians (see :func:`time_wall`):
-                # no reference partner to normalize by, so strict
-                # comparison at the wider wall tolerance.
-                limit = WALL_MAX_REGRESSION
-                tolerance = 1.0 + limit
-            else:
+            elif bench_name.endswith(tuple(PAIRED_SUFFIXES.values())):
                 # Reference medians are the load reference, not a gated
                 # surface: their drift *defines* machine weather here.
                 continue
+            else:
+                # No reference partner to normalize by (estimation,
+                # closure, the injected wall sections): strict
+                # comparison at the wider tolerance.
+                limit = WALL_MAX_REGRESSION
+                tolerance = 1.0 + limit
             anchor = committed.get(bench_name)
             if anchor is None or anchor <= 0:
                 continue

@@ -43,11 +43,8 @@ class OnlineDependencyEstimator:
         min_probability: float = 0.01,
         max_hops: int = 8,
     ):
-        # The sparse backend computes refresh batches vectorized and is
-        # bit-identical to the dict backend, so live decisions stay
-        # decision-for-decision comparable with batch replay.
         self._model = DependencyModel.incremental(
-            window=window, stride_timeout=stride_timeout, backend="sparse"
+            window=window, stride_timeout=stride_timeout
         )
         self._learn = learn
         self._refresh_interval = refresh_interval

@@ -1,6 +1,6 @@
 """Columnar (vectorized) replay of the speculative-service simulator.
 
-The event loops in :mod:`repro.speculation.simulator` walk the trace one
+The event loop in :mod:`repro.speculation.simulator` walks the trace one
 request at a time.  This module replays the *same* semantics over numpy
 column arrays — timestamps, client codes, document codes, sizes — in a
 handful of vectorized passes:
@@ -37,7 +37,7 @@ handful of vectorized passes:
    push's successor event, exactly the event loop's pending-dict
    semantics.
 
-Bit-exactness contract: for every fast-path-eligible configuration the
+Bit-exactness contract: for every configuration this engine covers the
 returned metrics equal the event loop's **exactly** (``==`` on every
 counter, including the float ``service_time``), pinned by
 ``tests/test_columnar_replay.py``.
@@ -565,7 +565,7 @@ def replay_columnar(
 ) -> ColumnarReplay:
     """Replay a trace in vectorized columnar passes.
 
-    Semantically identical to the simulator's fast event loop for the
+    Semantically identical to the simulator's general event loop for the
     default configuration: per-client ``SessionTimeout`` caches, no
     cooperation, no digests, no prefetchers, and either no policy
     (baseline) or a pure-``select`` policy over a fixed model.

@@ -19,29 +19,25 @@ chains pruned below ``min_probability`` (and ``p*[i, j] >= p[i, j]``
 always, with equality on direct links).  The substitution is recorded
 in DESIGN.md.
 
-Two interchangeable backends share these semantics, selected with
-``backend=``: ``"dict"`` (pure Python, the default) and ``"sparse"``
-(CSR numpy arrays, batched relaxation; see
-:mod:`repro.speculation.sparse`).  The backends are bit-identical —
-every probability is the same ``count / base`` division and the
-relaxations chain the same IEEE-754 multiplications — so switching is
-purely a performance decision.
+Counting and closure both run through one vectorized engine
+(:mod:`repro.speculation.sparse`: numpy pair counting, CSR adjacency,
+batched relaxation).  The pure-Python counting loop and relaxation the
+engine was derived from live on as the test oracle
+(``tests/oracles/dependency_reference.py``); the engine must equal it
+with ``==`` — every probability is the same ``count / base`` division
+and the relaxations chain the same IEEE-754 multiplications.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..errors import DependencyModelError
 from ..trace.records import Trace
-from ..trace.sessions import split_strides
 from .sparse import SparseDependencyEngine, estimate_pair_counts
-
-#: Valid values for the ``backend=`` switch.
-BACKENDS = ("dict", "sparse")
 
 
 @dataclass(slots=True)
@@ -116,15 +112,10 @@ class DependencyModel:
         *,
         window: float = 5.0,
         stride_timeout: float | None = None,
-        backend: str = "dict",
         validate: bool = True,
     ):
         if window <= 0:
             raise DependencyModelError("window must be positive")
-        if backend not in BACKENDS:
-            raise DependencyModelError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
         if validate:
             for source, row in pair_counts.items():
                 base = occurrences.get(source, 0.0)
@@ -146,7 +137,6 @@ class DependencyModel:
         self._window = window
         self._stride_timeout = window if stride_timeout is None else stride_timeout
         self._strides: dict[str, _OpenStride] = {}
-        self._backend = backend
         #: Documents whose row of ``P`` (outgoing probabilities) changed
         #: since the last closure refresh; drives the fine-grained cache
         #: invalidation in :meth:`refresh_closure`.
@@ -167,7 +157,6 @@ class DependencyModel:
         *,
         window: float = 5.0,
         stride_timeout: float | None = None,
-        backend: str = "dict",
     ) -> "DependencyModel":
         """Estimate ``P`` from a trace.
 
@@ -182,51 +171,18 @@ class DependencyModel:
             window: ``T_w`` in seconds (paper: 5 s).
             stride_timeout: ``StrideTimeout``; defaults to ``window``,
                 the paper's baseline coupling.
-            backend: ``"dict"`` counts with the reference Python loop;
-                ``"sparse"`` counts vectorized (identical results) and
-                keeps the sparse closure engine for later queries.
         """
-        if window <= 0:
-            raise DependencyModelError("window must be positive")
-        stride_timeout = window if stride_timeout is None else stride_timeout
-        if backend == "sparse":
-            counted_pairs, counted_occurrences = estimate_pair_counts(
-                trace, window=window, stride_timeout=stride_timeout
-            )
-            return cls(
-                counted_pairs,
-                counted_occurrences,
-                window=window,
-                stride_timeout=stride_timeout,
-                backend=backend,
-                # Counts are correct by construction (and parity-tested
-                # against the reference loop), so skip re-validation.
-                validate=False,
-            )
-
-        pair_counts: dict[str, dict[str, float]] = {}
-        occurrences: Counter[str] = Counter()
-        for stride in split_strides(trace, stride_timeout):
-            requests = stride.requests
-            for index, source in enumerate(requests):
-                occurrences[source.doc_id] += 1
-                seen: set[str] = set()
-                for follower in requests[index + 1 :]:
-                    if follower.timestamp - source.timestamp > window:
-                        break
-                    if follower.doc_id == source.doc_id:
-                        continue
-                    if follower.doc_id in seen:
-                        continue
-                    seen.add(follower.doc_id)
-                    row = pair_counts.setdefault(source.doc_id, {})
-                    row[follower.doc_id] = row.get(follower.doc_id, 0.0) + 1.0
+        counted_pairs, counted_occurrences = estimate_pair_counts(
+            trace, window=window, stride_timeout=stride_timeout
+        )
         return cls(
-            pair_counts,
-            dict(occurrences),
+            counted_pairs,
+            counted_occurrences,
             window=window,
             stride_timeout=stride_timeout,
-            backend=backend,
+            # Counts are correct by construction (and parity-tested
+            # against the reference loop), so skip re-validation.
+            validate=False,
         )
 
     @classmethod
@@ -235,7 +191,6 @@ class DependencyModel:
         *,
         window: float = 5.0,
         stride_timeout: float | None = None,
-        backend: str = "dict",
     ) -> "DependencyModel":
         """An empty model ready for online :meth:`observe` updates.
 
@@ -244,20 +199,16 @@ class DependencyModel:
         timestamp order) through :meth:`observe` yields counts identical
         to :meth:`estimate` over the equivalent trace.
         """
-        return cls(
-            {}, {}, window=window, stride_timeout=stride_timeout, backend=backend
-        )
+        return cls({}, {}, window=window, stride_timeout=stride_timeout)
 
     @classmethod
     def from_counts(
         cls,
         pair_counts: dict[str, dict[str, float]],
         occurrences: dict[str, float],
-        *,
-        backend: str = "dict",
     ) -> "DependencyModel":
         """Wrap precomputed counts (used by aging / merging)."""
-        return cls(pair_counts, occurrences, backend=backend)
+        return cls(pair_counts, occurrences)
 
     # -- incremental estimation ---------------------------------------------------
 
@@ -367,11 +318,6 @@ class DependencyModel:
     # -- raw access --------------------------------------------------------------
 
     @property
-    def backend(self) -> str:
-        """The closure/estimation backend: ``"dict"`` or ``"sparse"``."""
-        return self._backend
-
-    @property
     def version(self) -> int:
         """Mutation counter: increments whenever :meth:`observe` changes
         the counts.  Derived caches key on it to stay coherent."""
@@ -413,36 +359,6 @@ class DependencyModel:
             if count > 0
         }
 
-    def _relaxed_row(
-        self, source: str, min_probability: float, max_hops: int
-    ) -> dict[str, float]:
-        """One ``P*`` row by pure-Python max-product relaxation.
-
-        The reference arithmetic both backends must match: per level,
-        extend every improved chain by one hop, prune products below
-        ``min_probability`` *before* clamping to 1.0, and keep a value
-        only on strict improvement.
-        """
-        best: dict[str, float] = {source: 1.0}
-        frontier: dict[str, float] = {source: 1.0}
-        for __ in range(max_hops):
-            next_frontier: dict[str, float] = {}
-            for node, through in frontier.items():
-                for target, edge in self.successors(node).items():
-                    chained = through * edge
-                    if chained < min_probability:
-                        continue
-                    if chained > 1.0:
-                        chained = 1.0
-                    if chained > best.get(target, 0.0):
-                        best[target] = chained
-                        next_frontier[target] = chained
-            if not next_frontier:
-                break
-            frontier = next_frontier
-        best.pop(source, None)
-        return best
-
     def _sparse_engine(self) -> SparseDependencyEngine:
         if self._engine is None:
             self._engine = SparseDependencyEngine(self._pairs, self._occurrences)
@@ -460,8 +376,7 @@ class DependencyModel:
         Computed by hop-bounded relaxation in the max-product semiring,
         pruning chains whose product falls below ``min_probability`` or
         longer than ``max_hops`` hops.  Results are memoized per
-        (source, pruning) triple; both backends produce bit-identical
-        rows.
+        (source, pruning) triple.
 
         Args:
             source: The requested document ``D_i``.
@@ -479,12 +394,9 @@ class DependencyModel:
         cached = self._closure_cache.get(key)
         if cached is not None:
             return dict(cached)
-        if self._backend == "sparse":
-            row = self._sparse_engine().closure_rows(
-                [source], min_probability=min_probability, max_hops=max_hops
-            )[0]
-        else:
-            row = self._relaxed_row(source, min_probability, max_hops)
+        row = self._sparse_engine().closure_rows(
+            [source], min_probability=min_probability, max_hops=max_hops
+        )[0]
         self._closure_cache[key] = row
         return dict(row)
 
@@ -498,9 +410,8 @@ class DependencyModel:
         """Many ``P*`` rows at once (the batched form of
         :meth:`closure_row`).
 
-        On the sparse backend all cache-missing sources are computed in
-        one vectorized batch; the dict backend falls back to a per-row
-        loop.  Either way results land in the same memoization cache.
+        All cache-missing sources are computed in one vectorized batch
+        and land in the same memoization cache.
 
         Returns:
             Mapping source → closure row (duplicates collapse).
@@ -519,15 +430,9 @@ class DependencyModel:
             else:
                 missing.append(source)
         if missing:
-            if self._backend == "sparse":
-                computed = self._sparse_engine().closure_rows(
-                    missing, min_probability=min_probability, max_hops=max_hops
-                )
-            else:
-                computed = [
-                    self._relaxed_row(source, min_probability, max_hops)
-                    for source in missing
-                ]
+            computed = self._sparse_engine().closure_rows(
+                missing, min_probability=min_probability, max_hops=max_hops
+            )
             for source, row in zip(missing, computed):
                 self._closure_cache[(source, min_probability, max_hops)] = row
                 result[source] = dict(row)

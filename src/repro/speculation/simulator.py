@@ -23,11 +23,19 @@ The dependency model either stays fixed (train/test split) or follows
 the paper's schedule — re-estimated every ``UpdateCycle`` days from the
 last ``HistoryLength`` days — via a
 :class:`~repro.speculation.aging.RollingEstimator`.
+
+Two engines replay a trace and :meth:`SpeculativeServiceSimulator.run`
+picks between them from its inputs alone.  The general event loop in
+this module handles every configuration.  The vectorized columnar
+engine (:mod:`repro.speculation.columnar`) handles the common one —
+default ``SessionTimeout`` caches, steps 1–4 without cooperation,
+digests or prefetchers, and either no policy or a ``select_is_pure``
+policy over a fixed model — and is bit-identical to the general loop
+there (pinned by ``tests/test_columnar_replay.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +44,7 @@ from ..errors import SimulationError
 from ..trace.records import Trace
 from .aging import RollingEstimator
 from .caches import ClientCache, make_cache_factory
+from .columnar import replay_columnar
 from .dependency import DependencyModel
 from .metrics import SpeculationMetrics
 from .policies import SpeculationPolicy
@@ -112,9 +121,13 @@ class SpeculativeServiceSimulator:
         cooperative: bool = False,
         digest_fp_rate: float | None = None,
         prefetcher: "ClientPrefetcherLike | None" = None,
-        replay: str = "auto",
     ) -> SimulationRun:
         """Replay the trace once.
+
+        Configurations the columnar engine covers (see the module
+        docstring) replay through it; passing any of the keyword
+        arguments below — including a ``cache_factory`` with the default
+        semantics — replays through the general loop instead.
 
         Args:
             policy: Speculation policy; ``None`` runs the
@@ -137,19 +150,10 @@ class SpeculativeServiceSimulator:
                 prefetchers to learn online), and a ``client`` keyword
                 on ``choose`` (detected by attribute
                 ``wants_client=True``) for per-client decisions.
-            replay: Fast-path engine selection: ``"auto"`` (default)
-                replays eligible configurations through the columnar
-                engine, ``"columnar"`` requires it (raising when the
-                configuration is not eligible), ``"event"`` forces the
-                event-by-event fast loop.  All three are bit-identical;
-                an explicit ``cache_factory`` still forces the general
-                loop below.
 
         Returns:
             A :class:`SimulationRun` with raw metric totals.
         """
-        if replay not in ("auto", "columnar", "event"):
-            raise SimulationError(f"unknown replay mode {replay!r}")
         config = self._config
         if (
             cache_factory is None
@@ -160,24 +164,10 @@ class SpeculativeServiceSimulator:
                 policy is None
                 or (
                     self._model is not None
-                    and getattr(self._model, "backend", "dict") == "sparse"
                     and getattr(policy, "select_is_pure", False)
                 )
             )
         ):
-            # The common configuration — default SessionTimeout caches,
-            # no digests/prefetchers, a fixed sparse-backend model, and
-            # a stateless policy — replays through the vectorized
-            # columnar engine (or, on request, the specialized event
-            # loop that memoizes per-document push lists and inlines
-            # the session-cache bookkeeping).  Both are bit-identical
-            # to the general loop below (pinned by
-            # tests/test_sparse_backend.py and
-            # tests/test_columnar_replay.py).
-            if replay == "event":
-                return self._run_fast(policy)
-            from .columnar import replay_columnar
-
             result = replay_columnar(
                 self._trace, config, model=self._model, policy=policy
             )
@@ -185,13 +175,6 @@ class SpeculativeServiceSimulator:
                 metrics=result.metrics,
                 accesses=result.accesses,
                 cache_hits=result.cache_hits,
-                prefetch_requests=0,
-            )
-        if replay == "columnar":
-            raise SimulationError(
-                "columnar replay requires the fast-path configuration "
-                "(default caches, no cooperation/digests/prefetchers, "
-                "and a pure policy over a fixed sparse model)"
             )
         factory = cache_factory or make_cache_factory(config.session_timeout)
         catalog = self._trace.documents
@@ -341,123 +324,6 @@ class SpeculativeServiceSimulator:
             accesses=len(self._trace),
             cache_hits=cache_hits,
             prefetch_requests=prefetch_requests,
-        )
-
-    def _run_fast(self, policy: SpeculationPolicy | None) -> SimulationRun:
-        """Specialized replay for the default configuration.
-
-        Preconditions (enforced by the dispatch in :meth:`run`): default
-        SessionTimeout cache semantics, no cooperation, no digests, no
-        prefetcher, and either no policy (baseline) or a pure-`select`
-        policy over a fixed sparse-backend model.  Every counter update
-        — including the float additions into ``service_time`` — happens
-        in exactly the order of the general loop, so the two paths
-        return identical metrics, not merely close ones.
-        """
-        config = self._config
-        catalog = self._trace.documents
-        timeout = config.session_timeout
-        caching = timeout > 0
-        finite = caching and not math.isinf(timeout)
-        max_size = config.max_size
-        serv_cost = config.serv_cost
-        comm_cost = config.comm_cost
-        model = self._model
-
-        # Per-document speculation push lists, resolved through the
-        # policy once per document (select is pure, the model is fixed)
-        # with the catalog/MaxSize filter pre-applied.
-        push_lists: dict[str, tuple[tuple[str, int], ...]] = {}
-
-        contents: dict[str, set[str]] = {}
-        last_access: dict[str, float] = {}
-        pending_pushes: dict[str, dict[str, int]] = {}
-
-        bytes_sent = 0
-        server_requests = 0
-        service_time = 0.0
-        miss_bytes = 0
-        accessed_bytes = 0
-        speculated_documents = 0
-        speculated_bytes = 0
-        wasted_bytes = 0
-        cache_hits = 0
-
-        for request in self._trace:
-            client = request.client
-            cached = contents.get(client)
-            if cached is None:
-                cached = set()
-                contents[client] = cached
-                pending_pushes[client] = {}
-                if finite:
-                    last_access[client] = request.timestamp
-            elif finite:
-                if request.timestamp - last_access[client] >= timeout:
-                    cached.clear()
-                last_access[client] = request.timestamp
-            pending = pending_pushes[client]
-
-            size = request.size
-            accessed_bytes += size
-            doc_id = request.doc_id
-
-            if caching and doc_id in cached:
-                cache_hits += 1
-                if doc_id in pending:
-                    del pending[doc_id]
-                continue
-
-            miss_bytes += size
-            server_requests += 1
-            bytes_sent += size
-            service_time += serv_cost + comm_cost * size
-            if caching:
-                cached.add(doc_id)
-
-            if policy is None:
-                continue
-
-            push_list = push_lists.get(doc_id)
-            if push_list is None:
-                push_list = tuple(
-                    (candidate.doc_id, catalog[candidate.doc_id].size)
-                    for candidate in policy.select(doc_id, model, catalog)
-                    if candidate.doc_id in catalog
-                    and catalog[candidate.doc_id].size <= max_size
-                )
-                push_lists[doc_id] = push_list
-            for candidate_id, candidate_size in push_list:
-                speculated_documents += 1
-                speculated_bytes += candidate_size
-                bytes_sent += candidate_size
-                if caching and candidate_id in cached:
-                    wasted_bytes += candidate_size
-                    continue
-                if candidate_id in pending:
-                    wasted_bytes += pending.pop(candidate_id)
-                if caching:
-                    cached.add(candidate_id)
-                pending[candidate_id] = candidate_size
-
-        for pending in pending_pushes.values():
-            wasted_bytes += sum(pending.values())
-
-        metrics = SpeculationMetrics(
-            bytes_sent=bytes_sent,
-            server_requests=server_requests,
-            service_time=service_time,
-            miss_bytes=miss_bytes,
-            accessed_bytes=accessed_bytes,
-            speculated_documents=speculated_documents,
-            speculated_bytes=speculated_bytes,
-            wasted_bytes=wasted_bytes,
-        )
-        return SimulationRun(
-            metrics=metrics,
-            accesses=len(self._trace),
-            cache_hits=cache_hits,
-            prefetch_requests=0,
         )
 
 

@@ -1,4 +1,4 @@
-"""Vectorized sparse backend for the dependency model (``backend="sparse"``).
+"""The vectorized engine behind :class:`DependencyModel`.
 
 Two hot paths of the reproduction are vectorized here:
 
@@ -13,13 +13,19 @@ Two hot paths of the reproduction are vectorized here:
   the paper's ``P* = P^N`` under the best-chain reading; see
   ``dependency.py``).
 
-Bit-exactness contract: both paths must reproduce the dict backend's
-numbers *exactly*, not approximately.  Counts are small integers (exact
-in float64), probabilities are the same ``count / base`` divisions, and
-closure values chain the same IEEE-754 multiplications the pure-Python
-relaxation performs — ``max`` and comparisons introduce no rounding, so
-equal inputs give equal outputs.  The parity tests in
-``tests/test_sparse_backend.py`` pin this contract.
+Bit-exactness contract: both paths must reproduce the pure-Python
+reference (``tests/oracles/dependency_reference.py``) *exactly*, not
+approximately.  Pair counting produces whole numbers (exact in
+float64).  The closure takes whatever counts it is given — whole from
+:func:`estimate_pair_counts` and ``observe``, fractional once
+:class:`~repro.speculation.aging.AgingDependencyCounter` has decayed
+them — and never adds or rescales them: each probability is one
+``count / base`` division of the caller's own floats, and closure
+values chain the same IEEE-754 multiplications the reference relaxation
+performs.  ``max`` and comparisons introduce no rounding, so equal
+inputs give equal outputs.  The parity tests in
+``tests/test_sparse_backend.py`` pin this contract, fractional counts
+included.
 """
 
 from __future__ import annotations
@@ -282,8 +288,8 @@ class SparseDependencyEngine:
                 for target, count in row.items():
                     if count > 0:
                         columns.append(self._index[target])
-                        # The same float division the dict backend's
-                        # successors() performs — bit-identical edges.
+                        # The same float division successors() and
+                        # the reference perform — bit-identical edges.
                         probabilities.append(count / base)
             indptr[code + 1] = len(columns)
         self._indptr = indptr
@@ -310,10 +316,9 @@ class SparseDependencyEngine:
         Level-synchronous relaxation: level ``h`` holds the best chain
         products over at most ``h`` hops; only entries that improved in
         a level propagate in the next.  Every arithmetic step mirrors
-        the dict backend's relaxation (same multiplies, same
+        the reference relaxation (same multiplies, same
         ``>= min_probability`` prune before the clamp to 1.0, same
-        strict-improvement test), so the two backends return identical
-        floats.
+        strict-improvement test), so the two return identical floats.
 
         Args:
             sources: Source documents (unknown ids yield empty rows).

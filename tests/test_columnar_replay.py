@@ -1,28 +1,33 @@
-"""Bit-identity of the vectorized columnar replay engine.
+"""Bit-identity of the vectorized columnar replay engine, and the
+input-driven choice between it and the general loop.
 
 The columnar engine (:mod:`repro.speculation.columnar`) replays the
 whole trace as numpy column passes; every run here is compared to the
-specialized event loop *and* the general loop with exact ``==`` — the
-engines must return identical metrics, not merely close ones.
+general event loop with exact ``==`` — the engines must return
+identical metrics, not merely close ones.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.speculation.simulator as simulator_module
 from repro.config import BASELINE
-from repro.errors import SimulationError
+from repro.speculation.aging import RollingEstimator
 from repro.speculation.caches import make_cache_factory
+from repro.speculation.columnar import replay_columnar
 from repro.speculation.dependency import DependencyModel
 from repro.speculation.policies import (
     EmbeddingOnlyPolicy,
     ThresholdPolicy,
     TopKPolicy,
 )
+from repro.speculation.prefetch import ClientPrefetcher
 from repro.speculation.simulator import SpeculativeServiceSimulator
 from repro.workload import GeneratorConfig, SyntheticTraceGenerator
 
@@ -36,8 +41,8 @@ def _trace(seed: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _sparse_model(seed: int) -> DependencyModel:
-    return DependencyModel.estimate(_trace(seed), window=5.0, backend="sparse")
+def _model(seed: int) -> DependencyModel:
+    return DependencyModel.estimate(_trace(seed), window=5.0)
 
 
 def _policy(kind: str, parameter: float):
@@ -51,6 +56,16 @@ def _policy(kind: str, parameter: float):
     return None
 
 
+def _general(sim, policy, **options):
+    # An explicit cache_factory (same semantics as the default) is the
+    # input that selects the general loop.
+    return sim.run(
+        policy,
+        cache_factory=make_cache_factory(BASELINE.session_timeout),
+        **options,
+    )
+
+
 class TestColumnarParity:
     @settings(max_examples=12, deadline=None)
     @given(
@@ -60,67 +75,113 @@ class TestColumnarParity:
     )
     def test_columnar_matches_event_and_general(self, seed, kind, parameter):
         policy = _policy(kind, parameter)
-        sim = SpeculativeServiceSimulator(
-            _trace(seed), BASELINE, model=_sparse_model(seed)
+        sim = SpeculativeServiceSimulator(_trace(seed), BASELINE, model=_model(seed))
+        columnar = replay_columnar(
+            _trace(seed), BASELINE, model=_model(seed), policy=policy
         )
-        columnar = sim.run(policy, replay="columnar")
-        event = sim.run(policy, replay="event")
-        # An explicit cache_factory (same semantics) escapes the fast
-        # path entirely, so this run exercises the general loop.
-        general = sim.run(
-            policy,
-            cache_factory=make_cache_factory(BASELINE.session_timeout),
-        )
-        assert columnar.metrics == event.metrics
+        general = _general(sim, policy)
         assert columnar.metrics == general.metrics
-        assert columnar.accesses == event.accesses == general.accesses
-        assert columnar.cache_hits == event.cache_hits == general.cache_hits
+        assert columnar.accesses == general.accesses
+        assert columnar.cache_hits == general.cache_hits
 
     def test_auto_dispatch_equals_forced_columnar(self):
-        sim = SpeculativeServiceSimulator(
-            _trace(0), BASELINE, model=_sparse_model(0)
-        )
-        policy = ThresholdPolicy(threshold=0.25)
-        assert sim.run(policy) == sim.run(policy, replay="columnar")
-        assert sim.run() == sim.run(replay="columnar")
+        sim = SpeculativeServiceSimulator(_trace(0), BASELINE, model=_model(0))
+        for policy in (ThresholdPolicy(threshold=0.25), None):
+            dispatched = sim.run(policy)
+            forced = replay_columnar(
+                _trace(0), BASELINE, model=_model(0), policy=policy
+            )
+            assert dispatched.metrics == forced.metrics
+            assert dispatched.accesses == forced.accesses
+            assert dispatched.cache_hits == forced.cache_hits
+            assert dispatched.prefetch_requests == 0
+
+
+@dataclass(frozen=True)
+class _StatefulThreshold:
+    """A policy that does not declare ``select_is_pure``."""
+
+    inner: ThresholdPolicy = ThresholdPolicy(threshold=0.25)
+    select_is_pure = False
+
+    def select(self, requested, model, catalog):
+        return self.inner.select(requested, model, catalog)
+
+
+@pytest.fixture
+def columnar_calls(monkeypatch):
+    """Calls ``run()`` makes into the columnar engine (still executed)."""
+    calls = []
+
+    def spy(trace, config, *, model=None, policy=None):
+        calls.append(policy)
+        return replay_columnar(trace, config, model=model, policy=policy)
+
+    monkeypatch.setattr(simulator_module, "replay_columnar", spy)
+    return calls
+
+
+def _rolling_sim():
+    rolling = RollingEstimator(
+        _trace(0), history_length_days=2.0, update_cycle_days=1.0, window=5.0
+    )
+    return SpeculativeServiceSimulator(_trace(0), BASELINE, rolling=rolling)
+
+
+#: Each entry: id → (simulator factory, policy, run() options).  Every
+#: one carries an input the columnar engine does not model.
+_GENERAL_LOOP_INPUTS = {
+    "cooperative": (None, ThresholdPolicy(threshold=0.25), {"cooperative": True}),
+    "digest": (
+        None,
+        ThresholdPolicy(threshold=0.25),
+        {"cooperative": True, "digest_fp_rate": 0.01},
+    ),
+    "prefetcher": (None, None, {"prefetcher": ClientPrefetcher()}),
+    "rolling": (_rolling_sim, ThresholdPolicy(threshold=0.25), {}),
+    "impure-policy": (None, _StatefulThreshold(), {}),
+}
 
 
 class TestReplaySelection:
-    def test_event_escape_hatch_never_enters_columnar(self, monkeypatch):
-        import repro.speculation.columnar as columnar_module
+    def test_default_inputs_enter_columnar(self, columnar_calls):
+        sim = SpeculativeServiceSimulator(_trace(1), BASELINE, model=_model(1))
+        policy = ThresholdPolicy(threshold=0.25)
+        assert sim.run(policy) == _general(sim, policy)
+        assert sim.run() == _general(sim, None)
+        # The no-policy baseline reads no model, so it needs no fixed one.
+        rolling = _rolling_sim()
+        assert rolling.run() == _general(rolling, None)
+        assert columnar_calls == [policy, None, None]
 
-        def _boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("columnar engine entered despite escape hatch")
-
-        monkeypatch.setattr(columnar_module, "replay_columnar", _boom)
-        sim = SpeculativeServiceSimulator(
-            _trace(1), BASELINE, model=_sparse_model(1)
-        )
-        run = sim.run(ThresholdPolicy(threshold=0.25), replay="event")
+    def test_event_escape_hatch_never_enters_columnar(self, columnar_calls):
+        # The escape hatch to the event-by-event loop is an input, not
+        # an option: an explicit cache_factory.
+        sim = SpeculativeServiceSimulator(_trace(1), BASELINE, model=_model(1))
+        run = _general(sim, ThresholdPolicy(threshold=0.25))
         assert run.accesses > 0
+        assert columnar_calls == []
 
-    def test_columnar_requires_sparse_model(self):
-        dict_model = DependencyModel.estimate(
-            _trace(0), window=5.0, backend="dict"
+    @pytest.mark.parametrize("case", sorted(_GENERAL_LOOP_INPUTS))
+    def test_unmodelled_inputs_take_the_general_loop(self, case, columnar_calls):
+        make_sim, policy, options = _GENERAL_LOOP_INPUTS[case]
+        sim = (
+            make_sim()
+            if make_sim is not None
+            else SpeculativeServiceSimulator(_trace(0), BASELINE, model=_model(0))
         )
-        sim = SpeculativeServiceSimulator(_trace(0), BASELINE, model=dict_model)
-        with pytest.raises(SimulationError, match="fast-path"):
-            sim.run(ThresholdPolicy(threshold=0.25), replay="columnar")
+        run = sim.run(policy, **options)
+        assert columnar_calls == []
+        assert run.accesses == len(_trace(0))
+        assert run == _general(sim, policy, **options)
 
-    def test_columnar_rejects_cooperative_mode(self):
-        sim = SpeculativeServiceSimulator(
-            _trace(0), BASELINE, model=_sparse_model(0)
-        )
-        with pytest.raises(SimulationError, match="fast-path"):
-            sim.run(
-                ThresholdPolicy(threshold=0.25),
-                cooperative=True,
-                replay="columnar",
-            )
-
-    def test_unknown_replay_mode_rejected(self):
-        sim = SpeculativeServiceSimulator(
-            _trace(0), BASELINE, model=_sparse_model(0)
-        )
-        with pytest.raises(SimulationError, match="replay mode"):
-            sim.run(replay="warp")
+    def test_columnar_rejects_cooperative_mode(self, columnar_calls):
+        # Cooperation changes the answer (no re-sent bytes), so routing
+        # it to the columnar engine would be wrong, not merely slow.
+        sim = SpeculativeServiceSimulator(_trace(0), BASELINE, model=_model(0))
+        policy = ThresholdPolicy(threshold=0.25)
+        cooperative = sim.run(policy, cooperative=True)
+        assert columnar_calls == []
+        plain = sim.run(policy)
+        assert cooperative.metrics.wasted_bytes <= plain.metrics.wasted_bytes
+        assert cooperative.metrics != plain.metrics

@@ -66,6 +66,22 @@ class TestExperiment:
         )
         assert no_cache.metrics.server_requests >= default.metrics.server_requests
 
+    def test_cache_factory_needs_its_own_key(self, experiment):
+        # Under the default key the no-cache run would be compared to
+        # (or cached as) the default-cache baseline: wrong ratios.
+        experiment.baseline()
+        policy = ThresholdPolicy(threshold=0.5)
+        with pytest.raises(SimulationError, match="cache_key"):
+            experiment.evaluate(policy, cache_factory=make_cache_factory(0.0))
+        with pytest.raises(SimulationError, match="cache_key"):
+            experiment.baseline(cache_factory=make_cache_factory(0.0))
+        ratios, run = experiment.evaluate(
+            policy, cache_factory=make_cache_factory(0.0), cache_key="none"
+        )
+        # No cache: speculation cannot remove a single server request.
+        assert ratios.server_load_ratio == 1.0
+        assert run.cache_hits == 0
+
     def test_speculation_beats_baseline_on_load(self, experiment):
         ratios, __ = experiment.evaluate(ThresholdPolicy(threshold=0.5))
         assert ratios.server_load_ratio < 1.0

@@ -39,9 +39,7 @@ def arms(trace):
     from repro.core.experiment import train_test_split
 
     train, test = train_test_split(trace, 6.0)
-    model = DependencyModel.estimate(
-        train, window=BASELINE.stride_timeout, backend="sparse"
-    )
+    model = DependencyModel.estimate(train, window=BASELINE.stride_timeout)
     policy = ThresholdPolicy(
         threshold=BASELINE.threshold, max_size=BASELINE.max_size
     )
