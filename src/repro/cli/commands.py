@@ -865,8 +865,8 @@ def cmd_serve(args) -> None:
 
 
 #: Minimum binary-over-JSON codec speedup on the bench corpus (one
-#: encode+decode round trip per message).  Measured ~1.2x interleaved
-#: on the reference machine (encode alone is ~2.5x); the floor mainly
+#: encode+decode round trip per message).  Measured ~1.5x interleaved
+#: on the reference machine (encode alone is ~2.7x); the floor mainly
 #: guards the invariant that the default codec is never *slower* than
 #: the JSON debug codec, with headroom for interpreter variance.
 CODEC_SPEEDUP_FLOOR = 1.05
@@ -948,6 +948,15 @@ def cmd_bench(args) -> None:
         repeats=args.repeats if args.repeats is not None else 3,
     )
 
+    # The single-loop in-memory path on its own (both arms of the smoke
+    # loadtest under the virtual clock): per-frame transport, codec and
+    # event-loop cost with no forks and no sockets in the number.
+    loadtest_section = perf.time_wall(
+        "loadtest_smoke",
+        lambda: execute_loadtest(smoke_workload(0), LiveSettings(seed=0)),
+        repeats=args.repeats if args.repeats is not None else 3,
+    )
+
     corpus = _codec_corpus()
 
     def codec_pass(name):
@@ -976,6 +985,7 @@ def cmd_bench(args) -> None:
     sections = {
         scale: section,
         "fleet-smoke": fleet_section,
+        "loadtest-smoke": loadtest_section,
         "deploy-smoke": deploy_section,
         "codec": codec_section,
         "loadtest-sharded": sharded_section,

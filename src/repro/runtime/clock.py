@@ -11,6 +11,10 @@ read that virtual clock.  Every ``asyncio.sleep``, ``call_later`` and
 order of the loop's timer heap (ties broken by its monotone sequence
 counter), and a 90-day workload replays in milliseconds.
 
+A loop turn costs no kernel call: while the selector holds nothing but
+the loop's own wake-up pipe — the only state a virtual-clock run is
+allowed to be in — the patched ``select`` returns without polling.
+
 Real-I/O transports (the TCP transport) must **not** run under a
 virtual clock — a patched selector never waits for sockets; use a
 normal ``asyncio.run`` for those.
@@ -84,9 +88,11 @@ class VirtualClock:
         """Patch a selector event loop to run on virtual time.
 
         The loop's ``time()`` is replaced by this clock and its
-        selector's ``select(timeout)`` is replaced by a non-blocking
-        poll that advances the clock by ``timeout`` — so timers fire in
-        order at zero wall cost.
+        selector's ``select(timeout)`` is replaced by one that advances
+        the clock by ``timeout`` and returns at once — so timers fire
+        in order at zero wall cost.  The kernel is polled (without
+        blocking) only if something beyond the loop's own wake-up pipe
+        has been registered with the selector.
 
         Raises:
             SimulationError: If the loop is not selector-based.
@@ -101,6 +107,7 @@ class VirtualClock:
                 f"(got {type(loop).__name__})"
             )
         original_select = selector.select
+        registered = selector.get_map()
 
         def virtual_select(
             timeout: float | None = None,
@@ -114,6 +121,10 @@ class VirtualClock:
                 )
             if timeout > 0:
                 self._now += timeout
+            if len(registered) <= 1:
+                # Only the loop's self-pipe: no I/O can be ready, and
+                # cross-thread wake-ups land in the ready queue anyway.
+                return []
             return original_select(0)
 
         selector.select = virtual_select  # type: ignore[method-assign]

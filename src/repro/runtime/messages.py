@@ -12,8 +12,11 @@ Two codecs serialise that schema:
 * :data:`BINARY_CODEC` — the default.  A ``struct``-packed header
   (magic, version, kind, payload format, field lengths, body bytes)
   followed by a packed payload.  The hot ``request`` and ``response``
-  payloads use fixed packed layouts; everything else falls back to a
-  tagged value encoding that covers exactly the JSON value domain.
+  payloads use fixed packed layouts whose id lists (the request's
+  cache digest, the response's rider ids) travel as one
+  separator-joined blob; everything else — including an id list that
+  contains the separator — falls back to a tagged value encoding that
+  covers exactly the JSON value domain.
   Decoding reads straight out of a ``memoryview`` — no intermediate
   copies, no text parse.
 * :data:`JSON_CODEC` — canonical JSON, kept as the debug/interop mode
@@ -166,18 +169,33 @@ class JsonCodec:
 #
 #   magic      2 bytes   0xAB 0x52 — 0xAB is not a valid leading UTF-8/JSON
 #                        byte, so codec sniffing is unambiguous
-#   version    1 byte    wire format version (currently 1)
+#   version    1 byte    wire format version (currently 2; a frame of any
+#                        other version is rejected, not translated)
 #   kind       1 byte    index into _KIND_CODES
 #   format     1 byte    payload encoding: 0 generic tagged, 1 packed
 #   sender     u16 len   + UTF-8 bytes
 #   request_id u16 len   + UTF-8 bytes
 #   body_bytes i64
-#   payload    format-dependent (see _pack_request/_pack_response and
-#              the tagged-value encoding in _write_value)
+#   payload    format-dependent: the tagged-value encoding of
+#              _write_value (format 0), or for format 1 one of
+#
+#   request    f64 timestamp, u16 doc/client/demand lengths, u32 digest
+#              count, u32 digest blob length; then the doc id, client and
+#              demand key bytes and the digest blob
+#   response   i64 size, u16 doc/served_by lengths, u32 rider count, u32
+#              rider blob length, u8 flags; then f64 service_seconds and
+#              u16 path_hops if flagged, the doc id and served_by bytes,
+#              count x i64 rider sizes and the rider-id blob
+#
+# An id blob is the ids joined by one NUL ("\0".join(ids), UTF-8), so both
+# directions are a single C-level pass (join / split).  An empty list is
+# count 0 with an empty blob; decode rejects any other count/blob
+# disagreement.  A list whose ids contain the separator cannot travel this
+# way and sends the whole payload down the generic encoding.
 
 _MAGIC = b"\xabR"
 _MAGIC_BYTE = b"\xab"
-_WIRE_VERSION = 1
+_WIRE_VERSION = 2
 _FORMAT_GENERIC = 0
 _FORMAT_PACKED = 1
 
@@ -197,8 +215,48 @@ _RESP_HEAD = struct.Struct("!qHHIIB")
 _HAS_SERVICE = 1
 _HAS_HOPS = 2
 
+#: Joins the ids of a packed digest / rider list into one blob.
+_ID_SEPARATOR = "\0"
+
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
+
+
+def _pack_ids(ids: list[Any]) -> bytes | None:
+    """An id list as one separator-joined UTF-8 blob, or ``None`` when
+    it cannot travel that way (a non-string entry, an id containing the
+    separator, an oversize list) and the payload must go generic."""
+    if not ids:
+        return b""
+    try:
+        joined = _ID_SEPARATOR.join(ids)
+    except TypeError:
+        return None
+    if joined.count(_ID_SEPARATOR) != len(ids) - 1:
+        return None
+    blob = joined.encode("utf-8")
+    if len(ids) > 0xFFFFFFFF or len(blob) > 0xFFFFFFFF:
+        return None
+    return blob
+
+
+def _unpack_ids(
+    view: memoryview, offset: int, count: int, blob_len: int
+) -> list[str]:
+    """Inverse of :func:`_pack_ids` over ``view[offset:offset + blob_len]``.
+
+    Raises:
+        RuntimeProtocolError: When the blob does not hold exactly
+            ``count`` ids.
+    """
+    if count == 0 and blob_len == 0:
+        return []
+    ids = str(view[offset : offset + blob_len], "utf-8").split(_ID_SEPARATOR)
+    if len(ids) != count:
+        raise RuntimeProtocolError(
+            f"id blob holds {len(ids)} entries, header announced {count}"
+        )
+    return ids
 
 
 def _pack_request(payload: dict[str, Any]) -> bytes | None:
@@ -229,16 +287,8 @@ def _pack_request(payload: dict[str, Any]) -> bytes | None:
     client_raw = client.encode("utf-8")
     if max(len(doc_raw), len(client_raw), len(demand_raw)) > 0xFFFF:
         return None
-    # The digest travels as one UTF-8 blob plus a codepoint-length
-    # array, so both encode and decode are single C-level passes.
-    try:
-        lengths = [len(entry) for entry in digest]
-        blob = "".join(digest).encode("utf-8")
-    except TypeError:
-        return None
-    if len(digest) > 0xFFFFFFFF or len(blob) > 0xFFFFFFFF:
-        return None
-    if lengths and max(lengths) > 0xFFFF:
+    packed_ids = _pack_ids(digest)
+    if packed_ids is None:
         return None
     return b"".join(
         (
@@ -248,13 +298,12 @@ def _pack_request(payload: dict[str, Any]) -> bytes | None:
                 len(client_raw),
                 len(demand_raw),
                 len(digest),
-                len(blob),
+                len(packed_ids),
             ),
             doc_raw,
             client_raw,
             demand_raw,
-            struct.pack(f"!{len(digest)}H", *lengths),
-            blob,
+            packed_ids,
         )
     )
 
@@ -271,18 +320,8 @@ def _unpack_request(view: memoryview, offset: int) -> tuple[dict[str, Any], int]
     offset += client_len
     demand = str(view[offset : offset + demand_len], "utf-8")
     offset += demand_len
-    lengths = struct.unpack_from(f"!{count}H", view, offset)
-    offset += 2 * count
-    joined = str(view[offset : offset + blob_len], "utf-8")
+    digest = _unpack_ids(view, offset, count, blob_len)
     offset += blob_len
-    digest: list[str] = []
-    append = digest.append
-    position = 0
-    for length in lengths:
-        append(joined[position : position + length])
-        position += length
-    if position != len(joined):
-        raise RuntimeProtocolError("request digest blob length mismatch")
     payload: dict[str, Any] = {
         "doc_id": doc_id,
         "client": client,
@@ -324,8 +363,6 @@ def _pack_response(payload: dict[str, Any]) -> bytes | None:
     served_raw = served_by.encode("utf-8")
     if max(len(doc_raw), len(served_raw)) > 0xFFFF:
         return None
-    # Rider ids travel as one UTF-8 blob plus codepoint-length and
-    # size arrays — single C-level packs, mirroring the digest layout.
     rider_ids: list[str] = []
     rider_sizes: list[int] = []
     for pair in speculated:
@@ -334,13 +371,15 @@ def _pack_response(payload: dict[str, Any]) -> bytes | None:
         rider_id, rider_size = pair
         if type(rider_id) is not str or type(rider_size) is not int:
             return None
-        if not _I64_MIN <= rider_size <= _I64_MAX or len(rider_id) > 0xFFFF:
-            return None
         rider_ids.append(rider_id)
         rider_sizes.append(rider_size)
-    blob = "".join(rider_ids).encode("utf-8")
     count = len(rider_ids)
-    if count > 0xFFFFFFFF or len(blob) > 0xFFFFFFFF:
+    blob = _pack_ids(rider_ids)
+    if blob is None:
+        return None
+    try:
+        sizes_raw = struct.pack(f"!{count}q", *rider_sizes)
+    except struct.error:  # a rider size beyond i64
         return None
     chunks = [
         _RESP_HEAD.pack(
@@ -358,8 +397,7 @@ def _pack_response(payload: dict[str, Any]) -> bytes | None:
         chunks.append(_U16.pack(hops))
     chunks.append(doc_raw)
     chunks.append(served_raw)
-    chunks.append(struct.pack(f"!{count}H", *map(len, rider_ids)))
-    chunks.append(struct.pack(f"!{count}q", *rider_sizes))
+    chunks.append(sizes_raw)
     chunks.append(blob)
     return b"".join(chunks)
 
@@ -382,20 +420,11 @@ def _unpack_response(view: memoryview, offset: int) -> tuple[dict[str, Any], int
     offset += doc_len
     served_by = str(view[offset : offset + served_len], "utf-8")
     offset += served_len
-    lengths = struct.unpack_from(f"!{count}H", view, offset)
-    offset += 2 * count
     sizes = struct.unpack_from(f"!{count}q", view, offset)
     offset += 8 * count
-    joined = str(view[offset : offset + blob_len], "utf-8")
+    rider_ids = _unpack_ids(view, offset, count, blob_len)
     offset += blob_len
-    speculated: list[list[Any]] = []
-    append = speculated.append
-    position = 0
-    for length, rider_size in zip(lengths, sizes):
-        append([joined[position : position + length], rider_size])
-        position += length
-    if position != len(joined):
-        raise RuntimeProtocolError("response rider blob length mismatch")
+    speculated = [list(pair) for pair in zip(rider_ids, sizes)]
     payload: dict[str, Any] = {
         "doc_id": doc_id,
         "size": size,

@@ -3,9 +3,12 @@
 Two transports implement the same request/reply contract over
 :class:`~repro.runtime.messages.Message`:
 
-* :class:`InMemoryNetwork` — endpoints exchange messages through
-  bounded asyncio queues with **seeded** latency/bandwidth/jitter and
-  optional frame drops, scheduled with ``loop.call_at``.  Run it under
+* :class:`InMemoryNetwork` — endpoints exchange messages with
+  **seeded** latency/bandwidth/jitter and optional frame drops.  Each
+  frame costs one ``loop.call_at`` timer whose callback handles the
+  arrival itself — a reply is handed to its waiting :meth:`Endpoint.call`,
+  a request spawns its handler task — so there is no queue and no
+  pump task between the wire and the handler.  Run it under
   :func:`~repro.runtime.clock.run_virtual` and the whole system is
   deterministic: same seed and workload → same delivery order → same
   metrics snapshot.  Per-link delivery is FIFO (a later message never
@@ -32,6 +35,7 @@ frame, refused connection, truncated stream) raises
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import math
 import time
 from typing import TYPE_CHECKING, Awaitable, Callable
@@ -62,48 +66,73 @@ Handler = Callable[[Message], Awaitable[Message | None]]
 class Endpoint:
     """One addressable node on an :class:`InMemoryNetwork`.
 
-    Owns a bounded inbox, a pump task that dispatches inbound messages,
-    and the pending-reply futures for requests issued via :meth:`call`.
+    Owns the pending-reply futures for requests issued via :meth:`call`
+    and the handler tasks of requests being served.  A started endpoint
+    has no inbox: the network's delivery timer hands each arriving
+    frame straight to :meth:`_arrive`.  Frames that arrive before
+    :meth:`start` (or after :meth:`close`) are held, up to
+    ``inbox_limit``, and handled in arrival order once it is called.
     Obtain instances from :meth:`InMemoryNetwork.endpoint`.
     """
 
     def __init__(self, network: "InMemoryNetwork", name: str, inbox_limit: int):
         self._network = network
         self.name = name
-        self._inbox: asyncio.Queue[Message] = asyncio.Queue(maxsize=inbox_limit)
+        self._inbox_limit = inbox_limit
+        #: Frames held while not started; ``None`` once started.
+        self._held: list[Message] | None = []
+        #: The context ``start()`` was called in: arrivals run in it, not
+        #: in whatever context the remote sender happened to send from.
+        self._context: contextvars.Context | None = None
         self._pending: dict[str, asyncio.Future[Message]] = {}
         self._handler: Handler | None = None
-        self._pump_task: asyncio.Task[None] | None = None
         self._dispatch_tasks: set[asyncio.Task[None]] = set()
         self._next_id = 0
 
     def start(self, handler: Handler | None = None) -> None:
-        """Begin pumping the inbox; ``handler`` answers inbound requests."""
+        """Begin handling arrivals; ``handler`` answers inbound requests."""
         self._handler = handler
-        if self._pump_task is None:
-            loop = asyncio.get_running_loop()
-            self._pump_task = loop.create_task(self._pump())
+        self._context = contextvars.copy_context()
+        held, self._held = self._held, None
+        for message in held or ():
+            self._arrive(message)
 
     def next_request_id(self) -> str:
         """A fresh, globally-unique correlation id."""
         self._next_id += 1
         return f"{self.name}#{self._next_id}"
 
-    async def _pump(self) -> None:
-        while True:
-            message = await self._inbox.get()
-            if message.kind in REPLY_KINDS:
-                future = self._pending.pop(message.request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(message)
-                # else: the requester gave up (timed out); drop the reply.
-                continue
-            if self._handler is None:
-                continue
-            loop = asyncio.get_running_loop()
-            task = loop.create_task(self._dispatch(message))
-            self._dispatch_tasks.add(task)
-            task.add_done_callback(self._dispatch_tasks.discard)
+    def _accept(self, message: Message) -> bool:
+        """Take one frame off the wire; ``False`` when it must be
+        rejected (not started and ``inbox_limit`` frames already held)."""
+        held = self._held
+        if held is None:
+            self._arrive(message)
+        elif len(held) < self._inbox_limit:
+            held.append(message)
+        else:
+            return False
+        return True
+
+    def _arrive(self, message: Message) -> None:
+        """Handle one frame now: a reply goes to its waiting call, a
+        request gets its handler task."""
+        loop = asyncio.get_running_loop()
+        if message.kind in REPLY_KINDS:
+            future = self._pending.pop(message.request_id, None)
+            if future is not None:
+                # One ready-queue hop between arrival and the caller's
+                # wake-up, not zero: setting the result right here is
+                # cheaper still and leaves every counter equal, but it
+                # moves callers ahead of handler tasks spawned at the
+                # same instant, which reorders their draws from the
+                # network's single jitter RNG and so shifts virtual
+                # times (the golden digests pin them).  Dropping this
+                # hop needs per-link jitter streams first.
+                loop.call_soon(_resolve, future, message)
+            # else: the requester gave up (timed out); drop the reply.
+        elif self._handler is not None:
+            self._dispatch_tasks.add(loop.create_task(self._dispatch(message)))
 
     async def _dispatch(self, message: Message) -> None:
         assert self._handler is not None
@@ -124,8 +153,19 @@ class Endpoint:
                 kind,
                 f"handler failed: {type(err).__name__}: {err}",
             )
+        finally:
+            # Nothing below awaits, so the task is as good as done.
+            self._dispatch_tasks.discard(
+                asyncio.current_task()  # type: ignore[arg-type]
+            )
         if reply is not None:
-            self._network.deliver(self.name, message.sender, reply)
+            try:
+                self._network.deliver(self.name, message.sender, reply)
+            except TransportError:
+                # The request named a sender no endpoint answers to:
+                # there is nobody to raise at, so the reply is a frame
+                # the network took and lost.
+                self._network._drop_unroutable(reply)
 
     async def call(
         self, destination: str, message: Message, *, timeout: float | None = None
@@ -142,11 +182,11 @@ class Endpoint:
         future: asyncio.Future[Message] = loop.create_future()
         self._pending[message.request_id] = future
         self._network.deliver(self.name, destination, message)
+        timer = (
+            None if timeout is None else loop.call_later(timeout, _expire, future)
+        )
         try:
-            if timeout is None:
-                reply = await future
-            else:
-                reply = await asyncio.wait_for(future, timeout)
+            reply = await future
         except asyncio.TimeoutError:
             raise TransportError(
                 f"request {message.request_id} to {destination!r} "
@@ -156,6 +196,8 @@ class Endpoint:
             # Cleans up after timeouts AND cancellation of the awaiting
             # task; without this, a cancelled call leaks its future in
             # _pending forever.
+            if timer is not None:
+                timer.cancel()
             self._pending.pop(message.request_id, None)
         return raise_if_error(reply)
 
@@ -164,15 +206,25 @@ class Endpoint:
         self._network.deliver(self.name, destination, message)
 
     async def close(self) -> None:
-        """Cancel the pump and any in-flight dispatch tasks."""
+        """Stop handling arrivals and cancel in-flight handler tasks."""
+        if self._held is None:
+            self._held = []
         tasks = list(self._dispatch_tasks)
-        if self._pump_task is not None:
-            tasks.append(self._pump_task)
-            self._pump_task = None
+        self._dispatch_tasks.clear()
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+
+
+def _resolve(future: "asyncio.Future[Message]", reply: Message) -> None:
+    if not future.done():
+        future.set_result(reply)
+
+
+def _expire(future: "asyncio.Future[Message]") -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
 
 
 class InMemoryNetwork:
@@ -284,12 +336,14 @@ class InMemoryNetwork:
             RuntimeProtocolError: If the message does not survive the
                 wire codec.
         """
+        target = self._endpoints.get(destination)
+        if target is None:
+            # Before any counter moves: a frame that was never sent must
+            # not unbalance ``sent == settled``.
+            raise TransportError(f"unknown endpoint {destination!r}")
         message = self._codec.decode(self._codec.encode(message))
         self.frames_sent += 1
         self.bytes_sent += message.body_bytes
-        target = self._endpoints.get(destination)
-        if target is None:
-            raise TransportError(f"unknown endpoint {destination!r}")
         if self._faults is not None and self._faults.intercept(
             source, destination
         ):
@@ -316,14 +370,13 @@ class InMemoryNetwork:
         self._link_clear_at[link] = arrival
         self.frames_inflight += 1
         self.bytes_inflight += message.body_bytes
-        loop.call_at(arrival, self._put, target, message)
+        loop.call_at(arrival, self._put, target, message, context=target._context)
 
     def _put(self, target: Endpoint, message: Message) -> None:
+        """Delivery-timer callback: the frame has crossed the wire."""
         self.frames_inflight -= 1
         self.bytes_inflight -= message.body_bytes
-        try:
-            target._inbox.put_nowait(message)
-        except asyncio.QueueFull:
+        if not target._accept(message):
             # Bounded-inbox backpressure: overflow frames are dropped and
             # the sender's timeout fires, exactly like a full router queue.
             self.frames_rejected += 1
@@ -331,6 +384,14 @@ class InMemoryNetwork:
             return
         self.frames_delivered += 1
         self.bytes_delivered += message.body_bytes
+
+    def _drop_unroutable(self, message: Message) -> None:
+        """Book a reply whose requester names no endpoint as sent and
+        dropped, keeping ``sent == settled`` (see :meth:`stats`)."""
+        self.frames_sent += 1
+        self.bytes_sent += message.body_bytes
+        self.frames_dropped += 1
+        self.bytes_dropped += message.body_bytes
 
     def stats(self) -> dict[str, int]:
         """Frame and byte accounting for tests, metrics and debugging.

@@ -1,11 +1,21 @@
 """Runtime wire protocol, virtual clock and in-memory transport."""
 
 import asyncio
+import contextvars
+import gc
+import selectors
 
 import pytest
 
 from repro.errors import RuntimeProtocolError, TransportError
-from repro.runtime import InMemoryNetwork, Message, VirtualClock, run_virtual
+from repro.runtime import (
+    InMemoryNetwork,
+    Message,
+    VirtualClock,
+    run_virtual,
+    verify_conservation,
+)
+from repro.runtime.clock import _RankedTimerHandle
 from repro.runtime.messages import (
     HEADER_BYTES,
     frame,
@@ -297,3 +307,294 @@ class TestInMemoryNetwork:
             InMemoryNetwork(bandwidth=0.0)
         with pytest.raises(TransportError):
             InMemoryNetwork(drop_probability=1.0)
+
+    def test_unroutable_send_moves_no_counter(self):
+        # Regression: deliver() booked the frame as sent before looking
+        # the destination up, so the raise left sent 1 != settled 0.
+        async def scenario():
+            network = InMemoryNetwork(seed=0)
+            sender = network.endpoint("tx")
+            with pytest.raises(TransportError, match="unknown endpoint"):
+                sender.cast("nobody", Message(kind="request", sender="tx"))
+            return network.stats()
+
+        stats = run_virtual(scenario())
+        assert stats["frames_sent"] == stats["bytes_sent"] == 0
+        verify_conservation(network_snapshot(stats))
+
+    def test_reply_to_spoofed_sender_is_dropped_not_raised(self):
+        # A request whose ``sender`` names no endpoint: the reply has
+        # nowhere to go.  That used to escape the dispatch task as a
+        # never-retrieved exception with one frame sent and none settled.
+        async def scenario():
+            network = InMemoryNetwork(seed=0)
+            server = network.endpoint("server")
+            client = network.endpoint("client")
+            unhandled = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+
+            async def handler(message):
+                return make_response(
+                    "server", message.request_id, "/a", 2048, "server"
+                )
+
+            server.start(handler)
+            client.start(None)
+            client.cast("server", make_request("ghost", "ghost#1", "/a", 0.0))
+            await asyncio.sleep(1.0)
+            tasks = set(server._dispatch_tasks)
+            await server.close()
+            await client.close()
+            gc.collect()  # a lost task exception is reported on collection
+            return network.stats(), tasks, unhandled
+
+        stats, tasks, unhandled = run_virtual(scenario())
+        assert unhandled == [] and tasks == set()
+        assert stats["handler_errors"] == 0  # the handler did its job
+        assert stats["frames_sent"] == 2
+        assert stats["frames_delivered"] == 1  # the request
+        assert stats["frames_dropped"] == 1  # the reply to nobody
+        assert stats["bytes_dropped"] == 2048
+        verify_conservation(network_snapshot(stats))
+
+
+def network_snapshot(stats):
+    """``InMemoryNetwork.stats()`` in the shape verify_conservation reads."""
+    return {"counters": {f"network.{key}": value for key, value in stats.items()}}
+
+
+class TestEndpointArrival:
+    """What the queue-less endpoint must keep doing."""
+
+    @staticmethod
+    def numbered(n):
+        return Message(kind="request", sender="tx", payload={"n": n})
+
+    def test_frames_before_start_are_held_bounded_and_ordered(self):
+        async def scenario():
+            network = InMemoryNetwork(seed=0, jitter=0.0)
+            receiver = network.endpoint("rx", inbox_limit=3)
+            sender = network.endpoint("tx")
+            seen = []
+
+            async def handler(message):
+                seen.append(message.payload["n"])
+                return None
+
+            for n in range(5):
+                sender.cast("rx", self.numbered(n))
+            await asyncio.sleep(1.0)
+            held = network.stats()
+            assert seen == []  # nothing handled before start()
+            receiver.start(handler)
+            await asyncio.sleep(0.001)  # the held frames' handler tasks run
+            sender.cast("rx", self.numbered(5))  # started: no bound, no hold
+            await asyncio.sleep(1.0)
+            await receiver.close()
+            return held, network.stats(), seen
+
+        held, final, seen = run_virtual(scenario())
+        assert (held["frames_delivered"], held["frames_rejected"]) == (3, 2)
+        assert seen == [0, 1, 2, 5]
+        assert (final["frames_delivered"], final["frames_rejected"]) == (4, 2)
+        verify_conservation(network_snapshot(final))
+
+    def test_closed_endpoint_holds_again_until_restarted(self):
+        async def scenario():
+            network = InMemoryNetwork(seed=0, jitter=0.0)
+            receiver = network.endpoint("rx", inbox_limit=1)
+            sender = network.endpoint("tx")
+            seen = []
+
+            async def handler(message):
+                seen.append(message.payload["n"])
+                return None
+
+            receiver.start(handler)
+            await receiver.close()
+            for n in range(2):
+                sender.cast("rx", self.numbered(n))
+            await asyncio.sleep(1.0)
+            assert seen == []
+            receiver.start(handler)
+            await asyncio.sleep(0.001)
+            await receiver.close()
+            return network.stats(), seen
+
+        stats, seen = run_virtual(scenario())
+        assert seen == [0]
+        assert (stats["frames_delivered"], stats["frames_rejected"]) == (1, 1)
+
+    def test_handler_runs_in_the_context_start_was_called_in(self):
+        # A frame must not carry its sender's contextvars across the
+        # wire: span/trace context seen by a handler is its endpoint's.
+        who = contextvars.ContextVar("who", default="nobody")
+
+        async def scenario():
+            network = InMemoryNetwork(seed=0)
+            server = network.endpoint("server")
+            client = network.endpoint("client")
+            seen = []
+
+            async def handler(message):
+                seen.append(who.get())
+                return make_response("server", message.request_id, "/a", 0, "server")
+
+            who.set("server")
+            server.start(handler)
+            who.set("client")
+            client.start(None)
+            request = make_request("client", client.next_request_id(), "/a", 0.0)
+            await client.call("server", request, timeout=1.0)
+            await server.close()
+            await client.close()
+            return seen, who.get()
+
+        assert run_virtual(scenario()) == (["server"], "client")
+
+    def test_timeout_fires_at_exactly_t_and_late_reply_is_dropped(self):
+        async def scenario():
+            # 10 s per hop: the reply lands at t=20, the caller quit at t=5.
+            network = InMemoryNetwork(seed=0, base_latency=10.0, jitter=0.0)
+            server = network.endpoint("server")
+            client = network.endpoint("client")
+
+            async def handler(message):
+                return make_response(
+                    "server", message.request_id, "/a", 0, "server"
+                )
+
+            server.start(handler)
+            client.start(None)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            request = make_request("client", client.next_request_id(), "/a", 0.0)
+            with pytest.raises(TransportError, match="timed out after 5.0s"):
+                await client.call("server", request, timeout=5.0)
+            waited = loop.time() - started
+            assert client._pending == {}
+            await asyncio.sleep(30.0)  # the late reply arrives meanwhile
+            assert client._pending == {}
+            await server.close()
+            await client.close()
+            return waited, network.stats()
+
+        waited, stats = run_virtual(scenario())
+        assert waited == 5.0
+        assert stats["frames_delivered"] == 2  # late, delivered, ignored
+        assert stats["handler_errors"] == 0
+
+    def test_cancelled_timeout_handles_do_not_pile_up(self):
+        async def scenario():
+            network = InMemoryNetwork(seed=0)
+            server = network.endpoint("server")
+            client = network.endpoint("client")
+            server.start(echo_handler)
+            client.start(None)
+            loop = asyncio.get_running_loop()
+            high_water = 0
+            for _ in range(10_000):
+                request = make_request(
+                    "client", client.next_request_id(), "/a", 0.0
+                )
+                await client.call("server", request, timeout=3600.0)
+                high_water = max(high_water, len(loop._scheduled))
+            await server.close()
+            await client.close()
+            return high_water
+
+        # Each call leaves one cancelled hour-long timer behind; the loop
+        # compacts them once they outnumber the live ones past 100.
+        assert run_virtual(scenario()) < 250
+
+    def test_timeout_handles_take_the_race_gate_shuffle(self):
+        # `repro racecheck` perturbs equal-deadline timers by patching
+        # loop.call_at; a timeout armed any other way would escape it.
+        async def scenario():
+            network = InMemoryNetwork(seed=0)
+            server = network.endpoint("server")
+            client = network.endpoint("client")
+            server.start(None)  # never answers
+            client.start(None)
+            loop = asyncio.get_running_loop()
+            request = make_request("client", client.next_request_id(), "/a", 0.0)
+            caller = loop.create_task(
+                client.call("server", request, timeout=9.0)
+            )
+            await asyncio.sleep(1.0)
+            armed = [
+                handle
+                for handle in loop._scheduled
+                if handle.when() == 9.0 and not handle.cancelled()
+            ]
+            with pytest.raises(TransportError):
+                await caller
+            await server.close()
+            await client.close()
+            return armed
+
+        (armed,) = run_virtual(scenario(), schedule_seed=3)
+        assert isinstance(armed, _RankedTimerHandle)
+
+
+async def echo_handler(message):
+    """The constant-reply handler of the loop-turn budget."""
+    return make_response("server", message.request_id, "/a", 0, "server")
+
+
+class TestLoopTurnBudget:
+    """The in-memory transport's cost in event-loop work, as exact counts.
+
+    A timed round trip is: request timer → handler task → reply timer →
+    hand-over to the caller → caller resumes (5 turns), scheduling the
+    two delivery timers, the timeout, the handler task's first step, the
+    hand-over and the caller's wake-up (6 handles).  The queue + pump +
+    ``wait_for`` design this replaced took 8 turns and 9 handles.
+    """
+
+    ROUND_TRIPS = 1000
+
+    def test_round_trip_costs_at_most_six_handles_and_five_turns(self):
+        counts = {"call_soon": 0, "call_at": 0, "turns": 0, "select": 0}
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        async def scenario():
+            network = InMemoryNetwork(seed=0)
+            server = network.endpoint("server")
+            client = network.endpoint("client")
+            server.start(echo_handler)
+            client.start(None)
+            loop = asyncio.get_running_loop()
+            loop.call_soon = counted("call_soon", loop.call_soon)
+            loop.call_at = counted("call_at", loop.call_at)
+            loop._run_once = counted("turns", loop._run_once)
+            for _ in range(self.ROUND_TRIPS):
+                request = make_request(
+                    "client", client.next_request_id(), "/a", 0.0
+                )
+                await client.call("server", request, timeout=30.0)
+            measured = dict(counts)
+            await server.close()
+            await client.close()
+            return measured
+
+        # The kernel poll the virtual clock wraps must never be reached.
+        real_select = selectors.DefaultSelector.select
+        selectors.DefaultSelector.select = counted("select", real_select)
+        try:
+            measured = run_virtual(scenario())
+        finally:
+            selectors.DefaultSelector.select = real_select
+        handles = measured["call_soon"] + measured["call_at"]
+        assert handles <= 6 * self.ROUND_TRIPS
+        assert measured["turns"] <= 5 * self.ROUND_TRIPS
+        assert counts["select"] == 0

@@ -11,6 +11,7 @@ no tolerance is ever needed.
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,12 @@ _json_values = st.recursive(
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=12,
+)
+#: Ids that may ride in a packed id blob: any text without the blob's
+#: separator (an id containing it sends the payload down the generic
+#: encoding; see TestPackedIdLists).
+_packable_ids = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_characters="\0"), max_size=20
 )
 _messages = st.builds(
     Message,
@@ -124,9 +131,7 @@ class TestCodecEquivalence:
         doc_id=st.text(min_size=1, max_size=32),
         size=st.integers(min_value=0, max_value=2**40),
         riders=st.lists(
-            st.tuples(
-                st.text(max_size=20), st.integers(min_value=0, max_value=2**40)
-            ),
+            st.tuples(_packable_ids, st.integers(min_value=0, max_value=2**40)),
             max_size=4,
         ),
         hops=st.integers(min_value=0, max_value=0xFFFF),
@@ -215,6 +220,128 @@ class TestCodecEquivalence:
             digest=tuple(f"/docs/{i}.html" for i in range(12)),
         )
         assert len(BINARY_CODEC.encode(message)) < len(JSON_CODEC.encode(message))
+
+
+def _header(
+    kind: str, sender: bytes, request_id: bytes, body_bytes: int, version: int
+) -> bytes:
+    """A hand-built binary frame header announcing a packed payload."""
+    return (
+        struct.pack(
+            "!2sBBBHHq",
+            b"\xabR",
+            version,
+            sorted(KINDS).index(kind),
+            1,
+            len(sender),
+            len(request_id),
+            body_bytes,
+        )
+        + sender
+        + request_id
+    )
+
+
+def _request_frame(count: int, blob: bytes, *, version: int = 2) -> bytes:
+    """``make_request("c", "c#1", "/a", 0.0, digest=...)`` built by hand,
+    with the digest's announced ``count`` and id ``blob`` set freely."""
+    return b"".join(
+        (
+            _header("request", b"c", b"c#1", 64 + 8 * count, version),
+            struct.pack("!dHHHII", 0.0, 2, 1, 0, count, len(blob)),
+            b"/a",
+            b"c",
+            blob,
+        )
+    )
+
+
+def _response_frame(sizes: list[int], blob: bytes, *, version: int = 2) -> bytes:
+    """``make_response("o", "c#1", "/a", 10, "o", speculated=...)`` built
+    by hand: ``len(sizes)`` is the announced rider count."""
+    return b"".join(
+        (
+            _header("response", b"o", b"c#1", 10 + sum(sizes), version),
+            struct.pack("!qHHIIB", 10, 2, 1, len(sizes), len(blob), 0),
+            b"/a",
+            b"o",
+            struct.pack(f"!{len(sizes)}q", *sizes),
+            blob,
+        )
+    )
+
+
+class TestPackedIdLists:
+    """The v2 packed layout: id lists as one separator-joined blob."""
+
+    def test_hand_built_frames_are_the_wire_format(self):
+        # Pins the layout (and anchors the hostile frames below to it):
+        # the encoder emits exactly these bytes.
+        request = make_request("c", "c#1", "/a", 0.0, digest=("/b", "", "/ü"))
+        blob = "/b\0\0/ü".encode("utf-8")
+        assert BINARY_CODEC.encode(request) == _request_frame(3, blob)
+        assert BINARY_CODEC.decode(_request_frame(3, blob)) == request
+        response = make_response(
+            "o", "c#1", "/a", 10, "o", speculated=[("/b", 4), ("/c", 6)]
+        )
+        assert BINARY_CODEC.encode(response) == _response_frame([4, 6], b"/b\0/c")
+        assert BINARY_CODEC.decode(_response_frame([4, 6], b"/b\0/c")) == response
+        empty = make_request("c", "c#1", "/a", 0.0)
+        assert BINARY_CODEC.encode(empty) == _request_frame(0, b"")
+        assert BINARY_CODEC.decode(_request_frame(1, b"")).payload["digest"] == [""]
+
+    @pytest.mark.parametrize("ids", [("\0",), ("/a", "/b\0c"), ("", "\0", "")])
+    def test_id_containing_the_separator_goes_generic(self, ids):
+        request = make_request("c", "c#1", "/a", 0.0, digest=ids)
+        response = make_response(
+            "o", "c#1", "/a", 10, "o", speculated=[(rider, 7) for rider in ids]
+        )
+        for message in (request, response):
+            raw = BINARY_CODEC.encode(message)
+            assert raw[_FORMAT_BYTE] == 0  # generic tagged encoding
+            assert BINARY_CODEC.decode(raw) == message
+            assert JSON_CODEC.decode(JSON_CODEC.encode(message)) == message
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(_packable_ids, max_size=12))
+    def test_separator_free_ids_stay_packed(self, ids):
+        request = make_request("c", "c#1", "/a", 0.0, digest=tuple(ids))
+        response = make_response(
+            "o", "c#1", "/a", 10, "o", speculated=[(rider, 7) for rider in ids]
+        )
+        for message in (request, response):
+            raw = BINARY_CODEC.encode(message)
+            assert raw[_FORMAT_BYTE] == 1  # packed
+            assert BINARY_CODEC.decode(raw) == message
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(_request_frame(3, b"/b\0/c"), id="request-count-above-blob"),
+            pytest.param(_request_frame(1, b"/b\0/c"), id="request-count-below-blob"),
+            pytest.param(_request_frame(0, b"/b"), id="request-blob-without-count"),
+            pytest.param(_request_frame(2, b""), id="request-count-without-blob"),
+            pytest.param(
+                _response_frame([4, 6, 8], b"/b\0/c"), id="response-count-above-blob"
+            ),
+            pytest.param(
+                _response_frame([4], b"/b\0/c"), id="response-count-below-blob"
+            ),
+            pytest.param(_response_frame([], b"/b"), id="response-blob-without-count"),
+            pytest.param(
+                _request_frame(2, b"/b\0/c", version=1), id="request-v1-header"
+            ),
+            pytest.param(
+                _response_frame([4, 6], b"/b\0/c", version=1), id="response-v1-header"
+            ),
+        ],
+    )
+    def test_malformed_id_blob_or_old_version_is_a_protocol_error(self, raw):
+        # pytest.raises lets any other exception class through as a failure.
+        with pytest.raises(RuntimeProtocolError):
+            BINARY_CODEC.decode(raw)
+        with pytest.raises(RuntimeProtocolError):
+            Message.decode(raw)
 
 
 class TestCodecSelection:
