@@ -11,7 +11,7 @@ local and distributed runs.
 
 from ..config import LOCAL_DEPLOY, DeploySpec
 from .bus import BusEvent, EventBus, TopicConsumer
-from .mesh import GatedEndpoint, TcpMesh, TcpMeshEndpoint
+from .mesh import TcpMesh, TcpMeshEndpoint
 from .ring import HashRing, shard_name
 from .service import (
     DeployFaultPlan,
@@ -32,7 +32,6 @@ __all__ = [
     "DeploySmokeReport",
     "DeploySpec",
     "EventBus",
-    "GatedEndpoint",
     "HashRing",
     "LOCAL_DEPLOY",
     "ProxyFault",

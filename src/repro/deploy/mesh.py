@@ -3,22 +3,22 @@
 A :class:`TcpMesh` gives the unmodified
 :class:`~repro.runtime.loadgen.LoadGenerator` and
 :class:`~repro.runtime.node.CacheNode` a real-socket transport with the
-same endpoint surface as
+endpoint surface they use of
 :class:`~repro.runtime.transport.InMemoryNetwork`: ``endpoint(name)``
 returns an object with ``name`` / ``start`` / ``next_request_id`` /
-``call`` / ``cast`` / ``close``.  Destinations are resolved through a
-static ``node → (host, port)`` directory assembled from the event bus's
-``ready`` topic.
+``call`` / ``close``.  Destinations resolve through a static ``node →
+(host, port)`` directory assembled from the bus's ``ready`` topic.
 
-Connections are persistent and per ``(endpoint, destination)``; a lock
-is held across each write+read pair, so replies correlate by order on
-the stream exactly as :class:`~repro.runtime.transport.TcpServer`
-produces them.  The mesh keeps the sender's half of the
-frame-conservation ledger — ``frames_sent`` counted after a successful
-write, ``frames_delivered`` when the reply frame is read — mirroring
-the server-side ``stats_hook`` counts, so the merged cross-process
-registries satisfy the same ``sent == delivered + dropped + rejected +
-inflight`` identity as a single-loop run.
+The mesh keeps **one** persistent
+:class:`~repro.runtime.transport.TcpConnection` per destination, shared
+by all its endpoints: replies find their caller by ``request_id``
+(unique across the mesh: ``name#n``), so calls from any number of
+endpoints overlap on the socket.  A call that times out leaves the
+connection up — its late reply is read and booked as dropped — and a
+dead connection is redialled by the next call.  The ledger is the
+sender's half of frame conservation: merged with the server-side
+``stats_hook`` counts it satisfies ``sent == delivered + dropped +
+rejected + inflight`` across processes, on faulted runs too.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from __future__ import annotations
 import asyncio
 
 from ..errors import TransportError
-from ..runtime.messages import MAX_FRAME_BYTES, Codec, Message, raise_if_error
-from ..runtime.transport import read_frame, write_frame
+from ..runtime.messages import MAX_FRAME_BYTES, Codec, Message
+from ..runtime.transport import TcpConnection, dial
 
-__all__ = ["GatedEndpoint", "TcpMesh", "TcpMeshEndpoint"]
+__all__ = ["TcpMesh", "TcpMeshEndpoint"]
 
 
 class TcpMesh:
@@ -38,7 +38,7 @@ class TcpMesh:
     Args:
         directory: ``node name → (host, port)`` of every listener.
         codec: Wire codec for outbound frames (replies are sniffed).
-        timeout: Default per-call timeout when the caller passes None.
+        timeout: Default per-call timeout; it also bounds each dial.
         max_frame_bytes: Per-frame cap applied to inbound replies.
     """
 
@@ -55,29 +55,21 @@ class TcpMesh:
         self._timeout = timeout
         self._max_frame_bytes = max_frame_bytes
         self._endpoints: dict[str, TcpMeshEndpoint] = {}
-        self.frames_sent = 0
-        self.frames_delivered = 0
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
-
-    def address_of(self, destination: str) -> tuple[str, int]:
-        """Resolve one directory entry.
-
-        Raises:
-            TransportError: The name is not in the directory.
-        """
-        address = self._directory.get(destination)
-        if address is None:
-            raise TransportError(f"unknown endpoint {destination!r}")
-        return address
+        self._links: dict[str, TcpConnection] = {}
+        self._dials: dict[str, asyncio.Task[TcpConnection]] = {}
+        self._ledger = {
+            f"{unit}_{state}": 0
+            for unit in ("frames", "bytes")
+            for state in ("sent", "delivered", "dropped", "rejected", "inflight")
+        }
 
     def endpoint(self, name: str, *, inbox_limit: int = 1024) -> "TcpMeshEndpoint":
-        """Register a new dialing endpoint (``inbox_limit`` is vestigial).
+        """Register a new dialing endpoint (``inbox_limit`` is parity
+        only: socket buffers replace the simulated inbox).
 
         Raises:
             TransportError: If the name is taken or empty.
         """
-        del inbox_limit  # socket buffers replace the simulated inbox
         if not name:
             raise TransportError("endpoint name must be non-empty")
         if name in self._endpoints:
@@ -86,203 +78,98 @@ class TcpMesh:
         self._endpoints[name] = endpoint
         return endpoint
 
+    def _book(self, state: str, message: Message) -> None:
+        self._ledger[f"frames_{state}"] += 1
+        self._ledger[f"bytes_{state}"] += message.body_bytes
+
+    async def _connect(self, destination: str) -> TcpConnection:
+        """Body of the one dial task a destination has at a time."""
+        try:
+            address = self._directory.get(destination)
+            if address is None:
+                raise TransportError(f"unknown endpoint {destination!r}")
+            link = self._links[destination] = await dial(
+                *address,
+                timeout=self._timeout,
+                peer=f"{destination!r} ({address[0]}:{address[1]})",
+                max_frame_bytes=self._max_frame_bytes,
+                stats_hook=self._book,
+            )
+        finally:
+            del self._dials[destination]
+        return link
+
     def stats(self) -> dict[str, int]:
         """Sender-side frame/byte ledger in the in-memory network's keys.
 
-        Dropped, rejected and in-flight are structurally zero on the
-        mesh: a frame either lands on a stream or the call raises.
+        ``sent`` counts requests written, ``delivered`` replies handed
+        to their caller, ``dropped`` replies whose caller had timed out
+        or been cancelled; rejected and in-flight stay zero (no inbox
+        to overflow, and the ledger is read after the run).
         """
-        return {
-            "frames_sent": self.frames_sent,
-            "frames_delivered": self.frames_delivered,
-            "frames_dropped": 0,
-            "frames_rejected": 0,
-            "frames_inflight": 0,
-            "bytes_sent": self.bytes_sent,
-            "bytes_delivered": self.bytes_delivered,
-            "bytes_dropped": 0,
-            "bytes_rejected": 0,
-            "bytes_inflight": 0,
-            "handler_errors": 0,
-        }
+        return {**self._ledger, "handler_errors": 0}
 
     async def close(self) -> None:
-        """Close every endpoint's connections."""
-        for endpoint in self._endpoints.values():
-            await endpoint.close()
+        """Close every connection."""
+        for task in list(self._dials.values()):
+            task.cancel()
+        links, self._links = self._links, {}
+        for link in links.values():
+            await link.close()
 
 
 class TcpMeshEndpoint:
-    """One named caller on the mesh (a client worker or a proxy)."""
+    """One named caller on the mesh (a client worker or a proxy).
+
+    Setting :attr:`partitioned` is the deployment fault plan's network
+    partition, injected at the caller: :meth:`call` then fails *before*
+    anything is written, so the ledger stays exact through the fault.
+    """
 
     def __init__(self, mesh: TcpMesh, name: str):
         self._mesh = mesh
         self.name = name
-        self._connections: dict[
-            str, tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = {}
-        self._locks: dict[str, asyncio.Lock] = {}
         self._next_id = 0
+        self.partitioned = False
 
     def start(self, handler=None) -> None:
-        """Accepted for endpoint-surface parity; mesh endpoints only dial."""
-        del handler  # inbound service is TcpServer's job in a deployment
+        """Parity only: inbound service is ``TcpServer``'s job here."""
 
     def next_request_id(self) -> str:
-        """A fresh, globally-unique correlation id."""
+        """A fresh correlation id, unique across the mesh."""
         self._next_id += 1
         return f"{self.name}#{self._next_id}"
 
-    async def _connection(
-        self, destination: str
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        live = self._connections.get(destination)
-        if live is not None:
-            return live
-        host, port = self._mesh.address_of(destination)
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except (ConnectionError, OSError) as err:
-            raise TransportError(
-                f"connect to {destination!r} ({host}:{port}) failed: {err}"
-            ) from err
-        self._connections[destination] = (reader, writer)
-        return reader, writer
-
-    def _drop_connection(self, destination: str) -> None:
-        live = self._connections.pop(destination, None)
-        if live is not None:
-            live[1].close()
-
     async def call(
         self, destination: str, message: Message, *, timeout: float | None = None
     ) -> Message:
-        """One request/reply round trip on the persistent connection.
+        """One request/reply round trip on the mesh's connection.
 
         Raises:
-            TransportError: On connect failure, timeout, truncation, or
-                a transport-kind error reply.
-            RuntimeProtocolError: On a protocol-kind error reply or an
-                undecodable frame.
+            TransportError: While partitioned; on connect failure,
+                timeout, a lost connection or a transport-kind reply.
+            RuntimeProtocolError: On a protocol-kind error reply or a
+                peer that violates the protocol.
         """
-        if timeout is None:
-            timeout = self._mesh._timeout
-        lock = self._locks.setdefault(destination, asyncio.Lock())
-        async with lock:
-            reader, writer = await self._connection(destination)
-            try:
-                write_frame(writer, message, self._mesh._codec)
-                await writer.drain()
-                self._mesh.frames_sent += 1
-                self._mesh.bytes_sent += message.body_bytes
-                awaitable = read_frame(
-                    reader, max_frame_bytes=self._mesh._max_frame_bytes
+        mesh = self._mesh
+        if self.partitioned:
+            raise TransportError(
+                f"link to {destination!r} partitioned (injected fault)"
+            )
+        link = mesh._links.get(destination)
+        if link is None or link.dead:
+            # Concurrent callers share one dial; shielded, so none of
+            # them can cancel it for the others.
+            task = mesh._dials.get(destination)
+            if task is None:
+                task = asyncio.get_running_loop().create_task(
+                    mesh._connect(destination)
                 )
-                if timeout is not None:
-                    reply = await asyncio.wait_for(awaitable, timeout)
-                else:
-                    reply = await awaitable
-            except asyncio.TimeoutError:
-                self._drop_connection(destination)
-                raise TransportError(
-                    f"request {message.request_id} to {destination!r} "
-                    f"timed out after {timeout}s"
-                ) from None
-            except (ConnectionError, OSError, TransportError) as err:
-                self._drop_connection(destination)
-                if isinstance(err, TransportError):
-                    raise
-                raise TransportError(
-                    f"stream to {destination!r} failed: {err}"
-                ) from err
-            self._mesh.frames_delivered += 1
-            self._mesh.bytes_delivered += reply.body_bytes
-        return raise_if_error(reply)
-
-    def cast(self, destination: str, message: Message) -> None:
-        """Fire-and-forget is not part of the deployment protocol.
-
-        Coordination travels on the event bus, not as unsolicited
-        frames; keeping this a hard error preserves the one-reply-per-
-        request stream framing :meth:`call` relies on.
-
-        Raises:
-            TransportError: Always.
-        """
-        raise TransportError(
-            f"cast({destination!r}) unsupported on a TCP mesh; "
-            "publish on the event bus instead"
-        )
+                mesh._dials[destination] = task
+            link = await asyncio.shield(task)
+        if timeout is None:
+            timeout = mesh._timeout
+        return await link.call(message, mesh._codec, timeout=timeout)
 
     async def close(self) -> None:
-        """Close every persistent connection."""
-        for destination in list(self._connections):
-            _, writer = self._connections.pop(destination)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-
-class GatedEndpoint:
-    """An endpoint decorator that injects partitions at the caller.
-
-    Wraps a :class:`TcpMeshEndpoint` (or anything endpoint-shaped) and
-    fails :meth:`call` with :class:`~repro.errors.TransportError`
-    *before dialing* while the gate is down — the deployment fault
-    plan's network partition.  No frame is written, so the
-    frame-conservation ledger stays exact through the fault.
-    """
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self._down = False
-
-    @property
-    def name(self) -> str:
-        """The wrapped endpoint's name."""
-        return self._inner.name
-
-    def partition(self) -> None:
-        """Cut the link: every call fails fast until :meth:`heal`."""
-        self._down = True
-
-    def heal(self) -> None:
-        """Restore the link."""
-        self._down = False
-
-    def start(self, handler=None) -> None:
-        """Delegate (mesh endpoints ignore handlers anyway)."""
-        self._inner.start(handler)
-
-    def next_request_id(self) -> str:
-        """Delegate to the wrapped endpoint's id sequence."""
-        return self._inner.next_request_id()
-
-    async def call(
-        self, destination: str, message: Message, *, timeout: float | None = None
-    ) -> Message:
-        """Delegate, unless the link is partitioned.
-
-        Raises:
-            TransportError: While partitioned (without dialing), or
-                whatever the wrapped call raises.
-        """
-        if self._down:
-            raise TransportError(
-                f"link to {destination!r} partitioned (injected fault)"
-            )
-        return await self._inner.call(destination, message, timeout=timeout)
-
-    def cast(self, destination: str, message: Message) -> None:
-        """Delegate (still raises on a mesh endpoint)."""
-        if self._down:
-            raise TransportError(
-                f"link to {destination!r} partitioned (injected fault)"
-            )
-        self._inner.cast(destination, message)
-
-    async def close(self) -> None:
-        """Delegate."""
-        await self._inner.close()
+        """Nothing to release: the connections are the mesh's."""

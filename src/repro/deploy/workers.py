@@ -57,7 +57,7 @@ from .bus import (
     TOPIC_TOPOLOGY,
     EventBus,
 )
-from .mesh import GatedEndpoint, TcpMesh
+from .mesh import TcpMesh, TcpMeshEndpoint
 from .ring import HashRing, shard_name
 
 __all__ = [
@@ -211,14 +211,14 @@ class DeployFaultHandler:
     analogue of a dead process (clients see a fast failure instead of a
     timeout).  Restart recovers holdings by replaying the placement
     topic.  Partitions toggle the proxy's
-    :class:`~repro.deploy.mesh.GatedEndpoint` so upstream calls fail
+    :class:`~repro.deploy.mesh.TcpMeshEndpoint` so upstream calls fail
     before dialing.
     """
 
     def __init__(
         self,
         node: CacheNode,
-        gate: GatedEndpoint,
+        gate: TcpMeshEndpoint,
         *,
         fault: ProxyFault | None = None,
         bus: EventBus | None = None,
@@ -248,13 +248,13 @@ class DeployFaultHandler:
         fault = self._fault
         if fault is not None:
             if fault.partition_from is not None and count == fault.partition_from:
-                self._gate.partition()
+                self._gate.partitioned = True
                 self._note("partition")
             if (
                 fault.partition_until is not None
                 and count == fault.partition_until
             ):
-                self._gate.heal()
+                self._gate.partitioned = False
                 self._note("heal")
             if fault.crash_after is not None and count == fault.crash_after:
                 self._node.on_crash()
@@ -370,11 +370,11 @@ async def _proxy_host_main(ctx: ProxyHostContext) -> None:
     )
     resolve = HashRing(ctx.shards).resolver(ctx.replicas)
     nodes: dict[str, CacheNode] = {}
-    gates: dict[str, GatedEndpoint] = {}
+    gates: dict[str, TcpMeshEndpoint] = {}
     # Holdings start empty: they arrive as placement events below.
     specs = {spec.name: spec for spec in prepared.node_specs(speculative=False)}
     for region in ctx.proxies:
-        gate = GatedEndpoint(mesh.endpoint(region))
+        gate = mesh.endpoint(region)
         nodes[region] = CacheNode(
             specs[region],
             gate,

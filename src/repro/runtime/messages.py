@@ -53,8 +53,8 @@ from typing import Any, Union
 
 from ..errors import RuntimeProtocolError
 
-#: Default cap on one frame's encoded size (TCP transport).  Transports
-#: accept a per-connection override; see ``read_frame``.
+#: Default cap on one frame's encoded size (TCP transport).  ``TcpServer``,
+#: ``dial`` and ``tcp_call`` accept an override as ``max_frame_bytes``.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: Length-prefix width in bytes (big-endian unsigned).
 HEADER_BYTES = 4

@@ -31,6 +31,7 @@ from repro.runtime import (
     tcp_call,
 )
 from repro.runtime.messages import make_request, make_response
+from repro.runtime.transport import dial
 
 DOC_IDS = st.lists(
     st.text(
@@ -237,6 +238,12 @@ class TestTcpServerClose:
     """Regression: ``close()`` must flush in-flight replies first."""
 
     def test_close_drains_the_reply_a_slow_handler_owes(self):
+        self._drains(1)
+
+    def test_close_drains_every_request_in_flight_on_one_socket(self):
+        self._drains(3)
+
+    def _drains(self, in_flight):
         async def scenario():
             release = asyncio.Event()
 
@@ -248,26 +255,28 @@ class TestTcpServerClose:
 
             server = TcpServer(slow_handler, drain_timeout=5.0)
             await server.start()
-            call = asyncio.create_task(
-                tcp_call(
-                    "127.0.0.1",
-                    server.port,
-                    make_request("c", "c#1", "/a", 0.0),
-                    timeout=5.0,
+            link = await dial("127.0.0.1", server.port)
+            calls = [
+                asyncio.create_task(
+                    link.call(make_request("c", f"c#{n}", "/a", 0.0), timeout=5.0)
                 )
-            )
-            await asyncio.sleep(0.05)  # request is now inside the handler
+                for n in range(in_flight)
+            ]
+            await asyncio.sleep(0.05)  # requests are now inside the handler
             closer = asyncio.create_task(server.close())
             await asyncio.sleep(0.05)  # close() is now draining, not killing
-            assert not call.done()
+            assert not any(call.done() for call in calls)
             release.set()
-            reply = await call
+            replies = await asyncio.gather(*calls)
             await closer
-            return reply
+            await link.close()
+            return replies
 
-        reply = asyncio.run(scenario())
-        assert reply.kind == "response"
-        assert reply.payload["served_by"] == "origin"
+        replies = asyncio.run(scenario())
+        assert [reply.request_id for reply in replies] == [
+            f"c#{n}" for n in range(in_flight)
+        ]
+        assert {reply.payload["served_by"] for reply in replies} == {"origin"}
 
     def test_close_still_cancels_after_the_drain_timeout(self):
         async def scenario():

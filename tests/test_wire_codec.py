@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RuntimeProtocolError
+from repro.errors import RuntimeProtocolError, TransportError
 from repro.runtime import InMemoryNetwork, Message, TcpServer, run_virtual, tcp_call
 from repro.runtime.messages import (
     BINARY_CODEC,
@@ -33,6 +33,7 @@ from repro.runtime.messages import (
     resolve_codec,
     sniff_codec,
 )
+from repro.runtime.transport import dial
 
 #: Offset of the payload-format byte in a binary frame header
 #: (magic 2, version 1, kind 1, then format).
@@ -271,6 +272,29 @@ def _response_frame(sizes: list[int], blob: bytes, *, version: int = 2) -> bytes
     )
 
 
+#: Frames the packed layout must refuse: id blobs that disagree with
+#: their count, and the v1 header.
+_MALFORMED_FRAMES = [
+    pytest.param(_request_frame(3, b"/b\0/c"), id="request-count-above-blob"),
+    pytest.param(_request_frame(1, b"/b\0/c"), id="request-count-below-blob"),
+    pytest.param(_request_frame(0, b"/b"), id="request-blob-without-count"),
+    pytest.param(_request_frame(2, b""), id="request-count-without-blob"),
+    pytest.param(
+        _response_frame([4, 6, 8], b"/b\0/c"), id="response-count-above-blob"
+    ),
+    pytest.param(
+        _response_frame([4], b"/b\0/c"), id="response-count-below-blob"
+    ),
+    pytest.param(_response_frame([], b"/b"), id="response-blob-without-count"),
+    pytest.param(
+        _request_frame(2, b"/b\0/c", version=1), id="request-v1-header"
+    ),
+    pytest.param(
+        _response_frame([4, 6], b"/b\0/c", version=1), id="response-v1-header"
+    ),
+]
+
+
 class TestPackedIdLists:
     """The v2 packed layout: id lists as one separator-joined blob."""
 
@@ -314,28 +338,7 @@ class TestPackedIdLists:
             assert raw[_FORMAT_BYTE] == 1  # packed
             assert BINARY_CODEC.decode(raw) == message
 
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            pytest.param(_request_frame(3, b"/b\0/c"), id="request-count-above-blob"),
-            pytest.param(_request_frame(1, b"/b\0/c"), id="request-count-below-blob"),
-            pytest.param(_request_frame(0, b"/b"), id="request-blob-without-count"),
-            pytest.param(_request_frame(2, b""), id="request-count-without-blob"),
-            pytest.param(
-                _response_frame([4, 6, 8], b"/b\0/c"), id="response-count-above-blob"
-            ),
-            pytest.param(
-                _response_frame([4], b"/b\0/c"), id="response-count-below-blob"
-            ),
-            pytest.param(_response_frame([], b"/b"), id="response-blob-without-count"),
-            pytest.param(
-                _request_frame(2, b"/b\0/c", version=1), id="request-v1-header"
-            ),
-            pytest.param(
-                _response_frame([4, 6], b"/b\0/c", version=1), id="response-v1-header"
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("raw", _MALFORMED_FRAMES)
     def test_malformed_id_blob_or_old_version_is_a_protocol_error(self, raw):
         # pytest.raises lets any other exception class through as a failure.
         with pytest.raises(RuntimeProtocolError):
@@ -534,3 +537,41 @@ class TestTcpNegotiation:
         assert decoded.payload["error_kind"] == "protocol"
         assert trailer == b""
         assert errors == 1
+
+    @pytest.mark.parametrize("raw", _MALFORMED_FRAMES)
+    def test_malformed_frame_is_refused_at_both_ends_without_hanging(self, raw):
+        request = make_request("probe", "probe#1", "/a", 0.0)
+
+        async def probe(server):
+            # Server end: one protocol-error reply, then it hangs up.
+            reply, trailer = await asyncio.wait_for(
+                self._raw_exchange(server.port, raw, expect_close=True), 5.0
+            )
+
+            # Client end: a raw peer answers a real request with ``raw``.
+            async def poison(reader, writer):
+                await reader.readexactly(HEADER_BYTES)
+                writer.write(len(raw).to_bytes(HEADER_BYTES, "big") + raw)
+                await writer.drain()
+                await reader.read()  # until the client hangs up
+                writer.close()
+
+            peer = await asyncio.start_server(poison, "127.0.0.1", 0)
+            link = await dial("127.0.0.1", peer.sockets[0].getsockname()[1])
+            try:
+                with pytest.raises(RuntimeProtocolError):
+                    await asyncio.wait_for(link.call(request, timeout=5.0), 5.0)
+                with pytest.raises(TransportError, match="is closed"):
+                    await link.call(request)
+                leftover = dict(link._pending)
+            finally:
+                await link.close()
+                peer.close()
+                await peer.wait_closed()
+            return reply, trailer, server.protocol_errors, leftover
+
+        reply, trailer, errors, leftover = self._serve(probe)
+        assert Message.decode(reply).payload["error_kind"] == "protocol"
+        assert trailer == b""
+        assert errors == 1
+        assert leftover == {}
