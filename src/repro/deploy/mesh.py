@@ -15,10 +15,10 @@ by all its endpoints: replies find their caller by ``request_id``
 (unique across the mesh: ``name#n``), so calls from any number of
 endpoints overlap on the socket.  A call that times out leaves the
 connection up — its late reply is read and booked as dropped — and a
-dead connection is redialled by the next call.  The ledger is the
-sender's half of frame conservation: merged with the server-side
-``stats_hook`` counts it satisfies ``sent == delivered + dropped +
-rejected + inflight`` across processes, on faulted runs too.
+dead connection is redialled by the next call.  Every connection books
+into the mesh's one :class:`~repro.runtime.transport.FrameLedger`, the
+sender's half of frame conservation (each ``TcpServer.ledger`` is the
+other half).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import asyncio
 
 from ..errors import TransportError
 from ..runtime.messages import MAX_FRAME_BYTES, Codec, Message
-from ..runtime.transport import TcpConnection, dial
+from ..runtime.transport import FrameLedger, TcpConnection, dial
 
 __all__ = ["TcpMesh", "TcpMeshEndpoint"]
 
@@ -57,11 +57,7 @@ class TcpMesh:
         self._endpoints: dict[str, TcpMeshEndpoint] = {}
         self._links: dict[str, TcpConnection] = {}
         self._dials: dict[str, asyncio.Task[TcpConnection]] = {}
-        self._ledger = {
-            f"{unit}_{state}": 0
-            for unit in ("frames", "bytes")
-            for state in ("sent", "delivered", "dropped", "rejected", "inflight")
-        }
+        self.ledger = FrameLedger()
 
     def endpoint(self, name: str, *, inbox_limit: int = 1024) -> "TcpMeshEndpoint":
         """Register a new dialing endpoint (``inbox_limit`` is parity
@@ -78,10 +74,6 @@ class TcpMesh:
         self._endpoints[name] = endpoint
         return endpoint
 
-    def _book(self, state: str, message: Message) -> None:
-        self._ledger[f"frames_{state}"] += 1
-        self._ledger[f"bytes_{state}"] += message.body_bytes
-
     async def _connect(self, destination: str) -> TcpConnection:
         """Body of the one dial task a destination has at a time."""
         try:
@@ -93,21 +85,21 @@ class TcpMesh:
                 timeout=self._timeout,
                 peer=f"{destination!r} ({address[0]}:{address[1]})",
                 max_frame_bytes=self._max_frame_bytes,
-                stats_hook=self._book,
+                ledger=self.ledger,
             )
         finally:
             del self._dials[destination]
         return link
 
     def stats(self) -> dict[str, int]:
-        """Sender-side frame/byte ledger in the in-memory network's keys.
+        """The sender's half of the frame ledger, in the in-memory keys.
 
-        ``sent`` counts requests written, ``delivered`` replies handed
-        to their caller, ``dropped`` replies whose caller had timed out
-        or been cancelled; rejected and in-flight stay zero (no inbox
-        to overflow, and the ledger is read after the run).
+        Requests written are ``sent``, their replies ``delivered`` to a
+        caller or ``dropped`` (caller gone).  Nothing is booked rejected
+        or in flight: a request is settled on the server's ledger when
+        read, so the identity holds for both halves merged, once drained.
         """
-        return {**self._ledger, "handler_errors": 0}
+        return self.ledger.stats()
 
     async def close(self) -> None:
         """Close every connection."""

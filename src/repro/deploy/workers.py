@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+from collections.abc import Coroutine
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,7 +47,7 @@ from ..runtime.metrics import MetricsRegistry, default_registry
 from ..runtime.node import CacheNode
 from ..runtime.origin import OriginServer
 from ..runtime.resilience import CircuitBreaker
-from ..runtime.transport import TcpServer
+from ..runtime.transport import FrameLedger, Handler, TcpServer
 from .bus import (
     TOPIC_ANTI_ENTROPY,
     TOPIC_CONTROL,
@@ -56,6 +57,7 @@ from .bus import (
     TOPIC_REGISTRY,
     TOPIC_TOPOLOGY,
     EventBus,
+    TopicConsumer,
 )
 from .mesh import TcpMesh, TcpMeshEndpoint
 from .ring import HashRing, shard_name
@@ -147,31 +149,64 @@ class ProxyHostContext:
     run_timeout: float = 900.0
 
 
-def _server_stats_hook(metrics: MetricsRegistry):
-    """Server-side half of the frame ledger, onto ``network.*`` counters."""
-    frames_sent = metrics.counter("network.frames_sent")
-    bytes_sent = metrics.counter("network.bytes_sent")
-    frames_delivered = metrics.counter("network.frames_delivered")
-    bytes_delivered = metrics.counter("network.bytes_delivered")
-
-    def hook(direction: str, message: Message) -> None:
-        if direction == "sent":
-            frames_sent.inc()
-            bytes_sent.inc(message.body_bytes)
-        else:
-            frames_delivered.inc()
-            bytes_delivered.inc(message.body_bytes)
-
-    return hook
-
-
-def _publish_worker_error(bus_path: str, node: str, err: Exception) -> None:
-    EventBus(bus_path).publish(
-        TOPIC_READY,
-        "worker-error",
-        {"node": node, "error": f"{type(err).__name__}: {err}"},
-        event_id=f"worker-error:{node}",
+async def _serve(
+    bus: EventBus,
+    control: TopicConsumer,
+    ctx: "ShardContext | ProxyHostContext",
+    handlers: dict[str, Handler],
+) -> list[FrameLedger]:
+    """Serve each handler as its node, announced on the bus, until the
+    coordinator's shutdown; returns the drained servers' ledgers."""
+    servers: list[TcpServer] = []
+    for node, handler in handlers.items():
+        server = TcpServer(handler, host=ctx.host, port=0, codec=ctx.codec)
+        await server.start()
+        servers.append(server)
+        bus.publish(
+            TOPIC_READY,
+            "ready",
+            {"node": node, "host": ctx.host, "port": server.port},
+            event_id=f"ready:{node}",
+        )
+    await control.await_event(
+        lambda event: event.kind == "shutdown", timeout=ctx.run_timeout
     )
+    for server in servers:
+        await server.close()  # drains in-flight replies first
+    return [server.ledger for server in servers]
+
+
+def _publish_registry(
+    bus: EventBus, process: str, metrics: MetricsRegistry, *ledgers: FrameLedger
+) -> None:
+    """Add this process's frame ledgers onto its ``network.*`` counters
+    (its half of cross-process conservation), then publish the registry."""
+    for ledger in ledgers:
+        for key, value in ledger.stats().items():
+            if value:
+                metrics.counter(f"network.{key}").inc(value)
+    bus.publish(
+        TOPIC_REGISTRY,
+        "registry",
+        {"process": process, "state": metrics.export_state()},
+        event_id=f"registry:{process}",
+    )
+
+
+def _run_worker(main: Coroutine[Any, Any, None], bus_path: str, node: str) -> None:
+    """Run one worker's ``main`` to completion in this process."""
+    try:
+        asyncio.run(main)
+    except Exception as err:  # repro-lint: disable=H002
+        # Process boundary: any startup/serve crash must surface on the
+        # bus, or the coordinator only learns via a silent timeout.
+        EventBus(bus_path).publish(
+            TOPIC_READY,
+            "worker-error",
+            {"node": node, "error": f"{type(err).__name__}: {err}"},
+            event_id=f"worker-error:{node}",
+        )
+        raise
 
 
 async def _apply_placement(node: CacheNode, payload: dict[str, Any]) -> None:
@@ -309,41 +344,13 @@ async def _origin_shard_main(ctx: ShardContext) -> None:
         metrics=metrics,
         name=prepared.tree.root,
     )
-    server = TcpServer(
-        origin.handle,
-        host=ctx.host,
-        port=0,
-        codec=ctx.codec,
-        stats_hook=_server_stats_hook(metrics),
-    )
-    await server.start()
-    bus.publish(
-        TOPIC_READY,
-        "ready",
-        {"node": name, "host": ctx.host, "port": server.port},
-        event_id=f"ready:{name}",
-    )
-    await control.await_event(
-        lambda event: event.kind == "shutdown", timeout=ctx.run_timeout
-    )
-    await server.close()  # drains in-flight replies before the exit
-    bus.publish(
-        TOPIC_REGISTRY,
-        "registry",
-        {"process": name, "state": metrics.export_state()},
-        event_id=f"registry:{name}",
-    )
+    ledgers = await _serve(bus, control, ctx, {name: origin.handle})
+    _publish_registry(bus, name, metrics, *ledgers)
 
 
 def run_origin_shard(ctx: ShardContext) -> None:
     """Process entry point of one origin shard."""
-    try:
-        asyncio.run(_origin_shard_main(ctx))
-    except Exception as err:  # repro-lint: disable=H002
-        # Process boundary: any startup/serve crash must surface on the
-        # bus, or the coordinator only learns via a silent timeout.
-        _publish_worker_error(ctx.bus_path, shard_name(ctx.index), err)
-        raise
+    _run_worker(_origin_shard_main(ctx), ctx.bus_path, shard_name(ctx.index))
 
 
 # -- proxy host ---------------------------------------------------------------
@@ -370,7 +377,7 @@ async def _proxy_host_main(ctx: ProxyHostContext) -> None:
     )
     resolve = HashRing(ctx.shards).resolver(ctx.replicas)
     nodes: dict[str, CacheNode] = {}
-    gates: dict[str, TcpMeshEndpoint] = {}
+    handlers: dict[str, Handler] = {}
     # Holdings start empty: they arrive as placement events below.
     specs = {spec.name: spec for spec in prepared.node_specs(speculative=False)}
     for region in ctx.proxies:
@@ -387,7 +394,13 @@ async def _proxy_host_main(ctx: ProxyHostContext) -> None:
             backoff_seed=settings.seed,
             resolve_upstream=resolve,
         )
-        gates[region] = gate
+        handlers[region] = DeployFaultHandler(
+            nodes[region],
+            gate,
+            fault=ctx.faults.get(region),
+            bus=bus,
+            metrics=metrics,
+        )
 
     # Holdings arrive as placement events (published at least once —
     # deliberately twice — by the coordinator); the consumer's
@@ -404,44 +417,12 @@ async def _proxy_host_main(ctx: ProxyHostContext) -> None:
         await _apply_placement(nodes[ev.payload["proxy"]], ev.payload)
         needed.discard(ev.payload["proxy"])
 
-    servers: list[TcpServer] = []
-    for region in ctx.proxies:
-        handler = DeployFaultHandler(
-            nodes[region],
-            gates[region],
-            fault=ctx.faults.get(region),
-            bus=bus,
-            metrics=metrics,
-        )
-        server = TcpServer(
-            handler,
-            host=ctx.host,
-            port=0,
-            codec=ctx.codec,
-            stats_hook=_server_stats_hook(metrics),
-        )
-        await server.start()
-        servers.append(server)
-        bus.publish(
-            TOPIC_READY,
-            "ready",
-            {"node": region, "host": ctx.host, "port": server.port},
-            event_id=f"ready:{region}",
-        )
-
-    await control.await_event(
-        lambda ev: ev.kind == "shutdown", timeout=ctx.run_timeout
-    )
-    for server in servers:
-        await server.close()  # drains in-flight replies first
+    ledgers = await _serve(bus, control, ctx, handlers)
     for node in nodes.values():
         await node.close()
     await mesh.close()
     # Drain any stragglers so the duplicate tally below is final.
     placement.drain()
-    for key, value in mesh.stats().items():
-        if value:
-            metrics.counter(f"network.{key}").inc(value)
     metrics.counter("bus.duplicate_events").inc(placement.duplicates)
     digests = {
         region: holdings_digest(node.holdings)
@@ -453,19 +434,9 @@ async def _proxy_host_main(ctx: ProxyHostContext) -> None:
         {"process": host_label, "holdings": digests},
         event_id=f"digest:{host_label}",
     )
-    bus.publish(
-        TOPIC_REGISTRY,
-        "registry",
-        {"process": host_label, "state": metrics.export_state()},
-        event_id=f"registry:{host_label}",
-    )
+    _publish_registry(bus, host_label, metrics, mesh.ledger, *ledgers)
 
 
 def run_proxy_host(ctx: ProxyHostContext) -> None:
     """Process entry point of one proxy host."""
-    try:
-        asyncio.run(_proxy_host_main(ctx))
-    except Exception as err:  # repro-lint: disable=H002
-        # Process boundary: surface the crash on the bus (see above).
-        _publish_worker_error(ctx.bus_path, proxy_host_name(ctx.index), err)
-        raise
+    _run_worker(_proxy_host_main(ctx), ctx.bus_path, proxy_host_name(ctx.index))

@@ -25,6 +25,10 @@ round-trips every delivered message through its codec so simulated runs
 exercise the same serialisation path as real sockets; the TCP server
 mirrors each connection's first inbound frame unless a codec is forced.
 
+Both move bytes under one request/reply core: the :class:`PendingCalls`
+table, one dispatch boundary (a raising handler becomes an ``error``
+reply) and the :class:`FrameLedger` of the frames they carry.
+
 Failure mapping: anything the *network* did wrong (timeout, dropped
 frame, refused connection, truncated stream) raises
 :class:`~repro.errors.TransportError`; anything the *peer* did wrong
@@ -38,6 +42,7 @@ import asyncio
 import contextvars
 import math
 import time
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Awaitable, Callable
 
 import numpy as np
@@ -63,13 +68,123 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Handler = Callable[[Message], Awaitable[Message | None]]
 
 
+@dataclass(slots=True)
+class FrameLedger:
+    """The frames and bytes one transport carried, in five states.
+
+    Each family satisfies ``sent == delivered + dropped + rejected +
+    inflight`` (checked by :func:`~repro.runtime.metrics.verify_conservation`);
+    on TCP only across both ends, a connection booking its requests
+    sent and their replies delivered or dropped, a server the other
+    half.  ``handler_errors`` counts handler exceptions turned into
+    ``error`` replies.
+
+    One asymmetry stays on purpose: a reply that reaches an in-memory
+    endpoint whose caller already timed out is booked ``delivered`` (the
+    frame did arrive) and then discarded, while a :class:`TcpConnection`
+    books it ``dropped``.  Booking both alike would move frames between
+    states in the chaos runs, whose golden digests pin them.
+    """
+
+    frames_sent: int = 0
+    frames_delivered: int = 0
+    frames_dropped: int = 0
+    frames_rejected: int = 0
+    frames_inflight: int = 0
+    bytes_sent: int = 0
+    bytes_delivered: int = 0
+    bytes_dropped: int = 0
+    bytes_rejected: int = 0
+    bytes_inflight: int = 0
+    handler_errors: int = 0
+
+    def stats(self) -> dict[str, int]:
+        """Every count by name (the ``network.*`` counter suffixes)."""
+        return asdict(self)
+
+
+class PendingCalls(dict[str, "asyncio.Future[Message]"]):
+    """The calls one endpoint or connection awaits, by ``request_id``.
+
+    :meth:`wait` registers a call only once its request is on the way,
+    so a send that raises leaves nothing behind, and unregisters it
+    however it ends.  A reply pops its caller's future; one whose caller
+    timed out or was cancelled finds nothing (or a done future) and is
+    never handed to another call.
+    """
+
+    async def wait(self, request_id: str, peer: str, timeout: float | None) -> Message:
+        """Await the reply to a request already sent to ``peer``; raises
+        as the ``call`` methods built on it document."""
+        loop = asyncio.get_running_loop()
+        future = self[request_id] = loop.create_future()
+        timer = None if timeout is None else loop.call_later(timeout, _expire, future)
+        try:
+            reply = await future
+        except asyncio.TimeoutError:
+            raise TransportError(
+                f"request {request_id} to {peer} timed out after {timeout}s"
+            ) from None
+        finally:
+            # Cleans up after timeouts AND cancellation of the awaiting
+            # task; without this, a cancelled call leaks its future.
+            if timer is not None:
+                timer.cancel()
+            self.pop(request_id, None)
+        return raise_if_error(reply)
+
+    def fail(self, err: Exception) -> None:
+        """The link died: every waiting call gets its own copy of ``err``."""
+        for future in self.values():
+            if not future.done():
+                future.set_exception(type(err)(*err.args))
+        self.clear()
+
+
+def _resolve(future: "asyncio.Future[Message]", reply: Message) -> None:
+    if not future.done():
+        future.set_result(reply)
+
+
+def _expire(future: "asyncio.Future[Message]") -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
+async def _answer(
+    handler: Handler,
+    message: Message,
+    name: str,
+    ledger: FrameLedger,
+    tasks: "set[asyncio.Task[None]]",
+) -> Message | None:
+    """The dispatch boundary: ``handler``'s reply to ``message``, run as
+    one of ``tasks``; an exception becomes an ``error`` reply from
+    ``name``, counted in ``ledger.handler_errors``."""
+    try:
+        return await handler(message)
+    except Exception as err:  # repro-lint: disable=H002
+        # Deliberately broad: ANY handler crash must cost one request an
+        # error reply instead of stranding its requester until the
+        # timeout.  The error kind preserves the exception class across
+        # the wire.
+        ledger.handler_errors += 1
+        kind = "transport" if isinstance(err, TransportError) else "protocol"
+        reason = f"handler failed: {type(err).__name__}: {err}"
+        return make_error(name, message.request_id, kind, reason)
+    finally:
+        # Nothing the caller does after this awaits, so the task is as
+        # good as done.
+        tasks.discard(asyncio.current_task())  # type: ignore[arg-type]
+
+
 class Endpoint:
     """One addressable node on an :class:`InMemoryNetwork`.
 
-    Owns the pending-reply futures for requests issued via :meth:`call`
+    Owns the :class:`PendingCalls` of requests issued via :meth:`call`
     and the handler tasks of requests being served.  A started endpoint
     has no inbox: the network's delivery timer hands each arriving
-    frame straight to :meth:`_arrive`.  Frames that arrive before
+    frame straight to :meth:`_land`.  Frames that arrive before
     :meth:`start` (or after :meth:`close`) are held, up to
     ``inbox_limit``, and handled in arrival order once it is called.
     Obtain instances from :meth:`InMemoryNetwork.endpoint`.
@@ -84,7 +199,7 @@ class Endpoint:
         #: The context ``start()`` was called in: arrivals run in it, not
         #: in whatever context the remote sender happened to send from.
         self._context: contextvars.Context | None = None
-        self._pending: dict[str, asyncio.Future[Message]] = {}
+        self._pending = PendingCalls()
         self._handler: Handler | None = None
         self._dispatch_tasks: set[asyncio.Task[None]] = set()
         self._next_id = 0
@@ -102,22 +217,32 @@ class Endpoint:
         self._next_id += 1
         return f"{self.name}#{self._next_id}"
 
-    def _accept(self, message: Message) -> bool:
-        """Take one frame off the wire; ``False`` when it must be
-        rejected (not started and ``inbox_limit`` frames already held)."""
+    def _land(self, message: Message) -> None:
+        """Delivery-timer callback: the frame has crossed the wire and is
+        handled now, held (not started) or rejected (``inbox_limit``
+        frames already held)."""
+        ledger = self._network.ledger
+        ledger.frames_inflight -= 1
+        ledger.bytes_inflight -= message.body_bytes
         held = self._held
         if held is None:
             self._arrive(message)
         elif len(held) < self._inbox_limit:
             held.append(message)
         else:
-            return False
-        return True
+            # Bounded-inbox backpressure: overflow frames are dropped and
+            # the sender's timeout fires, exactly like a full router queue.
+            ledger.frames_rejected += 1
+            ledger.bytes_rejected += message.body_bytes
+            return
+        ledger.frames_delivered += 1
+        ledger.bytes_delivered += message.body_bytes
 
     def _arrive(self, message: Message) -> None:
         """Handle one frame now: a reply goes to its waiting call, a
         request gets its handler task."""
         loop = asyncio.get_running_loop()
+        handler = self._handler
         if message.kind in REPLY_KINDS:
             future = self._pending.pop(message.request_id, None)
             if future is not None:
@@ -131,41 +256,24 @@ class Endpoint:
                 # hop needs per-link jitter streams first.
                 loop.call_soon(_resolve, future, message)
             # else: the requester gave up (timed out); drop the reply.
-        elif self._handler is not None:
-            self._dispatch_tasks.add(loop.create_task(self._dispatch(message)))
+        elif handler is not None:
+            self._dispatch_tasks.add(loop.create_task(self._dispatch(handler, message)))
 
-    async def _dispatch(self, message: Message) -> None:
-        assert self._handler is not None
+    async def _dispatch(self, handler: Handler, message: Message) -> None:
+        ledger = self._network.ledger
+        reply = await _answer(handler, message, self.name, ledger, self._dispatch_tasks)
+        if reply is None:
+            return
         try:
-            reply = await self._handler(message)
-        except asyncio.CancelledError:
-            raise
-        except Exception as err:  # repro-lint: disable=H002
-            # Deliberately broad: this is the dispatch boundary, and ANY
-            # handler crash must become an error reply instead of
-            # stranding the requester until its timeout.  The error-kind
-            # mapping preserves the exception class across the wire.
-            self._network.handler_errors += 1
-            kind = "transport" if isinstance(err, TransportError) else "protocol"
-            reply = make_error(
-                self.name,
-                message.request_id,
-                kind,
-                f"handler failed: {type(err).__name__}: {err}",
-            )
-        finally:
-            # Nothing below awaits, so the task is as good as done.
-            self._dispatch_tasks.discard(
-                asyncio.current_task()  # type: ignore[arg-type]
-            )
-        if reply is not None:
-            try:
-                self._network.deliver(self.name, message.sender, reply)
-            except TransportError:
-                # The request named a sender no endpoint answers to:
-                # there is nobody to raise at, so the reply is a frame
-                # the network took and lost.
-                self._network._drop_unroutable(reply)
+            self._network.deliver(self.name, message.sender, reply)
+        except TransportError:
+            # The request named a sender no endpoint answers to: there
+            # is nobody to raise at, so the reply is a frame the network
+            # took and lost (booked so that ``sent == settled`` holds).
+            ledger.frames_sent += 1
+            ledger.frames_dropped += 1
+            ledger.bytes_sent += reply.body_bytes
+            ledger.bytes_dropped += reply.body_bytes
 
     async def call(
         self, destination: str, message: Message, *, timeout: float | None = None
@@ -173,37 +281,15 @@ class Endpoint:
         """Send a message and await the reply with its ``request_id``.
 
         Raises:
-            TransportError: On timeout, or when the peer reports a
-                transport-level failure.
-            RuntimeProtocolError: When the peer reports a protocol
-                violation.
+            TransportError: On an unknown destination, on timeout, or
+                when the peer reports a transport-level failure.
+            RuntimeProtocolError: When the message does not survive the
+                wire codec, or the peer reports a protocol violation.
         """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[Message] = loop.create_future()
-        self._pending[message.request_id] = future
         self._network.deliver(self.name, destination, message)
-        timer = (
-            None if timeout is None else loop.call_later(timeout, _expire, future)
+        return await self._pending.wait(
+            message.request_id, repr(destination), timeout
         )
-        try:
-            reply = await future
-        except asyncio.TimeoutError:
-            raise TransportError(
-                f"request {message.request_id} to {destination!r} "
-                f"timed out after {timeout}s"
-            ) from None
-        finally:
-            # Cleans up after timeouts AND cancellation of the awaiting
-            # task; without this, a cancelled call leaks its future in
-            # _pending forever.
-            if timer is not None:
-                timer.cancel()
-            self._pending.pop(message.request_id, None)
-        return raise_if_error(reply)
-
-    def cast(self, destination: str, message: Message) -> None:
-        """Fire-and-forget send (no reply expected)."""
-        self._network.deliver(self.name, destination, message)
 
     async def close(self) -> None:
         """Stop handling arrivals and cancel in-flight handler tasks."""
@@ -215,16 +301,6 @@ class Endpoint:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-
-
-def _resolve(future: "asyncio.Future[Message]", reply: Message) -> None:
-    if not future.done():
-        future.set_result(reply)
-
-
-def _expire(future: "asyncio.Future[Message]") -> None:
-    if not future.done():
-        future.set_exception(asyncio.TimeoutError())
 
 
 class InMemoryNetwork:
@@ -276,17 +352,8 @@ class InMemoryNetwork:
         self._endpoints: dict[str, Endpoint] = {}
         self._link_clear_at: dict[tuple[str, str], float] = {}
         self._faults: FaultInjector | None = None
-        self.frames_sent = 0
-        self.frames_delivered = 0
-        self.frames_dropped = 0
-        self.frames_rejected = 0  # inbox full (backpressure overflow)
-        self.frames_inflight = 0  # scheduled, not yet delivered/rejected
-        self.bytes_sent = 0
-        self.bytes_delivered = 0
-        self.bytes_dropped = 0
-        self.bytes_rejected = 0
-        self.bytes_inflight = 0
-        self.handler_errors = 0  # handler exceptions converted to replies
+        #: Every frame the network carries; read it through :meth:`stats`.
+        self.ledger = FrameLedger()
 
     def attach_faults(self, injector: "FaultInjector") -> None:
         """Plug a fault injector in; consulted on every frame delivery."""
@@ -342,20 +409,18 @@ class InMemoryNetwork:
             # not unbalance ``sent == settled``.
             raise TransportError(f"unknown endpoint {destination!r}")
         message = self._codec.decode(self._codec.encode(message))
-        self.frames_sent += 1
-        self.bytes_sent += message.body_bytes
-        if self._faults is not None and self._faults.intercept(
-            source, destination
+        ledger = self.ledger
+        ledger.frames_sent += 1
+        ledger.bytes_sent += message.body_bytes
+        faults = self._faults
+        if (faults is not None and faults.intercept(source, destination)) or (
+            self._drop_probability > 0
+            and float(self._rng.random()) < self._drop_probability
         ):
-            # Injected fault: crashed node, cut link, or extra drop rate.
-            self.frames_dropped += 1
-            self.bytes_dropped += message.body_bytes
-            return
-        if self._drop_probability > 0 and (
-            float(self._rng.random()) < self._drop_probability
-        ):
-            self.frames_dropped += 1
-            self.bytes_dropped += message.body_bytes
+            # An injected fault (crashed node, cut link, extra drop rate)
+            # or the network's own seeded loss.
+            ledger.frames_dropped += 1
+            ledger.bytes_dropped += message.body_bytes
             return
         loop = asyncio.get_running_loop()
         now = loop.time()
@@ -368,51 +433,13 @@ class InMemoryNetwork:
         if previous is not None and arrival <= previous:
             arrival = math.nextafter(previous, math.inf)
         self._link_clear_at[link] = arrival
-        self.frames_inflight += 1
-        self.bytes_inflight += message.body_bytes
-        loop.call_at(arrival, self._put, target, message, context=target._context)
-
-    def _put(self, target: Endpoint, message: Message) -> None:
-        """Delivery-timer callback: the frame has crossed the wire."""
-        self.frames_inflight -= 1
-        self.bytes_inflight -= message.body_bytes
-        if not target._accept(message):
-            # Bounded-inbox backpressure: overflow frames are dropped and
-            # the sender's timeout fires, exactly like a full router queue.
-            self.frames_rejected += 1
-            self.bytes_rejected += message.body_bytes
-            return
-        self.frames_delivered += 1
-        self.bytes_delivered += message.body_bytes
-
-    def _drop_unroutable(self, message: Message) -> None:
-        """Book a reply whose requester names no endpoint as sent and
-        dropped, keeping ``sent == settled`` (see :meth:`stats`)."""
-        self.frames_sent += 1
-        self.bytes_sent += message.body_bytes
-        self.frames_dropped += 1
-        self.bytes_dropped += message.body_bytes
+        ledger.frames_inflight += 1
+        ledger.bytes_inflight += message.body_bytes
+        loop.call_at(arrival, target._land, message, context=target._context)
 
     def stats(self) -> dict[str, int]:
-        """Frame and byte accounting for tests, metrics and debugging.
-
-        The frame and byte families each satisfy the conservation
-        identity ``sent == delivered + dropped + rejected + inflight``
-        (checked by :func:`~repro.runtime.metrics.verify_conservation`).
-        """
-        return {
-            "frames_sent": self.frames_sent,
-            "frames_delivered": self.frames_delivered,
-            "frames_dropped": self.frames_dropped,
-            "frames_rejected": self.frames_rejected,
-            "frames_inflight": self.frames_inflight,
-            "bytes_sent": self.bytes_sent,
-            "bytes_delivered": self.bytes_delivered,
-            "bytes_dropped": self.bytes_dropped,
-            "bytes_rejected": self.bytes_rejected,
-            "bytes_inflight": self.bytes_inflight,
-            "handler_errors": self.handler_errors,
-        }
+        """The :class:`FrameLedger` counts, for tests, metrics and debugging."""
+        return self.ledger.stats()
 
 
 # -- real TCP ----------------------------------------------------------------
@@ -486,50 +513,43 @@ class TcpConnection(_FrameProtocol):
     """The dialing end of one socket, shared by every caller to its peer.
 
     :meth:`call` writes its request at once, so any number of calls are
-    in flight together; each reply resolves the caller whose
-    ``request_id`` it echoes, in whatever order the peer answers.  A
-    reply nobody waits for (its caller timed out or was cancelled) is
-    dropped, never handed to another caller, and the connection stays
-    usable.  A reply that breaks the protocol fails every pending caller
-    and marks the connection :attr:`dead` in the same turn.  Obtain
-    instances from :func:`dial`, which documents the three arguments.
+    in flight together, each resolved by the reply that echoes its
+    ``request_id`` under the :class:`PendingCalls` rules; a reply nobody
+    waits for leaves the connection usable.  A reply that breaks the
+    protocol fails every pending caller and marks the connection
+    :attr:`dead` in the same turn.  Obtain instances from :func:`dial`.
     """
 
-    def __init__(self, peer: str, max_frame_bytes: int, stats_hook):
+    def __init__(self, peer: str, max_frame_bytes: int, ledger: FrameLedger):
         super().__init__(max_frame_bytes)
         self._peer = peer
-        self._stats_hook = stats_hook
-        self._pending: dict[str, asyncio.Future[Message]] = {}
+        self.ledger = ledger
+        # Per connection, not per mesh: a lost socket fails its own
+        # callers and nobody else's.
+        self._pending = PendingCalls()
 
     def _message(self, message: Message, body: bytes) -> None:
         future = self._pending.pop(message.request_id, None)
+        ledger = self.ledger
         if future is not None and not future.done():
             future.set_result(message)
-            outcome = "delivered"
+            ledger.frames_delivered += 1
+            ledger.bytes_delivered += message.body_bytes
         elif message.request_id:
-            outcome = "dropped"
-        else:  # the server rejecting the stream itself (it hangs up next)
-            reason = str(message.payload.get("reason"))
-            return self._fail(RuntimeProtocolError(reason))
-        if self._stats_hook is not None:
-            self._stats_hook(outcome, message)
+            ledger.frames_dropped += 1
+            ledger.bytes_dropped += message.body_bytes
+        else:  # the server rejecting the stream itself
+            self.dead = True
+            self._violated(RuntimeProtocolError(str(message.payload.get("reason"))))
 
     def _violated(self, err: RuntimeProtocolError) -> None:
-        self._fail(err)
+        self._pending.fail(err)
         self.transport.abort()
 
     def connection_lost(self, exc: Exception | None) -> None:
         detail = f": {exc}" if exc is not None else ""
-        self._fail(TransportError(f"connection to {self._peer} lost{detail}"))
         super().connection_lost(exc)
-
-    def _fail(self, err: Exception) -> None:
-        """Dead from this turn on; every pending caller gets ``err``."""
-        self.dead = True
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(type(err)(*err.args))
+        self._pending.fail(TransportError(f"connection to {self._peer} lost{detail}"))
 
     async def call(
         self,
@@ -548,25 +568,10 @@ class TcpConnection(_FrameProtocol):
         """
         if self.dead:
             raise TransportError(f"connection to {self._peer} is closed")
-        loop = self._loop
-        future: asyncio.Future[Message] = loop.create_future()
         self.transport.write(frame(message, codec))
-        self._pending[message.request_id] = future
-        if self._stats_hook is not None:
-            self._stats_hook("sent", message)
-        timer = None if timeout is None else loop.call_later(timeout, _expire, future)
-        try:
-            reply = await future
-        except asyncio.TimeoutError:
-            raise TransportError(
-                f"request {message.request_id} to {self._peer} "
-                f"timed out after {timeout}s"
-            ) from None
-        finally:
-            if timer is not None:
-                timer.cancel()
-            self._pending.pop(message.request_id, None)
-        return raise_if_error(reply)
+        self.ledger.frames_sent += 1
+        self.ledger.bytes_sent += message.body_bytes
+        return await self._pending.wait(message.request_id, self._peer, timeout)
 
 
 async def dial(
@@ -576,21 +581,22 @@ async def dial(
     timeout: float | None = None,
     peer: str = "",
     max_frame_bytes: int = MAX_FRAME_BYTES,
-    stats_hook: Callable[[str, Message], None] | None = None,
+    ledger: FrameLedger | None = None,
 ) -> TcpConnection:
     """Open one multiplexed connection to a :class:`TcpServer`.
 
     ``peer`` is how errors name the far end (default ``host:port``);
-    ``max_frame_bytes`` caps inbound replies; ``stats_hook(direction,
-    message)`` sees ``"sent"`` per request written, ``"delivered"`` per
-    reply handed to its caller and ``"dropped"`` per reply without one.
+    ``max_frame_bytes`` caps inbound replies; ``ledger`` books the
+    requests written and the replies delivered or dropped (a fresh one
+    by default; a mesh passes its own to all its connections).
     Raises :class:`~repro.errors.TransportError` on failure or timeout.
     """
     peer = peer or f"{host}:{port}"
+    ledger = FrameLedger() if ledger is None else ledger
     loop = asyncio.get_running_loop()
     connect = loop.create_task(
         loop.create_connection(
-            lambda: TcpConnection(peer, max_frame_bytes, stats_hook), host, port
+            lambda: TcpConnection(peer, max_frame_bytes, ledger), host, port
         )
     )
     try:
@@ -628,8 +634,8 @@ class _ServerConnection(_FrameProtocol):
         if self._codec is None:
             # Negotiation: replies mirror the first inbound frame's codec.
             self._codec = sniff_codec(body)
-        if server._stats_hook is not None:
-            server._stats_hook("delivered", message)
+        server.ledger.frames_delivered += 1
+        server.ledger.bytes_delivered += message.body_bytes
         self._inflight += 1
         server._tasks.add(self._loop.create_task(self._serve(message)))
         if self._inflight >= MAX_INFLIGHT:
@@ -668,24 +674,18 @@ class _ServerConnection(_FrameProtocol):
         # has no virtual clock and ``service_seconds`` is reporting-only,
         # so the linter sanctions time.monotonic in this module alone.
         started = time.monotonic()
+        ledger = server.ledger
         try:
-            reply = await server._handler(message)
-        except Exception as err:  # repro-lint: disable=H002
-            # The dispatch boundary, as in Endpoint._dispatch: one crash
-            # must cost one request, not every request on the socket.
-            server.handler_errors += 1
-            kind = "transport" if isinstance(err, TransportError) else "protocol"
-            reason = f"handler failed: {type(err).__name__}: {err}"
-            reply = make_error("server", message.request_id, kind, reason)
+            reply = await _answer(
+                server._handler, message, "server", ledger, server._tasks
+            )
         finally:
-            # Nothing below awaits, so the task is as good as done.
-            server._tasks.discard(asyncio.current_task())  # type: ignore[arg-type]
             self._inflight -= 1
         if reply is not None and not self.transport.is_closing():
             reply.payload["service_seconds"] = round(time.monotonic() - started, 6)
             self.transport.write(frame(reply, self._codec))
-            if server._stats_hook is not None:
-                server._stats_hook("sent", reply)
+            ledger.frames_sent += 1
+            ledger.bytes_sent += reply.body_bytes
         server.requests_served += 1
         if self._paused:
             self._flow()
@@ -703,7 +703,8 @@ class TcpServer:
     Args:
         handler: Async callable answering each inbound message; an
             exception it raises becomes that request's ``error`` reply
-            (counted in :attr:`handler_errors`).
+            (counted in :attr:`ledger`, the server's half of a TCP
+            :class:`FrameLedger`).
         host: Interface to bind.
         port: Port to bind; 0 picks an ephemeral port (read it back
             from :attr:`port` after :meth:`start`).
@@ -714,9 +715,6 @@ class TcpServer:
             length before any body byte is kept.
         drain_timeout: Seconds :meth:`close` gives requests already
             accepted to finish and flush their reply.
-        stats_hook: Optional ``(direction, message)`` callback:
-            ``"delivered"`` per inbound frame, ``"sent"`` per reply
-            written — the server-side half of the deploy ledger.
     """
 
     def __init__(
@@ -728,14 +726,12 @@ class TcpServer:
         codec: str | Codec | None = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         drain_timeout: float = 5.0,
-        stats_hook: Callable[[str, Message], None] | None = None,
     ):
         self._handler = handler
         self._host = host
         self._forced_codec = None if codec is None else resolve_codec(codec)
         self._max_frame_bytes = max_frame_bytes
         self._drain_timeout = drain_timeout
-        self._stats_hook = stats_hook
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[_ServerConnection] = set()
         self._tasks: set[asyncio.Task[None]] = set()
@@ -743,7 +739,7 @@ class TcpServer:
         self.port: int = port
         self.requests_served = 0
         self.protocol_errors = 0
-        self.handler_errors = 0  # handler exceptions converted to replies
+        self.ledger = FrameLedger()
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
@@ -804,8 +800,10 @@ async def tcp_call(
 
 __all__: list[str] = [
     "Endpoint",
+    "FrameLedger",
     "Handler",
     "InMemoryNetwork",
+    "PendingCalls",
     "TcpConnection",
     "TcpServer",
     "dial",

@@ -88,22 +88,31 @@ class TestEndpointRegressions:
 
         assert run_virtual(scenario()) == {}
 
-    def test_timeout_also_clears_pending(self):
+    def test_failed_send_does_not_leak_pending(self):
+        # Regression: call() registered its future before deliver(), so a
+        # send that raised (unknown destination, a message the codec
+        # rejects) left that future in _pending forever.
         async def scenario():
             network = InMemoryNetwork(seed=0)
-            server = network.endpoint("server")
+            network.endpoint("server").start(None)
             client = network.endpoint("client")
-            server.start(None)
             client.start(None)
             request = make_request("client", client.next_request_id(), "/d", 0.0)
-            with pytest.raises(TransportError, match="timed out"):
-                await client.call("server", request, timeout=0.5)
-            pending = dict(client._pending)
-            await server.close()
-            await client.close()
-            return pending
+            with pytest.raises(TransportError, match="unknown endpoint"):
+                await client.call("nobody", request, timeout=1.0)
+            poisoned = Message(
+                kind="stats",
+                sender="client",
+                request_id=client.next_request_id(),
+                payload={"bad": {1: "non-string key"}},
+            )
+            with pytest.raises(RuntimeProtocolError):
+                await client.call("server", poisoned, timeout=1.0)
+            return dict(client._pending), network.stats()
 
-        assert run_virtual(scenario()) == {}
+        pending, stats = run_virtual(scenario())
+        assert pending == {}
+        assert stats["frames_sent"] == 0
 
     def test_handler_crash_becomes_error_reply(self):
         # Regression: a raising handler used to kill the dispatch task
@@ -126,7 +135,7 @@ class TestEndpointRegressions:
             elapsed = loop.time() - started
             await server.close()
             await client.close()
-            return elapsed, network.handler_errors
+            return elapsed, network.stats()["handler_errors"]
 
         elapsed, handler_errors = run_virtual(scenario())
         # The error reply arrives at network speed, not at the timeout.

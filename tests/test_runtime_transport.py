@@ -197,7 +197,8 @@ class TestInMemoryNetwork:
             receiver.start(handler)
             sender.start(None)
             for n, body in enumerate([1_000_000, 0, 10]):
-                sender.cast(
+                network.deliver(
+                    "tx",
                     "rx",
                     Message(
                         kind="request",
@@ -216,9 +217,9 @@ class TestInMemoryNetwork:
     def test_unknown_endpoint_raises(self):
         async def scenario():
             network = InMemoryNetwork()
-            sender = network.endpoint("tx")
+            network.endpoint("tx")
             with pytest.raises(TransportError, match="unknown endpoint"):
-                sender.cast("nowhere", Message(kind="request", sender="tx"))
+                network.deliver("tx", "nowhere", Message(kind="request", sender="tx"))
 
         run_virtual(scenario())
 
@@ -278,7 +279,7 @@ class TestInMemoryNetwork:
                         break
                     except TransportError:
                         continue
-                return reply, attempts, network.frames_dropped
+                return reply, attempts, network.stats()["frames_dropped"]
             finally:
                 await server.close()
                 await client.close()
@@ -292,9 +293,9 @@ class TestInMemoryNetwork:
         async def scenario():
             network = InMemoryNetwork(seed=0, jitter=0.0)
             network.endpoint("rx", inbox_limit=1)  # pump never started
-            sender = network.endpoint("tx")
+            network.endpoint("tx")
             for _ in range(3):
-                sender.cast("rx", Message(kind="request", sender="tx"))
+                network.deliver("tx", "rx", Message(kind="request", sender="tx"))
             await asyncio.sleep(1.0)
             return network.stats()
 
@@ -315,9 +316,9 @@ class TestInMemoryNetwork:
         # the destination up, so the raise left sent 1 != settled 0.
         async def scenario():
             network = InMemoryNetwork(seed=0)
-            sender = network.endpoint("tx")
+            network.endpoint("tx")
             with pytest.raises(TransportError, match="unknown endpoint"):
-                sender.cast("nobody", Message(kind="request", sender="tx"))
+                network.deliver("tx", "nobody", Message(kind="request", sender="tx"))
             return network.stats()
 
         stats = run_virtual(scenario())
@@ -345,7 +346,8 @@ class TestInMemoryNetwork:
 
             server.start(handler)
             client.start(None)
-            client.cast("server", make_request("ghost", "ghost#1", "/a", 0.0))
+            spoofed = make_request("ghost", "ghost#1", "/a", 0.0)
+            network.deliver("client", "server", spoofed)
             await asyncio.sleep(1.0)
             tasks = set(server._dispatch_tasks)
             await server.close()
@@ -379,7 +381,7 @@ class TestEndpointArrival:
         async def scenario():
             network = InMemoryNetwork(seed=0, jitter=0.0)
             receiver = network.endpoint("rx", inbox_limit=3)
-            sender = network.endpoint("tx")
+            network.endpoint("tx")
             seen = []
 
             async def handler(message):
@@ -387,13 +389,13 @@ class TestEndpointArrival:
                 return None
 
             for n in range(5):
-                sender.cast("rx", self.numbered(n))
+                network.deliver("tx", "rx", self.numbered(n))
             await asyncio.sleep(1.0)
             held = network.stats()
             assert seen == []  # nothing handled before start()
             receiver.start(handler)
             await asyncio.sleep(0.001)  # the held frames' handler tasks run
-            sender.cast("rx", self.numbered(5))  # started: no bound, no hold
+            network.deliver("tx", "rx", self.numbered(5))  # started: no bound, no hold
             await asyncio.sleep(1.0)
             await receiver.close()
             return held, network.stats(), seen
@@ -408,7 +410,7 @@ class TestEndpointArrival:
         async def scenario():
             network = InMemoryNetwork(seed=0, jitter=0.0)
             receiver = network.endpoint("rx", inbox_limit=1)
-            sender = network.endpoint("tx")
+            network.endpoint("tx")
             seen = []
 
             async def handler(message):
@@ -418,7 +420,7 @@ class TestEndpointArrival:
             receiver.start(handler)
             await receiver.close()
             for n in range(2):
-                sender.cast("rx", self.numbered(n))
+                network.deliver("tx", "rx", self.numbered(n))
             await asyncio.sleep(1.0)
             assert seen == []
             receiver.start(handler)
@@ -659,3 +661,145 @@ class TestTcpTurnBudget:
         # A few turns of slack for reads the kernel splits or delays.
         assert handles <= 3 * self.ROUND_TRIPS + 10
         assert measured["turns"] <= 4 * self.ROUND_TRIPS + 10
+
+
+async def contract_handler(message):
+    """Answers ``/slow`` after 150 ms and raises for ``/transport`` and
+    ``/protocol``; any other document is answered at once."""
+    doc_id = message.payload["doc_id"]
+    if doc_id == "/slow":
+        await asyncio.sleep(0.15)
+    elif doc_id == "/transport":
+        raise TransportError("upstream gone")
+    elif doc_id == "/protocol":
+        raise ValueError("boom")
+    return make_response("server", message.request_id, doc_id, 1, "server")
+
+
+def contract_request(client, doc_id):
+    return make_request(client.name, client.next_request_id(), doc_id, 0.0)
+
+
+def run_pair(kind, scenario):
+    """Run ``scenario(client, pending, ledger)`` with ``client`` calling a
+    ``contract_handler`` named ``"server"`` over ``kind``; ``pending()``
+    is the table the client's calls wait in, ``ledger()`` the frame
+    counts of both ends together."""
+    if kind == "memory":
+
+        async def memory():
+            network = InMemoryNetwork(seed=0)
+            server = network.endpoint("server")
+            client = network.endpoint("client")
+            server.start(contract_handler)
+            client.start(None)
+            try:
+                return await scenario(
+                    client, lambda: client._pending, network.stats
+                )
+            finally:
+                await server.close()
+                await client.close()
+
+        return run_virtual(memory())
+
+    async def tcp():
+        server = TcpServer(contract_handler)
+        await server.start()
+        mesh = TcpMesh({"server": ("127.0.0.1", server.port)})
+
+        def ledger():
+            return {
+                key: value + server.ledger.stats()[key]
+                for key, value in mesh.stats().items()
+            }
+
+        try:
+            return await scenario(
+                mesh.endpoint("client"),
+                lambda: mesh._links["server"]._pending,
+                ledger,
+            )
+        finally:
+            await mesh.close()
+            await server.close()
+
+    return asyncio.run(tcp())
+
+
+@pytest.mark.parametrize("kind", ["memory", "tcp"])
+class TestCallContract:
+    """The call core's rules, held alike by both transports: a timeout,
+    a cancellation and a late reply leave no pending call behind, a
+    raising handler costs its caller one ``error`` reply of the right
+    kind, and the frame ledger balances after each."""
+
+    def test_timeout_raises_transport_error_and_empties_the_table(self, kind):
+        async def scenario(client, pending, ledger):
+            request = contract_request(client, "/slow")
+            with pytest.raises(TransportError, match="timed out after 0.05s"):
+                await client.call("server", request, timeout=0.05)
+            left = dict(pending())
+            await asyncio.sleep(0.3)  # the late reply lands
+            return left, ledger()
+
+        left, stats = run_pair(kind, scenario)
+        assert left == {}
+        verify_conservation(network_snapshot(stats))
+
+    def test_cancelled_call_empties_the_table(self, kind):
+        async def scenario(client, pending, ledger):
+            request = contract_request(client, "/slow")
+            caller = asyncio.get_running_loop().create_task(
+                client.call("server", request, timeout=30.0)
+            )
+            await asyncio.sleep(0.03)  # the request is with the handler
+            assert len(pending()) == 1
+            caller.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await caller
+            left = dict(pending())
+            await asyncio.sleep(0.3)  # the orphaned reply lands
+            return left, ledger()
+
+        left, stats = run_pair(kind, scenario)
+        assert left == {}
+        verify_conservation(network_snapshot(stats))
+
+    def test_late_reply_reaches_nobody_and_the_next_call_its_own(self, kind):
+        async def scenario(client, pending, ledger):
+            request = contract_request(client, "/slow")
+            with pytest.raises(TransportError, match="timed out"):
+                await client.call("server", request, timeout=0.05)
+            # Sent before the late reply to client#1 lands, answered after.
+            reply = await client.call(
+                "server", contract_request(client, "/slow"), timeout=30.0
+            )
+            return reply, dict(pending()), ledger()
+
+        reply, left, stats = run_pair(kind, scenario)
+        assert (reply.request_id, reply.payload["doc_id"]) == ("client#2", "/slow")
+        assert left == {}
+        assert stats["frames_sent"] == 4
+        # The ledger's one asymmetry (see FrameLedger): the late reply
+        # did arrive, so memory books it delivered; TCP books it dropped.
+        assert stats["frames_dropped"] == (0 if kind == "memory" else 1)
+        verify_conservation(network_snapshot(stats))
+
+    def test_handler_exceptions_become_error_replies_of_their_kind(self, kind):
+        async def scenario(client, pending, ledger):
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            request = contract_request(client, "/transport")
+            with pytest.raises(TransportError, match="handler failed: Transport"):
+                await client.call("server", request, timeout=60.0)
+            request = contract_request(client, "/protocol")
+            with pytest.raises(RuntimeProtocolError, match="handler failed: Value"):
+                await client.call("server", request, timeout=60.0)
+            return loop.time() - started, dict(pending()), ledger()
+
+        elapsed, left, stats = run_pair(kind, scenario)
+        assert elapsed < 1.0  # at network speed, not at the timeout
+        assert left == {}
+        assert stats["handler_errors"] == 2
+        verify_conservation(network_snapshot(stats))

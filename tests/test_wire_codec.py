@@ -390,14 +390,14 @@ class TestInMemoryCodec:
         async def scenario():
             network = InMemoryNetwork(seed=0)
             network.endpoint("rx")
-            sender = network.endpoint("tx")
+            network.endpoint("tx")
             poisoned = Message(
                 kind="stats",
                 sender="tx",
                 payload={"bad": {1: "non-string key"}},
             )
             with pytest.raises(RuntimeProtocolError):
-                sender.cast("rx", poisoned)
+                network.deliver("tx", "rx", poisoned)
 
         run_virtual(scenario())
 
