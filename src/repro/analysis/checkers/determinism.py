@@ -17,8 +17,8 @@ machine-checks that convention:
   ...) leak real time into simulated time.  ``time.perf_counter``
   stays legal everywhere (it measures the *measurement*, not the
   simulation); ``time.monotonic`` is permitted only in the modules
-  named by ``LintConfig.monotonic_modules`` — the real-socket
-  transport, where wall durations are the thing being served.
+  named by ``LintConfig.monotonic_modules`` — the deploy bus, whose
+  cross-process waits have wall deadlines.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The runtime keeps three incompatible scalar families in play: virtual-
 clock seconds (``loop.time()`` under the installed
 :class:`~repro.runtime.clock.VirtualClock`), wall-clock durations
-(``time.perf_counter``/``monotonic``, legal only in transport and perf
-code), and exact integer byte counters.  N003 catches byte counters
+(``time.perf_counter``/``monotonic``, legal only in perf code and the
+deploy bus), and exact integer byte counters.  N003 catches byte counters
 *initialised* as floats by name pattern; this checker extends that to
 flow: it tracks the three families through assignments and calls with
 the :mod:`repro.analysis.dataflow` engine and flags arithmetic that

@@ -142,11 +142,8 @@ class LintConfig:
     #: Name suffixes treated as probabilities by the numeric checker.
     probability_suffixes: tuple[str, ...] = ("probability", "_prob", "p_star")
     #: Modules where ``time.monotonic`` is permitted (D004).  Real-I/O
-    #: transport code may measure wall durations; simulation code may not.
-    monotonic_modules: tuple[str, ...] = (
-        "repro.deploy.bus",
-        "repro.runtime.transport",
-    )
+    #: code may wait on wall deadlines; simulation code may not.
+    monotonic_modules: tuple[str, ...] = ("repro.deploy.bus",)
     #: RNG stream role → name substrings (rngflow checker).
     rng_stream_names: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_RNG_STREAM_NAMES)

@@ -183,8 +183,8 @@ class JsonCodec:
 #              count, u32 digest blob length; then the doc id, client and
 #              demand key bytes and the digest blob
 #   response   i64 size, u16 doc/served_by lengths, u32 rider count, u32
-#              rider blob length, u8 flags; then f64 service_seconds and
-#              u16 path_hops if flagged, the doc id and served_by bytes,
+#              rider blob length, u8 flags; then u16 path_hops if
+#              flagged, the doc id and served_by bytes,
 #              count x i64 rider sizes and the rider-id blob
 #
 # An id blob is the ids joined by one NUL ("\0".join(ids), UTF-8), so both
@@ -210,9 +210,8 @@ _I64 = struct.Struct("!q")
 _F64 = struct.Struct("!d")
 _REQ_HEAD = struct.Struct("!dHHHII")
 _RESP_HEAD = struct.Struct("!qHHIIB")
-#: Bits of the response head's trailing flags byte: which optional
-#: fields follow the head, in this order.
-_HAS_SERVICE = 1
+#: The one bit of the response head's trailing flags byte: ``path_hops``
+#: follows the head.  Bit 0 is retired; every other bit is rejected.
 _HAS_HOPS = 2
 
 #: Joins the ids of a packed digest / rider list into one blob.
@@ -335,9 +334,8 @@ def _unpack_request(view: memoryview, offset: int) -> tuple[dict[str, Any], int]
 
 def _pack_response(payload: dict[str, Any]) -> bytes | None:
     """Pack a canonical ``make_response`` payload (optionally stamped
-    with the TCP server's ``service_seconds`` and/or a cache node's
-    ``path_hops``, each a flagged optional field), or ``None`` when it
-    must take the generic encoding."""
+    with a cache node's ``path_hops``, a flagged optional field), or
+    ``None`` when it must take the generic encoding."""
     try:
         doc_id = payload["doc_id"]
         size = payload["size"]
@@ -345,17 +343,14 @@ def _pack_response(payload: dict[str, Any]) -> bytes | None:
         speculated = payload["speculated"]
     except (KeyError, TypeError):
         return None
-    service = payload.get("service_seconds")
     hops = payload.get("path_hops")
-    if len(payload) != 4 + (service is not None) + (hops is not None):
+    if len(payload) != 4 + (hops is not None):
         return None
     if type(doc_id) is not str or type(served_by) is not str:
         return None
     if type(size) is not int or not _I64_MIN <= size <= _I64_MAX:
         return None
     if type(speculated) is not list:
-        return None
-    if service is not None and type(service) is not float:
         return None
     if hops is not None and (type(hops) is not int or not 0 <= hops <= 0xFFFF):
         return None
@@ -381,25 +376,9 @@ def _pack_response(payload: dict[str, Any]) -> bytes | None:
         sizes_raw = struct.pack(f"!{count}q", *rider_sizes)
     except struct.error:  # a rider size beyond i64
         return None
-    chunks = [
-        _RESP_HEAD.pack(
-            size,
-            len(doc_raw),
-            len(served_raw),
-            count,
-            len(blob),
-            (service is not None) * _HAS_SERVICE + (hops is not None) * _HAS_HOPS,
-        ),
-    ]
-    if service is not None:
-        chunks.append(_F64.pack(service))
-    if hops is not None:
-        chunks.append(_U16.pack(hops))
-    chunks.append(doc_raw)
-    chunks.append(served_raw)
-    chunks.append(sizes_raw)
-    chunks.append(blob)
-    return b"".join(chunks)
+    flags, hops_raw = (0, b"") if hops is None else (_HAS_HOPS, _U16.pack(hops))
+    head = _RESP_HEAD.pack(size, len(doc_raw), len(served_raw), count, len(blob), flags)
+    return b"".join((head, hops_raw, doc_raw, served_raw, sizes_raw, blob))
 
 
 def _unpack_response(view: memoryview, offset: int) -> tuple[dict[str, Any], int]:
@@ -408,11 +387,8 @@ def _unpack_response(view: memoryview, offset: int) -> tuple[dict[str, Any], int
         _RESP_HEAD.unpack_from(view, offset)
     )
     offset += _RESP_HEAD.size
-    if flags & ~(_HAS_SERVICE | _HAS_HOPS):
+    if flags & ~_HAS_HOPS:
         raise RuntimeProtocolError(f"unknown response flags {flags:#04x}")
-    if flags & _HAS_SERVICE:
-        (service,) = _F64.unpack_from(view, offset)
-        offset += 8
     if flags & _HAS_HOPS:
         (hops,) = _U16.unpack_from(view, offset)
         offset += 2
@@ -431,8 +407,6 @@ def _unpack_response(view: memoryview, offset: int) -> tuple[dict[str, Any], int
         "served_by": served_by,
         "speculated": speculated,
     }
-    if flags & _HAS_SERVICE:
-        payload["service_seconds"] = service
     if flags & _HAS_HOPS:
         payload["path_hops"] = hops
     return payload, offset

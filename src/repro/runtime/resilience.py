@@ -71,12 +71,18 @@ class BackoffPolicy:
         return raw * (1.0 - self.jitter * float(rng.random()))
 
 
-def retry_rng(seed: int, name: str) -> np.random.Generator:
-    """A per-actor jitter RNG, stable across runs for the same seed+name."""
+def name_digest(name: str) -> int:
+    """A name as a 31-bit integer, stable across runs and processes, for
+    seeding one stream per named actor or link."""
     digest = 0
     for char in name:
         digest = (digest * 131 + ord(char)) % (2**31)
-    return np.random.default_rng((seed, digest))
+    return digest
+
+
+def retry_rng(seed: int, name: str) -> np.random.Generator:
+    """A per-actor jitter RNG, stable across runs for the same seed+name."""
+    return np.random.default_rng((seed, name_digest(name)))
 
 
 class CircuitBreaker:
@@ -213,5 +219,6 @@ __all__ = [
     "BackoffPolicy",
     "CircuitBreaker",
     "DuplicateFilter",
+    "name_digest",
     "retry_rng",
 ]

@@ -4,11 +4,12 @@ Two transports implement the same request/reply contract over
 :class:`~repro.runtime.messages.Message`:
 
 * :class:`InMemoryNetwork` — endpoints exchange messages with
-  **seeded** latency/bandwidth/jitter and optional frame drops.  Each
-  frame costs one ``loop.call_at`` timer whose callback handles the
-  arrival itself — a reply is handed to its waiting :meth:`Endpoint.call`,
-  a request spawns its handler task — so there is no queue and no
-  pump task between the wire and the handler.  Run it under
+  **seeded** latency/bandwidth/jitter and optional frame drops, each
+  directed link drawing from its own stream.  Each frame costs one
+  ``loop.call_at`` timer whose callback handles the arrival itself — a
+  reply resolves its waiting :meth:`Endpoint.call`, a request spawns
+  its handler task — so there is no queue and no pump task between the
+  wire and the handler.  Run it under
   :func:`~repro.runtime.clock.run_virtual` and the whole system is
   deterministic: same seed and workload → same delivery order → same
   metrics snapshot.  Per-link delivery is FIFO (a later message never
@@ -41,7 +42,6 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import math
-import time
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Awaitable, Callable
 
@@ -60,6 +60,7 @@ from .messages import (
     resolve_codec,
     sniff_codec,
 )
+from .resilience import name_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .faults import FaultInjector
@@ -78,12 +79,6 @@ class FrameLedger:
     sent and their replies delivered or dropped, a server the other
     half.  ``handler_errors`` counts handler exceptions turned into
     ``error`` replies.
-
-    One asymmetry stays on purpose: a reply that reaches an in-memory
-    endpoint whose caller already timed out is booked ``delivered`` (the
-    frame did arrive) and then discarded, while a :class:`TcpConnection`
-    books it ``dropped``.  Booking both alike would move frames between
-    states in the chaos runs, whose golden digests pin them.
     """
 
     frames_sent: int = 0
@@ -108,9 +103,7 @@ class PendingCalls(dict[str, "asyncio.Future[Message]"]):
 
     :meth:`wait` registers a call only once its request is on the way,
     so a send that raises leaves nothing behind, and unregisters it
-    however it ends.  A reply pops its caller's future; one whose caller
-    timed out or was cancelled finds nothing (or a done future) and is
-    never handed to another call.
+    however it ends.  :meth:`settle` is the one reply rule.
     """
 
     async def wait(self, request_id: str, peer: str, timeout: float | None) -> Message:
@@ -133,17 +126,26 @@ class PendingCalls(dict[str, "asyncio.Future[Message]"]):
             self.pop(request_id, None)
         return raise_if_error(reply)
 
+    def settle(self, reply: Message, ledger: FrameLedger) -> None:
+        """Hand ``reply`` to its waiting call and book it ``delivered``.
+        A reply whose caller timed out or was cancelled finds nothing (or
+        a done future), is never handed to another call and is booked
+        ``dropped``."""
+        future = self.pop(reply.request_id, None)
+        if future is not None and not future.done():
+            future.set_result(reply)
+            ledger.frames_delivered += 1
+            ledger.bytes_delivered += reply.body_bytes
+        else:
+            ledger.frames_dropped += 1
+            ledger.bytes_dropped += reply.body_bytes
+
     def fail(self, err: Exception) -> None:
         """The link died: every waiting call gets its own copy of ``err``."""
         for future in self.values():
             if not future.done():
                 future.set_exception(type(err)(*err.args))
         self.clear()
-
-
-def _resolve(future: "asyncio.Future[Message]", reply: Message) -> None:
-    if not future.done():
-        future.set_result(reply)
 
 
 def _expire(future: "asyncio.Future[Message]") -> None:
@@ -184,9 +186,10 @@ class Endpoint:
     Owns the :class:`PendingCalls` of requests issued via :meth:`call`
     and the handler tasks of requests being served.  A started endpoint
     has no inbox: the network's delivery timer hands each arriving
-    frame straight to :meth:`_land`.  Frames that arrive before
+    frame straight to :meth:`_land`.  Requests that arrive before
     :meth:`start` (or after :meth:`close`) are held, up to
-    ``inbox_limit``, and handled in arrival order once it is called.
+    ``inbox_limit``, and handled in arrival order once it is called;
+    a reply needs the pending table, not a handler, so it is never held.
     Obtain instances from :meth:`InMemoryNetwork.endpoint`.
     """
 
@@ -194,7 +197,7 @@ class Endpoint:
         self._network = network
         self.name = name
         self._inbox_limit = inbox_limit
-        #: Frames held while not started; ``None`` once started.
+        #: Requests held while not started; ``None`` once started.
         self._held: list[Message] | None = []
         #: The context ``start()`` was called in: arrivals run in it, not
         #: in whatever context the remote sender happened to send from.
@@ -218,12 +221,15 @@ class Endpoint:
         return f"{self.name}#{self._next_id}"
 
     def _land(self, message: Message) -> None:
-        """Delivery-timer callback: the frame has crossed the wire and is
-        handled now, held (not started) or rejected (``inbox_limit``
-        frames already held)."""
+        """Delivery-timer callback: the frame has crossed the wire.  A
+        reply settles its call now; a request is handled now, held (not
+        started) or rejected (``inbox_limit`` requests already held)."""
         ledger = self._network.ledger
         ledger.frames_inflight -= 1
         ledger.bytes_inflight -= message.body_bytes
+        if message.kind in REPLY_KINDS:
+            self._pending.settle(message, ledger)
+            return
         held = self._held
         if held is None:
             self._arrive(message)
@@ -239,24 +245,10 @@ class Endpoint:
         ledger.bytes_delivered += message.body_bytes
 
     def _arrive(self, message: Message) -> None:
-        """Handle one frame now: a reply goes to its waiting call, a
-        request gets its handler task."""
-        loop = asyncio.get_running_loop()
+        """Handle one request now: it gets its handler task."""
         handler = self._handler
-        if message.kind in REPLY_KINDS:
-            future = self._pending.pop(message.request_id, None)
-            if future is not None:
-                # One ready-queue hop between arrival and the caller's
-                # wake-up, not zero: setting the result right here is
-                # cheaper still and leaves every counter equal, but it
-                # moves callers ahead of handler tasks spawned at the
-                # same instant, which reorders their draws from the
-                # network's single jitter RNG and so shifts virtual
-                # times (the golden digests pin them).  Dropping this
-                # hop needs per-link jitter streams first.
-                loop.call_soon(_resolve, future, message)
-            # else: the requester gave up (timed out); drop the reply.
-        elif handler is not None:
+        if handler is not None:
+            loop = asyncio.get_running_loop()
             self._dispatch_tasks.add(loop.create_task(self._dispatch(handler, message)))
 
     async def _dispatch(self, handler: Handler, message: Message) -> None:
@@ -303,11 +295,28 @@ class Endpoint:
             await asyncio.gather(*tasks, return_exceptions=True)
 
 
+class _Link:
+    """One directed link: its hop distance, its own jitter/loss stream and
+    the arrival time of its latest frame (the per-link FIFO bound)."""
+
+    __slots__ = ("hops", "rng", "clear_at")
+
+    def __init__(self, network: "InMemoryNetwork", source: str, destination: str):
+        hop_count = network._hop_count
+        self.hops = 1 if hop_count is None else max(1, hop_count(source, destination))
+        self.rng = np.random.default_rng(
+            (network._seed, name_digest(source), name_digest(destination))
+        )
+        self.clear_at = -math.inf
+
+
 class InMemoryNetwork:
     """A deterministic simulated network connecting named endpoints.
 
     Args:
-        seed: Seeds the latency-jitter / frame-drop RNG.
+        seed: Seeds every directed link's own latency-jitter / frame-drop
+            stream, together with the link's ``(src, dst)`` names, so a
+            link's delays and losses never depend on traffic elsewhere.
         base_latency: Propagation delay per hop in seconds.
         bandwidth: Link bandwidth in bytes/second (transfer delay is
             ``body_bytes / bandwidth`` per hop).
@@ -315,9 +324,9 @@ class InMemoryNetwork:
             (0.2 → up to +20%).
         drop_probability: Chance a frame silently vanishes (senders see
             a timeout) — the retry-path test knob.
-        hop_count: Maps ``(src, dst)`` to the hop distance; defaults to
-            1 hop for every pair.  The service harness wires in routing
-            tree distances here.
+        hop_count: Maps ``(src, dst)`` to the hop distance, asked once
+            per link; defaults to 1 hop for every pair.  The service
+            harness wires in routing tree distances here.
         codec: Wire codec name (``"binary"`` or ``"json"``).  Every
             delivered message is round-tripped through this codec, so
             simulated runs exercise the same serialisation path as the
@@ -342,7 +351,7 @@ class InMemoryNetwork:
             raise TransportError("bandwidth must be positive")
         if not 0.0 <= drop_probability < 1.0:
             raise TransportError("drop_probability must be in [0, 1)")
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
         self._base_latency = base_latency
         self._bandwidth = bandwidth
         self._jitter = jitter
@@ -350,7 +359,8 @@ class InMemoryNetwork:
         self._hop_count = hop_count
         self._codec = resolve_codec(codec)
         self._endpoints: dict[str, Endpoint] = {}
-        self._link_clear_at: dict[tuple[str, str], float] = {}
+        #: Built on each link's first frame: a stream costs ~26 µs to mint.
+        self._links: dict[tuple[str, str], _Link] = {}
         self._faults: FaultInjector | None = None
         #: Every frame the network carries; read it through :meth:`stats`.
         self.ledger = FrameLedger()
@@ -372,18 +382,6 @@ class InMemoryNetwork:
         endpoint = Endpoint(self, name, inbox_limit)
         self._endpoints[name] = endpoint
         return endpoint
-
-    def _latency(self, source: str, destination: str, body_bytes: int) -> float:
-        hops = 1
-        if self._hop_count is not None:
-            hops = max(1, self._hop_count(source, destination))
-        propagation = self._base_latency
-        if self._jitter > 0:
-            propagation *= 1.0 + self._jitter * float(self._rng.random())
-        delay = hops * (propagation + body_bytes / self._bandwidth)
-        if self._faults is not None:
-            delay += self._faults.extra_latency(source, destination)
-        return delay
 
     @property
     def codec(self) -> Codec:
@@ -412,27 +410,33 @@ class InMemoryNetwork:
         ledger = self.ledger
         ledger.frames_sent += 1
         ledger.bytes_sent += message.body_bytes
+        link = self._links.get((source, destination))
+        if link is None:
+            link = self._links[source, destination] = _Link(self, source, destination)
         faults = self._faults
         if (faults is not None and faults.intercept(source, destination)) or (
             self._drop_probability > 0
-            and float(self._rng.random()) < self._drop_probability
+            and float(link.rng.random()) < self._drop_probability
         ):
             # An injected fault (crashed node, cut link, extra drop rate)
-            # or the network's own seeded loss.
+            # or the link's own seeded loss.
             ledger.frames_dropped += 1
             ledger.bytes_dropped += message.body_bytes
             return
+        propagation = self._base_latency
+        if self._jitter > 0:
+            propagation *= 1.0 + self._jitter * float(link.rng.random())
+        delay = link.hops * (propagation + message.body_bytes / self._bandwidth)
+        if faults is not None:
+            delay += faults.extra_latency(source, destination)
         loop = asyncio.get_running_loop()
-        now = loop.time()
-        arrival = now + self._latency(source, destination, message.body_bytes)
+        arrival = loop.time() + delay
         # FIFO per link: arrivals are *strictly* increasing, because the
         # loop's timer heap is not stable — two frames due at the exact
         # same instant may fire in either order.
-        link = (source, destination)
-        previous = self._link_clear_at.get(link)
-        if previous is not None and arrival <= previous:
-            arrival = math.nextafter(previous, math.inf)
-        self._link_clear_at[link] = arrival
+        if arrival <= link.clear_at:
+            arrival = math.nextafter(link.clear_at, math.inf)
+        link.clear_at = arrival
         ledger.frames_inflight += 1
         ledger.bytes_inflight += message.body_bytes
         loop.call_at(arrival, target._land, message, context=target._context)
@@ -529,15 +533,8 @@ class TcpConnection(_FrameProtocol):
         self._pending = PendingCalls()
 
     def _message(self, message: Message, body: bytes) -> None:
-        future = self._pending.pop(message.request_id, None)
-        ledger = self.ledger
-        if future is not None and not future.done():
-            future.set_result(message)
-            ledger.frames_delivered += 1
-            ledger.bytes_delivered += message.body_bytes
-        elif message.request_id:
-            ledger.frames_dropped += 1
-            ledger.bytes_dropped += message.body_bytes
+        if message.request_id:
+            self._pending.settle(message, self.ledger)
         else:  # the server rejecting the stream itself
             self.dead = True
             self._violated(RuntimeProtocolError(str(message.payload.get("reason"))))
@@ -670,10 +667,6 @@ class _ServerConnection(_FrameProtocol):
 
     async def _serve(self, message: Message) -> None:
         server = self._server
-        # Wall-clock is banned repo-wide (D004); a real-socket round trip
-        # has no virtual clock and ``service_seconds`` is reporting-only,
-        # so the linter sanctions time.monotonic in this module alone.
-        started = time.monotonic()
         ledger = server.ledger
         try:
             reply = await _answer(
@@ -682,7 +675,6 @@ class _ServerConnection(_FrameProtocol):
         finally:
             self._inflight -= 1
         if reply is not None and not self.transport.is_closing():
-            reply.payload["service_seconds"] = round(time.monotonic() - started, 6)
             self.transport.write(frame(reply, self._codec))
             ledger.frames_sent += 1
             ledger.bytes_sent += reply.body_bytes

@@ -417,7 +417,8 @@ class TestTcpTransport:
         assert reply.kind == "response"
         assert reply.payload["served_by"] == "home-server"
         assert reply.payload["size"] > 0
-        assert "service_seconds" in reply.payload
+        # The canonical fields only: the server stamps no wall-clock time.
+        assert set(reply.payload) == {"doc_id", "size", "served_by", "speculated"}
         assert stats.kind == "stats-reply"
         assert served == 3
 

@@ -125,7 +125,6 @@ class TestCodecEquivalence:
         )
         assert BINARY_CODEC.decode(BINARY_CODEC.encode(message)) == message
 
-    @pytest.mark.parametrize("with_service", [False, True])
     @pytest.mark.parametrize("with_hops", [False, True])
     @settings(max_examples=50, deadline=None)
     @given(
@@ -136,21 +135,18 @@ class TestCodecEquivalence:
             max_size=4,
         ),
         hops=st.integers(min_value=0, max_value=0xFFFF),
-        service=st.floats(min_value=0, max_value=1e6, allow_nan=False),
     )
     def test_optional_response_fields_stay_packed(
-        self, with_hops, with_service, doc_id, size, riders, hops, service
+        self, with_hops, doc_id, size, riders, hops
     ):
-        # path_hops (cache nodes) and service_seconds (the TCP server)
-        # are flagged optional fields of the packed layout: stamping
-        # either must not push a reply onto the generic encoding.
+        # path_hops (cache nodes) is a flagged optional field of the
+        # packed layout: stamping it must not push a reply onto the
+        # generic encoding.
         message = make_response(
             "region-1", "c#1", doc_id, size, "origin", speculated=riders
         )
         if with_hops:
             message.payload["path_hops"] = hops
-        if with_service:
-            message.payload["service_seconds"] = service
         raw = BINARY_CODEC.encode(message)
         assert raw[_FORMAT_BYTE] == 1  # packed
         assert BINARY_CODEC.decode(raw) == message
@@ -257,13 +253,15 @@ def _request_frame(count: int, blob: bytes, *, version: int = 2) -> bytes:
     )
 
 
-def _response_frame(sizes: list[int], blob: bytes, *, version: int = 2) -> bytes:
+def _response_frame(
+    sizes: list[int], blob: bytes, *, version: int = 2, flags: int = 0
+) -> bytes:
     """``make_response("o", "c#1", "/a", 10, "o", speculated=...)`` built
     by hand: ``len(sizes)`` is the announced rider count."""
     return b"".join(
         (
             _header("response", b"o", b"c#1", 10 + sum(sizes), version),
-            struct.pack("!qHHIIB", 10, 2, 1, len(sizes), len(blob), 0),
+            struct.pack("!qHHIIB", 10, 2, 1, len(sizes), len(blob), flags),
             b"/a",
             b"o",
             struct.pack(f"!{len(sizes)}q", *sizes),
@@ -273,7 +271,8 @@ def _response_frame(sizes: list[int], blob: bytes, *, version: int = 2) -> bytes
 
 
 #: Frames the packed layout must refuse: id blobs that disagree with
-#: their count, and the v1 header.
+#: their count, the v1 header, and a response flag bit other than
+#: ``path_hops`` (bit 0 is retired).
 _MALFORMED_FRAMES = [
     pytest.param(_request_frame(3, b"/b\0/c"), id="request-count-above-blob"),
     pytest.param(_request_frame(1, b"/b\0/c"), id="request-count-below-blob"),
@@ -291,6 +290,9 @@ _MALFORMED_FRAMES = [
     ),
     pytest.param(
         _response_frame([4, 6], b"/b\0/c", version=1), id="response-v1-header"
+    ),
+    pytest.param(
+        _response_frame([4, 6], b"/b\0/c", flags=1), id="response-flag-bit-0"
     ),
 ]
 
@@ -408,16 +410,6 @@ async def _echo_handler(message):
     )
 
 
-def _sans_service(message):
-    """A reply with the wall-clock ``service_seconds`` stamp removed."""
-    payload = {
-        key: value
-        for key, value in message.payload.items()
-        if key != "service_seconds"
-    }
-    return (message.kind, message.sender, message.request_id, payload)
-
-
 class TestTcpNegotiation:
     def _serve(self, coro_factory, **server_kwargs):
         async def scenario():
@@ -463,9 +455,7 @@ class TestTcpNegotiation:
         json_reply, binary_reply = self._serve(probe)
         assert json_reply[:1] == b"{"
         assert binary_reply[:1] == b"\xab"
-        assert _sans_service(Message.decode(json_reply)) == _sans_service(
-            Message.decode(binary_reply)
-        )
+        assert Message.decode(json_reply) == Message.decode(binary_reply)
 
     def test_forced_json_server_replies_json_to_binary_client(self):
         request = make_request("probe", "probe#1", "/a", 0.0)
@@ -493,7 +483,7 @@ class TestTcpNegotiation:
             return results
 
         json_reply, binary_reply = self._serve(probe)
-        assert _sans_service(json_reply) == _sans_service(binary_reply)
+        assert json_reply == binary_reply
         assert json_reply.payload["size"] == 10
 
     def test_oversize_frame_from_hostile_peer(self):
