@@ -18,34 +18,34 @@ from repro.runtime import execute_chaos_smoke, execute_smoke
 
 GOLDEN = {
     ("chaos", 0): {
-        "clean.baseline": "f8242ef56330efb3dd608652d347816a236a6eee964ba00f2d13aaccdc6cc0b5",
-        "clean.speculative": "976356e73181a44a216fe3877bf8c7b5b196b3b0f13763fd09d41ccbe13ccd68",
-        "faulted.baseline": "e3b1c52fed8b79bdafbee70b0bac62224beeb07d5a246ea4a08ee05bf811a377",
-        "faulted.speculative": "21704a1164b112a82a2730d60696e08af98fb75813eec3d0994757ec65150537",
+        "clean.baseline": "3276383103f08528650a2cc22b8739070f5817fc90c71793f355954b3e1588f2",
+        "clean.speculative": "a70e225182b553041fec9bc02185f19b5b4ee3cbb5e31484ddc9b790f1c997f3",
+        "faulted.baseline": "cf42d2163b28e476556e88a764d89f8496889efb152aa557cc52052af3def7c5",
+        "faulted.speculative": "45d4daf9778595b81f779c119dcf9adf62dfbc3c6ff8eb9fff1daf189973a466",
     },
     ("chaos", 1): {
-        "clean.baseline": "a390ff890777521f122fad3b6d73ee35ccceb4e1bb06d1d389091dbad1901aa6",
-        "clean.speculative": "647f5a4f8bc4c7359ef6fdf130c643fcdc857d9ba36f0dec0f9e6b7335a7f516",
-        "faulted.baseline": "deced4dae03973061a381a0af9b586b3b1f307ffb781bc29247c5d0041be2bd2",
-        "faulted.speculative": "911a5f5f729c8bf28d7d484008dfad6d0dab15562bce30603f0a5f7b16f2b564",
+        "clean.baseline": "cdaa5321e015b67f2de98e767fb93062a0db393b511a8a72248ae3b79d3a7da1",
+        "clean.speculative": "22897598271d487ff203874c6d2535d25d0ed1f1eb02659c7f0a4abe5d6ae721",
+        "faulted.baseline": "136cae04efa4431510680a495dd4be0837f2ff643fbeeb8023f0a4543d5f554c",
+        "faulted.speculative": "525081e66df96d2a3e2720b186743c01ac8cfb12f29c951f17cbffab0581572e",
     },
     ("fleet", 0): {
-        "demand": "0ce9fa2c73258f39c7da6a401d070ae4ffdab26ef60a8e405d4e9902d4dfd065",
-        "fleet": "ab5dfa6f697a3a258c1b24807c6698ac162b0a84be3746919e0e01236b58314d",
-        "single": "21b8bd9b188c8a3381632991c6d6276a5ed5666bbba12aa51ba0f1926358a231",
+        "demand": "25ab99ec984078f1cf6fc6a188010f4a6598eb117000f6bb5c23d80a7b214b7b",
+        "fleet": "06e7795936699b2b73ad00616fa38c82673a6ffad1bc702c161eb3a5dda19fa5",
+        "single": "7baf06cf47d4676f0fe976369877b6386121d3691fba37e7c62394b4c2cba297",
     },
     ("fleet", 1): {
-        "demand": "44ab802cd11cfd34a16cec6904b83e0a6466d69ac87b40caf0737091a7a9d6d4",
-        "fleet": "b4f7bf350675087f70424ce1efb7a5f07630a88bb96999934b38f8efcb5e9cd7",
-        "single": "0c3800d3ad88079853c1ea2143e3ccb438bf0b012099493d08b0388b5f0e9c99",
+        "demand": "2f3b2dec675b079ed228a5346161b534d45313cf35d4d140a15e3b4cc5bc1b4f",
+        "fleet": "67fb4c19aa4fdc5434c233c5bde02c21b6487466f6dbed9d1ce11dc68a50aafc",
+        "single": "b615132b7d4c8f72fb3d4bf453f79ad12f5910e07f36e9615bbd48ffc26c1e9e",
     },
     ("smoke", 0): {
-        "baseline": "f8242ef56330efb3dd608652d347816a236a6eee964ba00f2d13aaccdc6cc0b5",
-        "speculative": "976356e73181a44a216fe3877bf8c7b5b196b3b0f13763fd09d41ccbe13ccd68",
+        "baseline": "3276383103f08528650a2cc22b8739070f5817fc90c71793f355954b3e1588f2",
+        "speculative": "a70e225182b553041fec9bc02185f19b5b4ee3cbb5e31484ddc9b790f1c997f3",
     },
     ("smoke", 1): {
-        "baseline": "a390ff890777521f122fad3b6d73ee35ccceb4e1bb06d1d389091dbad1901aa6",
-        "speculative": "647f5a4f8bc4c7359ef6fdf130c643fcdc857d9ba36f0dec0f9e6b7335a7f516",
+        "baseline": "cdaa5321e015b67f2de98e767fb93062a0db393b511a8a72248ae3b79d3a7da1",
+        "speculative": "22897598271d487ff203874c6d2535d25d0ed1f1eb02659c7f0a4abe5d6ae721",
     },
 }
 
