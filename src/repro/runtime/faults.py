@@ -188,8 +188,8 @@ class FaultInjector:
     Args:
         plan: The scripted fault sequence.
         seed: Seeds the injector's own drop RNG (independent of the
-            network's jitter RNG, so adding faults never perturbs the
-            clean latency stream).
+            network's per-link jitter streams, so adding faults never
+            perturbs the clean latency draws).
         metrics: Registry receiving ``faults.*`` counters and the
             event timeline; a private one is created when omitted.
     """

@@ -525,7 +525,8 @@ def require_shard_exact(
 
     Raises:
         SimulationError: When a knob couples clients across shards —
-            frame drops (shared drop-RNG stream), online learning
+            frame drops (each shard restarts the loss stream of every
+            link it shares with other shards), online learning
             (estimator state depends on global request order), a
             replanning daemon (each shard would push and count its own
             copy), or observability channels (windowed time-series

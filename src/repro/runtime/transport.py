@@ -359,7 +359,8 @@ class InMemoryNetwork:
         self._hop_count = hop_count
         self._codec = resolve_codec(codec)
         self._endpoints: dict[str, Endpoint] = {}
-        #: Built on each link's first frame: a stream costs ~26 µs to mint.
+        #: Built on each link's first frame: few endpoint pairs ever talk,
+        #: and minting a generator costs as much as some 40 draws from it.
         self._links: dict[tuple[str, str], _Link] = {}
         self._faults: FaultInjector | None = None
         #: Every frame the network carries; read it through :meth:`stats`.

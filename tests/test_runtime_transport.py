@@ -476,6 +476,24 @@ class TestEndpointArrival:
         assert seen == [0]
         assert (stats["frames_delivered"], stats["frames_rejected"]) == (1, 1)
 
+    def test_replies_are_never_held(self):
+        # A reply needs the pending table, not a handler: it settles its
+        # call even at an endpoint that was never started and holds no
+        # frame at all.
+        async def scenario():
+            network = InMemoryNetwork(seed=0)
+            server = network.endpoint("server")
+            client = network.endpoint("client", inbox_limit=0)
+            server.start(echo_handler)
+            request = make_request("client", client.next_request_id(), "/a", 0.0)
+            reply = await client.call("server", request, timeout=1.0)
+            await server.close()
+            return reply, network.stats()
+
+        reply, stats = run_virtual(scenario())
+        assert reply.request_id == "client#1"
+        assert (stats["frames_delivered"], stats["frames_rejected"]) == (2, 0)
+
     def test_handler_runs_in_the_context_start_was_called_in(self):
         # A frame must not carry its sender's contextvars across the
         # wire: span/trace context seen by a handler is its endpoint's.
