@@ -15,6 +15,8 @@ the closest synthetic equivalent:
 * :mod:`repro.workload.updates` — per-class document update (mutation)
   processes matching the paper's measured update rates.
 * :mod:`repro.workload.generator` — the trace generator proper.
+* :mod:`repro.workload.seeds` — per-session ``SeedSequence`` states,
+  derived a block of sessions at a time.
 * :mod:`repro.workload.calibration` — the paper-reported target
   statistics and checks that a generated trace matches them.
 """

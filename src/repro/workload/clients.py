@@ -16,6 +16,7 @@ the paper's remote/local split.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,9 @@ class ClientPopulation:
         activity = np.empty(len(clients))
         activity[order] = weights
         self._activity = activity
-        self._cdf = np.cumsum(activity)
-        self._cdf[-1] = 1.0
+        cdf = np.cumsum(activity)
+        cdf[-1] = 1.0
+        self._cdf: list[float] = cdf.tolist()
         self._rng = rng
 
     def __len__(self) -> int:
@@ -129,9 +131,17 @@ class ClientPopulation:
                 the seed, independent of any other drawing.
         """
         source = self._rng if rng is None else rng
-        u = source.random()
-        index = int(np.searchsorted(self._cdf, u, side="left"))
-        return self.clients[index]
+        return self.client_at(source.random())
+
+    def client_at(self, u: float) -> Client:
+        """The client whose activity-CDF interval holds ``u`` in [0, 1).
+
+        The one inverse-CDF lookup behind :meth:`sample_client`, exposed
+        so a caller holding a block of uniforms (the trace generator's
+        schedule stream) maps each to the client a scalar draw of the
+        same double would pick.
+        """
+        return self.clients[bisect_left(self._cdf, u)]
 
     def region_of(self, client_id: str) -> int:
         """Region index of a client id generated by this population.

@@ -19,6 +19,8 @@ so every trace is reproducible from a seed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from ..errors import CalibrationError
@@ -34,6 +36,9 @@ class BoundedZipf:
         rng: Source of randomness.
 
     The inverse-CDF table is precomputed once, so sampling is O(log n).
+    A scalar draw bisects a plain-list copy of it: ``bisect_left`` makes
+    the same comparisons as ``searchsorted(side="left")`` without
+    numpy's per-call dispatch.
     """
 
     def __init__(self, n: int, alpha: float, rng: np.random.Generator):
@@ -50,6 +55,7 @@ class BoundedZipf:
         self._cdf = np.cumsum(self._pmf)
         # Guard against floating-point drift at the top of the table.
         self._cdf[-1] = 1.0
+        self._cdf_list: list[float] = self._cdf.tolist()
 
     @property
     def pmf(self) -> np.ndarray:
@@ -74,8 +80,7 @@ class BoundedZipf:
         """
         source = self._rng if rng is None else rng
         if size is None:
-            u = source.random()
-            return int(np.searchsorted(self._cdf, u, side="left"))
+            return bisect_left(self._cdf_list, source.random())
         u = source.random(size)
         return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
 

@@ -45,11 +45,12 @@ every shard replays the shared schedule and churn and generates only
 its member sessions, and the N shard streams merge back to the exact
 unsharded trace (:func:`merge_streams`).
 
-:meth:`SyntheticTraceGenerator.stream` produces the trace as a
-time-ordered request iterator with a bounded heap of in-flight
-sessions — peak memory holds the site, the schedule and the briefly
-overlapping sessions, not the trace.  :meth:`~SyntheticTraceGenerator.generate`
-is a materializing wrapper around it.
+Session seeds skip the per-session ``SeedSequence``: one vectorised
+pass of its hash (:mod:`repro.workload.seeds`) yields a block's PCG64
+seed words, bit for bit.  One session loop feeds both outputs:
+:meth:`SyntheticTraceGenerator.stream` keeps a bounded heap of in-flight
+sessions (peak memory: the site, the schedule, the overlapping
+sessions); :meth:`~SyntheticTraceGenerator.generate` stable-sorts once.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from ..errors import CalibrationError
 from ..trace.records import Request, Trace
 from ..trace.sampling import client_hash
 from .clients import Client, ClientPopulation
+from .seeds import SeedWords, spawn_words
 from .sitegraph import SiteGraph
 
 #: ``SeedSequence`` spawn-key domains for the generator's substreams.
@@ -72,6 +74,10 @@ _DOMAIN_REGION = 1
 _DOMAIN_SCHEDULE = 2
 _DOMAIN_CHURN = 3
 _DOMAIN_SESSION = 4
+
+#: Sessions whose seed words and client draws are derived together; a
+#: fixed block keeps the per-stream buffers flat in ``n_sessions``.
+_SESSION_BLOCK = 4_096
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,9 @@ class SyntheticTraceGenerator:
         # Local clients rank pages differently from remote clients: a
         # fixed permutation maps the shared Zipf ranks onto the local
         # audience's own favourites.
-        self._local_page_order = self._rng.permutation(self.site.n_pages)
+        self._local_page_order: list[int] = self._rng.permutation(
+            self.site.n_pages
+        ).tolist()
         # Live link table (mutated by churn); starts as the site's links.
         self._links: list[tuple[int, ...]] = [p.links for p in self.site.pages]
         # Birth day per page (0 = exists from the start).
@@ -263,6 +271,13 @@ class SyntheticTraceGenerator:
         # Generation epoch: repeated stream()/generate() calls on one
         # instance produce fresh (but reproducible) traffic.
         self._epoch = 0
+        # Per-page walk table: (doc_id, size, ((embedded_id, size), ...)).
+        size = {d.doc_id: d.size for d in self.site.documents()}
+        self._page_table = [
+            (p.doc_id, size[p.doc_id], tuple((e, size[e]) for e in p.embedded))
+            for p in self.site.pages
+        ]
+        self._refresh_live_links()
 
     def _substream(self, *key: int) -> np.random.Generator:
         """A domain-separated RNG substream of the generator's seed."""
@@ -281,32 +296,45 @@ class SyntheticTraceGenerator:
             self._region_page_order[region] = order
         return order
 
+    def _refresh_live_links(self) -> None:
+        """Rebuild the walk's view of the site: born flags and, per
+        page, the born targets of its live links as plain ints."""
+        born = self._born_pages = self._born.tolist()
+        self._live_links = [
+            tuple(t for t in links if born[t]) for links in self._links
+        ]
+
     def _sample_entry_page(
         self, client: Client, rng: np.random.Generator
     ) -> int:
         """An entry page that already exists (born)."""
         affinity = self.config.region_affinity
+        sample = self.site.popularity.sample
+        born = self._born_pages
         for __ in range(64):
-            page_index = int(self.site.popularity.sample(rng=rng))
+            page_index = sample(rng=rng)
             if client.local:
-                page_index = int(self._local_page_order[page_index])
+                page_index = self._local_page_order[page_index]
             elif affinity > 0 and rng.random() < affinity:
                 page_index = int(self._region_order(client.region)[page_index])
-            if self._born[page_index]:
+            if born[page_index]:
                 return page_index
         born_indices = np.nonzero(self._born)[0]
         return int(born_indices[int(rng.integers(len(born_indices)))])
 
-    def _apply_daily_churn(self, rng: np.random.Generator) -> None:
-        """Rewire a random subset of pages' links (one day of evolution)."""
+    def _advance_day(self, day: int, rng: np.random.Generator) -> bool:
+        """One day of evolution: the day's new pages are born and a
+        random subset of pages' links is rewired.  Returns whether
+        either happened (the walk's link table is then stale)."""
+        newborn = self._birth_day == day
+        self._born |= newborn
         churn = self.config.link_churn_per_day
         if churn <= 0:
-            return
-        hits = rng.random(self.site.n_pages) < churn
-        for page_index in np.nonzero(hits)[0]:
-            self._links[int(page_index)] = self.site.resample_links(
-                int(page_index), rng
-            )
+            return bool(newborn.any())
+        hits = np.nonzero(rng.random(self.site.n_pages) < churn)[0].tolist()
+        for page_index in hits:
+            self._links[page_index] = self.site.resample_links(page_index, rng)
+        return bool(hits) or bool(newborn.any())
 
     def _session_requests(
         self,
@@ -324,49 +352,43 @@ class SyntheticTraceGenerator:
         """
         config = self.config
         rng = self._rng if rng is None else rng
-        site = self.site
+        random = rng.random
+        gap = config.embedded_gap
+        continue_probability = config.continue_probability
+        jump_probability = config.jump_probability
+        think_time_mean = config.think_time_mean
+        pages = self._page_table
+        live_links = self._live_links
+        client_id = client.client_id
+        remote = not client.local
         requests: list[Request] = []
         fetched: set[str] = set()
         now = start_time
         page_index = self._sample_entry_page(client, rng)
 
         while True:
-            page = site.pages[page_index]
-            if page.doc_id not in fetched:
-                fetched.add(page.doc_id)
-                requests.append(
-                    Request(
-                        timestamp=now,
-                        client=client.client_id,
-                        doc_id=page.doc_id,
-                        size=site.document(page.doc_id).size,
-                        remote=not client.local,
-                    )
-                )
+            doc_id, size, embedded = pages[page_index]
+            if doc_id not in fetched:
+                fetched.add(doc_id)
+                requests.append(Request(now, client_id, doc_id, size, remote=remote))
             inline_time = now
-            for doc_id in page.embedded:
+            for doc_id, size in embedded:
                 if doc_id in fetched:
                     continue
                 fetched.add(doc_id)
-                inline_time += config.embedded_gap
+                inline_time += gap
                 requests.append(
-                    Request(
-                        timestamp=inline_time,
-                        client=client.client_id,
-                        doc_id=doc_id,
-                        size=site.document(doc_id).size,
-                        remote=not client.local,
-                    )
+                    Request(inline_time, client_id, doc_id, size, remote=remote)
                 )
 
-            links = [t for t in self._links[page_index] if self._born[t]]
-            if not links or rng.random() >= config.continue_probability:
+            links = live_links[page_index]
+            if not links or random() >= continue_probability:
                 break
-            if rng.random() < config.jump_probability:
+            if random() < jump_probability:
                 page_index = self._sample_entry_page(client, rng)
             else:
                 page_index = links[int(rng.integers(len(links)))]
-            now = inline_time + rng.exponential(config.think_time_mean)
+            now = inline_time + rng.exponential(think_time_mean)
         return requests
 
     def _session_schedule(self, rng: np.random.Generator) -> np.ndarray:
@@ -445,92 +467,94 @@ class SyntheticTraceGenerator:
             raise CalibrationError(
                 "shard_index must be in [0, shard_count)"
             )
+        return self._stream(shard_index, shard_count, self._claim_epoch(epoch))
+
+    def _claim_epoch(self, epoch: int | None) -> int:
+        """``epoch``, or the instance's next one (advancing the counter)."""
         if epoch is None:
             epoch = self._epoch
             self._epoch += 1
-        return self._stream(shard_index, shard_count, epoch)
+        return epoch
+
+    def _sessions(
+        self, epoch: int, shard_index: int = 0, shard_count: int = 1
+    ) -> Iterator[tuple[float, list[Request]]]:
+        """The one session loop: ``(start, requests)`` in start order.
+
+        Replays the epoch's schedule, day-by-day churn and page births
+        and the client assignment — shared by every shard — and walks
+        only the sessions of shard ``shard_index``'s clients.
+        """
+        schedule_rng = self._substream(_DOMAIN_SCHEDULE, epoch)
+        churn_rng = self._substream(_DOMAIN_CHURN, epoch)
+        starts = self._session_schedule(schedule_rng)
+        client_at = self.population.client_at
+
+        # Start from the site's original link structure and birth state.
+        self._links = [p.links for p in self.site.pages]
+        self._born = self._birth_day == 0
+        self._refresh_live_links()
+        current_day = 0
+        for first in range(0, len(starts), _SESSION_BLOCK):
+            block_starts = starts[first : first + _SESSION_BLOCK].tolist()
+            count = len(block_starts)
+            # The client draws follow the schedule on its substream, one
+            # double per session: a block of them is the same doubles as
+            # ``count`` scalar draws, and every shard consumes them all.
+            uniforms = schedule_rng.random(count).tolist()
+            seed_words = spawn_words(
+                self.config.seed, (_DOMAIN_SESSION, epoch), first, count
+            )
+            for offset, start in enumerate(block_starts):
+                day = int(start // 86_400.0)
+                if current_day < day:
+                    days = range(current_day + 1, day + 1)
+                    if any([self._advance_day(d, churn_rng) for d in days]):
+                        self._refresh_live_links()
+                    current_day = day
+                client = client_at(uniforms[offset])
+                if (
+                    shard_count > 1
+                    and client_hash(client.client_id) % shard_count != shard_index
+                ):
+                    continue
+                session_rng = np.random.Generator(
+                    np.random.PCG64(SeedWords(seed_words[offset]))
+                )
+                yield start, self._session_requests(client, start, session_rng)
 
     def _stream(
         self, shard_index: int, shard_count: int, epoch: int
     ) -> Iterator[Request]:
         """Generator body behind :meth:`stream` (epoch already fixed)."""
-        schedule_rng = self._substream(_DOMAIN_SCHEDULE, epoch)
-        churn_rng = self._substream(_DOMAIN_CHURN, epoch)
-        starts = self._session_schedule(schedule_rng)
-
-        # Start from the site's original link structure and birth state.
-        self._links = [p.links for p in self.site.pages]
-        self._born = self._birth_day == 0
         # In-flight requests: (timestamp, generation order, request).
         # The sequence number reproduces the tie order of a stable sort
         # over session-major generation order.
         pending: list[tuple[float, int, Request]] = []
         sequence = 0
-        current_day = 0
-        for index in range(len(starts)):
-            start = float(starts[index])
-            day = int(start // 86_400.0)
-            while current_day < day:
-                current_day += 1
-                self._apply_daily_churn(churn_rng)
-                self._born |= self._birth_day <= current_day
-            # The client draw is part of the shared schedule: every
-            # shard consumes it so session k's client is shard-invariant.
-            client = self.population.sample_client(rng=schedule_rng)
+        for start, requests in self._sessions(epoch, shard_index, shard_count):
             # Everything timestamped at or before this session's start
             # can no longer be preceded by anything: emit it.
             while pending and pending[0][0] <= start:
                 yield heapq.heappop(pending)[2]
-            if (
-                shard_count > 1
-                and client_hash(client.client_id) % shard_count != shard_index
-            ):
-                continue
-            session_rng = self._substream(_DOMAIN_SESSION, epoch, index)
-            for request in self._session_requests(client, start, session_rng):
+            for request in requests:
                 heapq.heappush(pending, (request.timestamp, sequence, request))
                 sequence += 1
         while pending:
             yield heapq.heappop(pending)[2]
 
-    def _generate_batch(self, *, epoch: int | None = None) -> Trace:
-        """Reference implementation: materialize every session, then sort.
-
-        This is the pre-streaming algorithm, kept (non-public) so the
-        property tests can prove :meth:`stream` bit-identical to it
-        without the two sides sharing the ordering logic under test.
-        """
-        if epoch is None:
-            epoch = self._epoch
-            self._epoch += 1
-        schedule_rng = self._substream(_DOMAIN_SCHEDULE, epoch)
-        churn_rng = self._substream(_DOMAIN_CHURN, epoch)
-        starts = self._session_schedule(schedule_rng)
-        self._links = [p.links for p in self.site.pages]
-        self._born = self._birth_day == 0
-        all_requests: list[Request] = []
-        current_day = 0
-        for index in range(len(starts)):
-            start = float(starts[index])
-            day = int(start // 86_400.0)
-            while current_day < day:
-                current_day += 1
-                self._apply_daily_churn(churn_rng)
-                self._born |= self._birth_day <= current_day
-            client = self.population.sample_client(rng=schedule_rng)
-            session_rng = self._substream(_DOMAIN_SESSION, epoch, index)
-            all_requests.extend(
-                self._session_requests(client, start, session_rng)
-            )
-        return Trace(all_requests, self.site.documents(), sort=True)
-
     def generate(self) -> Trace:
         """Generate the full trace (sorted by time, catalog attached).
 
-        A materializing wrapper around :meth:`stream`; the output is
-        bit-identical to streaming the same epoch.
+        Materialises the sessions in generation order and stable-sorts
+        them once by timestamp — the order :meth:`stream` yields for the
+        same epoch, which it advances the same way.
         """
-        requests = list(self.stream())
+        requests = [
+            request
+            for __, session in self._sessions(self._claim_epoch(None))
+            for request in session
+        ]
         return Trace(requests, self.site.documents(), sort=True)
 
 

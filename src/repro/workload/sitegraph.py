@@ -158,7 +158,7 @@ class SiteGraph:
                 # is the same stream the popularity table is bound to,
                 # and during link churn it keeps the resample fully on
                 # the caller's substream instead of half on the site's.
-                target = int(self.popularity.sample(rng=rng))
+                target = self.popularity.sample(rng=rng)
             else:
                 target = int(rng.integers(self.n_pages))
             if target not in seen:
