@@ -59,9 +59,8 @@ class TcpMesh:
         self._dials: dict[str, asyncio.Task[TcpConnection]] = {}
         self.ledger = FrameLedger()
 
-    def endpoint(self, name: str, *, inbox_limit: int = 1024) -> "TcpMeshEndpoint":
-        """Register a new dialing endpoint (``inbox_limit`` is parity
-        only: socket buffers replace the simulated inbox).
+    def endpoint(self, name: str) -> "TcpMeshEndpoint":
+        """Register a new dialing endpoint.
 
         Raises:
             TransportError: If the name is taken or empty.

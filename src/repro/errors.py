@@ -63,8 +63,8 @@ class RuntimeProtocolError(SimulationError):
 class TransportError(SimulationError):
     """A message could not be delivered or timed out in flight.
 
-    Covers both the simulated in-memory network (dropped frames, full
-    inboxes, per-request timeouts) and the real TCP transport
+    Covers both the simulated in-memory network (dropped frames,
+    per-request timeouts) and the real TCP transport
     (connection failures, truncated frames).  Distinct from
     :class:`RuntimeProtocolError`: the peer behaved correctly but the
     network did not.

@@ -76,11 +76,11 @@ class FleetSettings:
         drop_probability: Frame-drop rate (exercises retry paths).
         schedule_seed: When not ``None``, perturb same-deadline timer
             order (the race gate; results must not change).
-        codec: Wire codec the in-memory network round-trips every
-            delivered message through (``"binary"`` or ``"json"``) —
-            the same knob :class:`~repro.runtime.service.LiveSettings`
-            has, so one :class:`~repro.config.DeploySpec` can configure
-            both run kinds.
+        codec: Wire codec every in-memory frame is written in
+            (``"binary"`` or ``"json"``) — the same knob
+            :class:`~repro.runtime.service.LiveSettings` has, so one
+            :class:`~repro.config.DeploySpec` can configure both run
+            kinds.
     """
 
     budget_bytes: float = 2_000_000.0

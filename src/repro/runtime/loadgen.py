@@ -61,7 +61,6 @@ class LoadConfig:
         cooperative: Piggyback the client cache digest on requests (the
             paper's cooperative-clients variant; required for exact
             batch parity of speculation decisions).
-        inbox_limit: Per-client endpoint inbox bound.
         backoff: Exponential-backoff policy applied between retry
             attempts (seeded jitter; a no-op on fault-free runs, which
             never retry).
@@ -73,7 +72,6 @@ class LoadConfig:
     request_timeout: float = 30.0
     retries: int = 1
     cooperative: bool = True
-    inbox_limit: int = 64
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     backoff_seed: int = 0
 
@@ -146,9 +144,7 @@ class LoadGenerator:
         semaphore: asyncio.Semaphore,
     ) -> None:
         route = self._routes[client]
-        endpoint = self._network.endpoint(
-            client, inbox_limit=self._load.inbox_limit
-        )
+        endpoint = self._network.endpoint(client)
         endpoint.start(None)  # replies only; clients never serve
         cache = self._cache_factory()
         metrics = self.metrics

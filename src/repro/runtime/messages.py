@@ -1,8 +1,8 @@
 """Wire protocol shared by every runtime transport.
 
-One message shape serves both transports: the in-memory network
-round-trips :class:`Message` objects through the configured codec, the
-TCP transport serialises them behind a 4-byte big-endian length prefix.
+One message shape serves both transports: each :class:`Message` travels
+as a codec frame behind a 4-byte big-endian length prefix, whether a
+socket or the in-memory network's virtual pipe carries the bytes.
 Keeping the schema tiny (a kind tag, a sender, a correlation id, a
 payload dict) means the protocol layer — origin, proxies, load
 generator — never knows which transport carried a message.
@@ -63,8 +63,6 @@ HEADER_BYTES = 4
 KINDS = frozenset(
     {"request", "response", "push", "ack", "stats", "stats-reply", "error"}
 )
-#: Kinds that answer an earlier message and carry its ``request_id``.
-REPLY_KINDS = frozenset({"response", "ack", "stats-reply", "error"})
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,9 @@ class Message:
         request_id: Correlation id; replies echo their request's id.
         payload: Kind-specific fields (JSON-serialisable).
         body_bytes: Nominal body size used by the simulated network's
-            latency model.  The TCP transport measures actual encoded
-            bytes instead; for in-memory delivery this carries the
-            *document* bytes a response represents.
+            latency model, which reads it back from the frame with
+            :func:`nominal_bytes`; for a response it is the *document*
+            bytes the response represents, not its encoded length.
     """
 
     kind: str
@@ -682,6 +680,22 @@ def frame(
             f"frame of {len(body)} bytes exceeds the {max_frame_bytes}-byte cap"
         )
     return len(body).to_bytes(HEADER_BYTES, "big") + body
+
+
+#: Where a binary frame keeps ``body_bytes``: the last field of its header.
+_BODY_BYTES_AT = HEADER_BYTES + _HEADER.size - _I64.size
+
+
+def nominal_bytes(framed: bytes) -> int:
+    """The ``body_bytes`` one :func:`frame` output declares, read in place
+    from a binary header (a JSON frame is parsed); 0 for bytes that are
+    not one well-formed frame, which only a hostile peer writes."""
+    try:
+        if framed[HEADER_BYTES : HEADER_BYTES + 1] == _MAGIC_BYTE:
+            return _I64.unpack_from(framed, _BODY_BYTES_AT)[0]
+        return JSON_CODEC.decode(framed[HEADER_BYTES:]).body_bytes
+    except (struct.error, RuntimeProtocolError):
+        return 0
 
 
 def make_request(

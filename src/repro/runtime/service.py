@@ -86,10 +86,9 @@ class LiveSettings:
             seed (see :func:`~repro.runtime.clock.run_virtual`).  Used
             by ``repro racecheck``; the reported ratios must be
             bit-identical for every value.
-        codec: Wire codec for the in-memory network (``"binary"`` or
-            ``"json"``); every delivered message round-trips through
-            it, so both formats are exercised end to end and must
-            produce identical ratios.
+        codec: Wire codec every in-memory frame is written in
+            (``"binary"`` or ``"json"``); both formats are exercised
+            end to end and must produce identical ratios.
     """
 
     budget_bytes: float = 2_000_000.0

@@ -1,34 +1,22 @@
-"""Pluggable transports: a simulated in-memory network and real TCP.
+"""Pluggable transports: one request/reply protocol over two byte carriers.
 
-Two transports implement the same request/reply contract over
-:class:`~repro.runtime.messages.Message`:
+One protocol pair moves every message as a length-prefixed frame of a
+negotiated wire codec (packed binary by default, canonical JSON as the
+debug/interop mode; see :mod:`~repro.runtime.messages`).  A
+:class:`TcpConnection` at the caller matches each reply to its call by
+``request_id`` (the one reply rule); a :class:`_ServerConnection` at
+the callee runs one handler task per request (at most
+:data:`MAX_INFLIGHT` alive), turns a raising handler into an ``error``
+reply and writes each reply as it finishes.  Both book what they carry
+in a :class:`FrameLedger`.  Two carriers move the bytes:
 
-* :class:`InMemoryNetwork` — endpoints exchange messages with
-  **seeded** latency/bandwidth/jitter and optional frame drops, each
-  directed link drawing from its own stream.  Each frame costs one
-  ``loop.call_at`` timer whose callback handles the arrival itself — a
-  reply resolves its waiting :meth:`Endpoint.call`, a request spawns
-  its handler task — so there is no queue and no pump task between the
-  wire and the handler.  Run it under
-  :func:`~repro.runtime.clock.run_virtual` and the whole system is
-  deterministic: same seed and workload → same delivery order → same
-  metrics snapshot.  Per-link delivery is FIFO (a later message never
-  overtakes an earlier one on the same src→dst link, mirroring a TCP
-  stream).
-* :class:`TcpServer` / :class:`TcpConnection` — the same messages as
-  codec frames behind a 4-byte length prefix on real sockets, many in
-  flight per connection and replies matched to requests by id.
-
-Both transports speak a negotiated wire codec (see
-:mod:`~repro.runtime.messages`): the packed binary codec by default,
-canonical JSON as the debug/interop mode.  The in-memory network
-round-trips every delivered message through its codec so simulated runs
-exercise the same serialisation path as real sockets; the TCP server
-mirrors each connection's first inbound frame unless a codec is forced.
-
-Both move bytes under one request/reply core: the :class:`PendingCalls`
-table, one dispatch boundary (a raising handler becomes an ``error``
-reply) and the :class:`FrameLedger` of the frames they carry.
+* :class:`InMemoryNetwork` — a virtual pipe per caller and destination;
+  each frame crosses its directed link in one ``loop.call_at`` timer,
+  with **seeded** latency, jitter and drops.  Under
+  :func:`~repro.runtime.clock.run_virtual` the whole system is
+  deterministic, and per-link delivery is FIFO, as on a TCP stream.
+* Real sockets — :class:`TcpServer` accepts them, :func:`dial` opens
+  them.
 
 Failure mapping: anything the *network* did wrong (timeout, dropped
 frame, refused connection, truncated stream) raises
@@ -42,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Awaitable, Callable
 
@@ -51,11 +40,11 @@ from ..errors import RuntimeProtocolError, TransportError
 from .messages import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
-    REPLY_KINDS,
     Codec,
     Message,
     frame,
     make_error,
+    nominal_bytes,
     raise_if_error,
     resolve_codec,
     sniff_codec,
@@ -77,8 +66,10 @@ class FrameLedger:
     inflight`` (checked by :func:`~repro.runtime.metrics.verify_conservation`);
     on TCP only across both ends, a connection booking its requests
     sent and their replies delivered or dropped, a server the other
-    half.  ``handler_errors`` counts handler exceptions turned into
-    ``error`` replies.
+    half.  ``rejected`` is kept, but no transport books it: a reader
+    that cannot keep up stops reading, and what it has not read stays
+    ``inflight``.  ``handler_errors`` counts handler exceptions turned
+    into ``error`` replies.
     """
 
     frames_sent: int = 0
@@ -98,201 +89,160 @@ class FrameLedger:
         return asdict(self)
 
 
-class PendingCalls(dict[str, "asyncio.Future[Message]"]):
-    """The calls one endpoint or connection awaits, by ``request_id``.
-
-    :meth:`wait` registers a call only once its request is on the way,
-    so a send that raises leaves nothing behind, and unregisters it
-    however it ends.  :meth:`settle` is the one reply rule.
-    """
-
-    async def wait(self, request_id: str, peer: str, timeout: float | None) -> Message:
-        """Await the reply to a request already sent to ``peer``; raises
-        as the ``call`` methods built on it document."""
-        loop = asyncio.get_running_loop()
-        future = self[request_id] = loop.create_future()
-        timer = None if timeout is None else loop.call_later(timeout, _expire, future)
-        try:
-            reply = await future
-        except asyncio.TimeoutError:
-            raise TransportError(
-                f"request {request_id} to {peer} timed out after {timeout}s"
-            ) from None
-        finally:
-            # Cleans up after timeouts AND cancellation of the awaiting
-            # task; without this, a cancelled call leaks its future.
-            if timer is not None:
-                timer.cancel()
-            self.pop(request_id, None)
-        return raise_if_error(reply)
-
-    def settle(self, reply: Message, ledger: FrameLedger) -> None:
-        """Hand ``reply`` to its waiting call and book it ``delivered``.
-        A reply whose caller timed out or was cancelled finds nothing (or
-        a done future), is never handed to another call and is booked
-        ``dropped``."""
-        future = self.pop(reply.request_id, None)
-        if future is not None and not future.done():
-            future.set_result(reply)
-            ledger.frames_delivered += 1
-            ledger.bytes_delivered += reply.body_bytes
-        else:
-            ledger.frames_dropped += 1
-            ledger.bytes_dropped += reply.body_bytes
-
-    def fail(self, err: Exception) -> None:
-        """The link died: every waiting call gets its own copy of ``err``."""
-        for future in self.values():
-            if not future.done():
-                future.set_exception(type(err)(*err.args))
-        self.clear()
-
-
 def _expire(future: "asyncio.Future[Message]") -> None:
     if not future.done():
         future.set_exception(asyncio.TimeoutError())
 
 
-async def _answer(
-    handler: Handler,
-    message: Message,
-    name: str,
-    ledger: FrameLedger,
-    tasks: "set[asyncio.Task[None]]",
-) -> Message | None:
-    """The dispatch boundary: ``handler``'s reply to ``message``, run as
-    one of ``tasks``; an exception becomes an ``error`` reply from
-    ``name``, counted in ``ledger.handler_errors``."""
-    try:
-        return await handler(message)
-    except Exception as err:  # repro-lint: disable=H002
-        # Deliberately broad: ANY handler crash must cost one request an
-        # error reply instead of stranding its requester until the
-        # timeout.  The error kind preserves the exception class across
-        # the wire.
-        ledger.handler_errors += 1
-        kind = "transport" if isinstance(err, TransportError) else "protocol"
-        reason = f"handler failed: {type(err).__name__}: {err}"
-        return make_error(name, message.request_id, kind, reason)
-    finally:
-        # Nothing the caller does after this awaits, so the task is as
-        # good as done.
-        tasks.discard(asyncio.current_task())  # type: ignore[arg-type]
+class _Service:
+    """What a :class:`_ServerConnection` reads of the :class:`TcpServer`
+    or :class:`Endpoint` it serves: the handler and its live tasks, the
+    ledger, the reply codec (``None`` mirrors each connection's first
+    inbound frame) and ``_closing`` (while set, no connection reads)."""
+
+    def __init__(self, name: str, ledger: FrameLedger, codec: str | Codec | None):
+        self._handler: Handler | None = None
+        #: The sender of the ``error`` replies this service writes.
+        self.name = name
+        self.ledger = ledger
+        self._codec = None if codec is None else resolve_codec(codec)
+        self._max_frame_bytes = MAX_FRAME_BYTES
+        #: Seconds :meth:`close` waits for handlers (TcpServer; never in memory).
+        self._drain_timeout: float | None = None
+        self._tasks: set[asyncio.Task[None]] = set()
+        # Insertion-ordered, so a resume hands waiting frames over in an
+        # order that does not depend on object addresses.
+        self._connections: dict[_ServerConnection, None] = {}
+        self._closing = False
+        self.requests_served = 0
+        self.protocol_errors = 0
+
+    def _read_requests(self, serving: bool) -> None:
+        """Let every connection read requests, or stop them all."""
+        self._closing = not serving
+        for connection in self._connections:
+            connection._flow()
+
+    async def close(self) -> None:
+        """Stop reading requests and cancel in-flight handler tasks."""
+        self._read_requests(False)
+        if self._drain_timeout is not None and self._tasks:
+            await asyncio.wait(self._tasks, timeout=self._drain_timeout)
+        tasks = list(self._tasks)
+        self._tasks.clear()
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
 
-class Endpoint:
+class Endpoint(_Service):
     """One addressable node on an :class:`InMemoryNetwork`.
 
-    Owns the :class:`PendingCalls` of requests issued via :meth:`call`
-    and the handler tasks of requests being served.  A started endpoint
-    has no inbox: the network's delivery timer hands each arriving
-    frame straight to :meth:`_land`.  Requests that arrive before
-    :meth:`start` (or after :meth:`close`) are held, up to
-    ``inbox_limit``, and handled in arrival order once it is called;
-    a reply needs the pending table, not a handler, so it is never held.
-    Obtain instances from :meth:`InMemoryNetwork.endpoint`.
+    Calls go out through one :class:`TcpConnection` per destination, on
+    a virtual pipe the first call makes (and the next one remakes once
+    it died).  Requests come in on the far end of every pipe to it, and
+    wait there in order, booked ``inflight``, until :meth:`start` gives
+    it a handler (and again after :meth:`close`); replies never wait.
     """
 
-    def __init__(self, network: "InMemoryNetwork", name: str, inbox_limit: int):
+    def __init__(self, network: "InMemoryNetwork", name: str):
+        super().__init__(name, network.ledger, network.codec)
         self._network = network
-        self.name = name
-        self._inbox_limit = inbox_limit
-        #: Requests held while not started; ``None`` once started.
-        self._held: list[Message] | None = []
+        self._closing = True  # reads no request until start()
         #: The context ``start()`` was called in: arrivals run in it, not
         #: in whatever context the remote sender happened to send from.
         self._context: contextvars.Context | None = None
-        self._pending = PendingCalls()
-        self._handler: Handler | None = None
-        self._dispatch_tasks: set[asyncio.Task[None]] = set()
+        self._outgoing: dict[str, TcpConnection] = {}
         self._next_id = 0
 
     def start(self, handler: Handler | None = None) -> None:
-        """Begin handling arrivals; ``handler`` answers inbound requests."""
+        """Begin handling requests; without a ``handler`` they wait."""
         self._handler = handler
         self._context = contextvars.copy_context()
-        held, self._held = self._held, None
-        for message in held or ():
-            self._arrive(message)
+        self._read_requests(handler is not None)
 
     def next_request_id(self) -> str:
         """A fresh, globally-unique correlation id."""
         self._next_id += 1
         return f"{self.name}#{self._next_id}"
 
-    def _land(self, message: Message) -> None:
-        """Delivery-timer callback: the frame has crossed the wire.  A
-        reply settles its call now; a request is handled now, held (not
-        started) or rejected (``inbox_limit`` requests already held)."""
-        ledger = self._network.ledger
-        ledger.frames_inflight -= 1
-        ledger.bytes_inflight -= message.body_bytes
-        if message.kind in REPLY_KINDS:
-            self._pending.settle(message, ledger)
-            return
-        held = self._held
-        if held is None:
-            self._arrive(message)
-        elif len(held) < self._inbox_limit:
-            held.append(message)
-        else:
-            # Bounded-inbox backpressure: overflow frames are dropped and
-            # the sender's timeout fires, exactly like a full router queue.
-            ledger.frames_rejected += 1
-            ledger.bytes_rejected += message.body_bytes
-            return
-        ledger.frames_delivered += 1
-        ledger.bytes_delivered += message.body_bytes
-
-    def _arrive(self, message: Message) -> None:
-        """Handle one request now: it gets its handler task."""
-        handler = self._handler
-        if handler is not None:
-            loop = asyncio.get_running_loop()
-            self._dispatch_tasks.add(loop.create_task(self._dispatch(handler, message)))
-
-    async def _dispatch(self, handler: Handler, message: Message) -> None:
-        ledger = self._network.ledger
-        reply = await _answer(handler, message, self.name, ledger, self._dispatch_tasks)
-        if reply is None:
-            return
-        try:
-            self._network.deliver(self.name, message.sender, reply)
-        except TransportError:
-            # The request named a sender no endpoint answers to: there
-            # is nobody to raise at, so the reply is a frame the network
-            # took and lost (booked so that ``sent == settled`` holds).
-            ledger.frames_sent += 1
-            ledger.frames_dropped += 1
-            ledger.bytes_sent += reply.body_bytes
-            ledger.bytes_dropped += reply.body_bytes
-
     async def call(
         self, destination: str, message: Message, *, timeout: float | None = None
     ) -> Message:
-        """Send a message and await the reply with its ``request_id``.
+        """Send a message to ``destination`` and await the reply with its
+        ``request_id``; raises :class:`~repro.errors.TransportError` on an
+        unknown destination, and as :meth:`TcpConnection.call` does."""
+        connection = self._outgoing.get(destination)
+        if connection is None or connection.dead:
+            connection = self._network._connect(self, destination)
+        return await connection.call(message, self._codec, timeout=timeout)
 
-        Raises:
-            TransportError: On an unknown destination, on timeout, or
-                when the peer reports a transport-level failure.
-            RuntimeProtocolError: When the message does not survive the
-                wire codec, or the peer reports a protocol violation.
-        """
-        self._network.deliver(self.name, destination, message)
-        return await self._pending.wait(
-            message.request_id, repr(destination), timeout
-        )
 
-    async def close(self) -> None:
-        """Stop handling arrivals and cancel in-flight handler tasks."""
-        if self._held is None:
-            self._held = []
-        tasks = list(self._dispatch_tasks)
-        self._dispatch_tasks.clear()
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+class _Pipe(asyncio.Transport):
+    """One end of an in-memory connection: each write is one frame for
+    :meth:`InMemoryNetwork.deliver` to land at the far end, :attr:`peer`.
+    While reading is paused, arrivals wait here in order, still booked
+    ``inflight``, as in a kernel buffer.  Closing loses what waits and
+    shuts the far end once the frames already on the way have landed.
+    """
+
+    def __init__(self, owner: Endpoint, remote: str, protocol: _FrameProtocol):
+        super().__init__()
+        self.owner = owner
+        self.remote = remote
+        self.peer = self  # joined to the far end by InMemoryNetwork._connect
+        self._protocol = protocol
+        self._paused = False
+        self._closing = False
+        self._waiting: deque[tuple[bytes, int]] = deque()
+        protocol.connection_made(self)
+
+    def write(self, data: bytes) -> None:  # type: ignore[override]
+        if not self._closing:
+            self.owner._network.deliver(self, data)
+
+    def is_closing(self) -> bool:
+        return self._closing
+
+    def pause_reading(self) -> None:
+        self._paused = True
+
+    def resume_reading(self) -> None:
+        self._paused = False
+        while self._waiting and not self._paused:
+            self._receive(*self._waiting.popleft())
+
+    def close(self) -> None:
+        if self._closing:
+            return
+        self._shut()
+        loop = asyncio.get_running_loop()
+        link = self.owner._network._links.get((self.owner.name, self.remote))
+        last = -math.inf if link is None else link.clear_at
+        loop.call_at(max(loop.time(), math.nextafter(last, math.inf)), self.peer._shut)
+
+    abort = close
+
+    def _shut(self) -> None:
+        if self._closing:
+            return
+        self._closing = True
+        self.resume_reading()  # what waits lands on a closed pipe: lost
+        asyncio.get_running_loop().call_soon(self._protocol.connection_lost, None)
+
+    def _receive(self, data: bytes, size: int) -> None:
+        """Delivery-timer callback: a frame written at the far end lands."""
+        if self._paused and not self._closing:
+            self._waiting.append((data, size))
+            return
+        ledger = self.owner.ledger
+        ledger.frames_inflight -= 1
+        ledger.bytes_inflight -= size
+        if self._closing:
+            ledger.frames_dropped += 1
+            ledger.bytes_dropped += size
+        else:
+            self._protocol.data_received(data)
 
 
 class _Link:
@@ -327,11 +277,9 @@ class InMemoryNetwork:
         hop_count: Maps ``(src, dst)`` to the hop distance, asked once
             per link; defaults to 1 hop for every pair.  The service
             harness wires in routing tree distances here.
-        codec: Wire codec name (``"binary"`` or ``"json"``).  Every
-            delivered message is round-tripped through this codec, so
-            simulated runs exercise the same serialisation path as the
-            TCP transport; ``body_bytes`` still drives the latency
-            model either way.
+        codec: Wire codec (``"binary"`` or ``"json"``) every endpoint
+            writes its frames in; the latency model reads ``body_bytes``
+            back from each frame's header either way.
     """
 
     def __init__(
@@ -361,6 +309,8 @@ class InMemoryNetwork:
         self._endpoints: dict[str, Endpoint] = {}
         #: Built on each link's first frame: few endpoint pairs ever talk,
         #: and minting a generator costs as much as some 40 draws from it.
+        #: A reply crosses ``(dst, src)``, the link ``dst``'s own calls
+        #: to ``src`` use, whatever pipe carries it.
         self._links: dict[tuple[str, str], _Link] = {}
         self._faults: FaultInjector | None = None
         #: Every frame the network carries; read it through :meth:`stats`.
@@ -370,7 +320,7 @@ class InMemoryNetwork:
         """Plug a fault injector in; consulted on every frame delivery."""
         self._faults = injector
 
-    def endpoint(self, name: str, *, inbox_limit: int = 1024) -> Endpoint:
+    def endpoint(self, name: str) -> Endpoint:
         """Register a new endpoint.
 
         Raises:
@@ -380,37 +330,39 @@ class InMemoryNetwork:
             raise TransportError("endpoint name must be non-empty")
         if name in self._endpoints:
             raise TransportError(f"endpoint {name!r} already registered")
-        endpoint = Endpoint(self, name, inbox_limit)
+        endpoint = Endpoint(self, name)
         self._endpoints[name] = endpoint
         return endpoint
 
     @property
     def codec(self) -> Codec:
-        """The wire codec every delivered message round-trips through."""
+        """The wire codec every endpoint writes its frames in."""
         return self._codec
 
-    def deliver(self, source: str, destination: str, message: Message) -> None:
-        """Schedule a message for delayed delivery.
-
-        The message is serialised and re-parsed through the network's
-        codec before scheduling, so the receiver observes exactly what
-        the wire format preserves and codec bugs surface synchronously
-        at the sender.
-
-        Raises:
-            TransportError: If the destination endpoint does not exist.
-            RuntimeProtocolError: If the message does not survive the
-                wire codec.
-        """
+    def _connect(self, caller: Endpoint, destination: str) -> TcpConnection:
+        """A fresh pipe from ``caller`` to ``destination``, made at once:
+        a dial task would cost the first call extra loop turns."""
         target = self._endpoints.get(destination)
         if target is None:
             # Before any counter moves: a frame that was never sent must
             # not unbalance ``sent == settled``.
             raise TransportError(f"unknown endpoint {destination!r}")
-        message = self._codec.decode(self._codec.encode(message))
+        client = TcpConnection(repr(destination), MAX_FRAME_BYTES, self.ledger)
+        near = _Pipe(caller, destination, client)
+        far = _Pipe(target, caller.name, _ServerConnection(target))
+        near.peer, far.peer = far, near
+        caller._outgoing[destination] = client
+        return client
+
+    def deliver(self, pipe: _Pipe, data: bytes) -> None:
+        """Carry one frame written on ``pipe`` across its directed link
+        in ``hops × (propagation + body_bytes / bandwidth)``, reading the
+        nominal ``body_bytes`` from the frame's header, unless a fault
+        or the link's own loss drops it.  Books only the transit:
+        ``inflight`` until the frame lands, or ``dropped``."""
+        source, destination = pipe.owner.name, pipe.remote
+        size = nominal_bytes(data)
         ledger = self.ledger
-        ledger.frames_sent += 1
-        ledger.bytes_sent += message.body_bytes
         link = self._links.get((source, destination))
         if link is None:
             link = self._links[source, destination] = _Link(self, source, destination)
@@ -422,12 +374,12 @@ class InMemoryNetwork:
             # An injected fault (crashed node, cut link, extra drop rate)
             # or the link's own seeded loss.
             ledger.frames_dropped += 1
-            ledger.bytes_dropped += message.body_bytes
+            ledger.bytes_dropped += size
             return
         propagation = self._base_latency
         if self._jitter > 0:
             propagation *= 1.0 + self._jitter * float(link.rng.random())
-        delay = link.hops * (propagation + message.body_bytes / self._bandwidth)
+        delay = link.hops * (propagation + size / self._bandwidth)
         if faults is not None:
             delay += faults.extra_latency(source, destination)
         loop = asyncio.get_running_loop()
@@ -439,24 +391,25 @@ class InMemoryNetwork:
             arrival = math.nextafter(link.clear_at, math.inf)
         link.clear_at = arrival
         ledger.frames_inflight += 1
-        ledger.bytes_inflight += message.body_bytes
-        loop.call_at(arrival, target._land, message, context=target._context)
+        ledger.bytes_inflight += size
+        far = pipe.peer
+        loop.call_at(arrival, far._receive, data, size, context=far.owner._context)
 
     def stats(self) -> dict[str, int]:
         """The :class:`FrameLedger` counts, for tests, metrics and debugging."""
         return self.ledger.stats()
 
 
-# -- real TCP ----------------------------------------------------------------
+# -- the protocol pair, and the TCP carrier ----------------------------------
 
 #: Handler tasks one server connection may have alive.  At the cap the
-#: server stops reading that socket until one finishes, so the peer's
-#: frames back up in the kernel and then in the peer.
+#: connection stops reading until one finishes, so the peer's frames
+#: back up in the kernel (or the virtual pipe) and then in the peer.
 MAX_INFLIGHT = 128
 
 
 class _FrameProtocol(asyncio.Protocol):
-    """Cuts length-prefixed frames out of a socket's reads.
+    """Cuts length-prefixed frames out of the bytes a carrier delivers.
 
     Each decoded frame reaches the subclass's ``_message`` in the loop
     turn of the read that completed it.  A declared length over
@@ -481,12 +434,11 @@ class _FrameProtocol(asyncio.Protocol):
         self.dead = True
         self._lost.set_result(None)
 
-    def data_received(self, data: bytes) -> None:
-        self._buffer += data
-        self._cut()
-
-    def _cut(self) -> None:
+    def _cut(self, data: bytes = b"") -> None:
+        """Cut every whole frame out of the buffered bytes and ``data``
+        (the carrier's read callback, ``data_received``)."""
         buffer = self._buffer
+        buffer += data
         offset, end = 0, len(buffer)
         try:
             while end - offset >= HEADER_BYTES and not (self.dead or self._paused):
@@ -508,21 +460,24 @@ class _FrameProtocol(asyncio.Protocol):
             self._violated(err)  # type: ignore[attr-defined]
         del buffer[:offset]
 
+    data_received = _cut
+
     async def close(self) -> None:
-        """Flush what is written, close the socket, wait until it is gone."""
+        """Flush what is written, close the carrier, wait until it is gone."""
         self.transport.close()
         await self._lost
 
 
 class TcpConnection(_FrameProtocol):
-    """The dialing end of one socket, shared by every caller to its peer.
+    """The calling end of one connection, shared by every caller to its peer.
 
     :meth:`call` writes its request at once, so any number of calls are
-    in flight together, each resolved by the reply that echoes its
-    ``request_id`` under the :class:`PendingCalls` rules; a reply nobody
-    waits for leaves the connection usable.  A reply that breaks the
-    protocol fails every pending caller and marks the connection
-    :attr:`dead` in the same turn.  Obtain instances from :func:`dial`.
+    in flight together, each waiting in the pending table under its
+    ``request_id`` until the reply that echoes it; a reply nobody waits
+    for leaves the connection usable.  A reply that breaks the protocol
+    fails every pending caller and marks the connection :attr:`dead` in
+    the same turn.  Obtain instances from :func:`dial` (a socket) or, in
+    memory, through :meth:`Endpoint.call`.
     """
 
     def __init__(self, peer: str, max_frame_bytes: int, ledger: FrameLedger):
@@ -531,23 +486,42 @@ class TcpConnection(_FrameProtocol):
         self.ledger = ledger
         # Per connection, not per mesh: a lost socket fails its own
         # callers and nobody else's.
-        self._pending = PendingCalls()
+        self._pending: dict[str, asyncio.Future[Message]] = {}
 
     def _message(self, message: Message, body: bytes) -> None:
-        if message.request_id:
-            self._pending.settle(message, self.ledger)
-        else:  # the server rejecting the stream itself
+        """The one reply rule: the waiting call gets ``message``, booked
+        ``delivered``.  A reply whose caller timed out or was cancelled
+        finds nothing (or a done future), is never handed to another
+        call and is booked ``dropped``."""
+        if not message.request_id:  # the server rejecting the stream itself
             self.dead = True
             self._violated(RuntimeProtocolError(str(message.payload.get("reason"))))
+            return
+        future = self._pending.pop(message.request_id, None)
+        ledger = self.ledger
+        if future is not None and not future.done():
+            future.set_result(message)
+            ledger.frames_delivered += 1
+            ledger.bytes_delivered += message.body_bytes
+        else:
+            ledger.frames_dropped += 1
+            ledger.bytes_dropped += message.body_bytes
+
+    def _fail(self, err: Exception) -> None:
+        """The link died: every waiting call gets its own copy of ``err``."""
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(type(err)(*err.args))
+        self._pending.clear()
 
     def _violated(self, err: RuntimeProtocolError) -> None:
-        self._pending.fail(err)
+        self._fail(err)
         self.transport.abort()
 
     def connection_lost(self, exc: Exception | None) -> None:
         detail = f": {exc}" if exc is not None else ""
         super().connection_lost(exc)
-        self._pending.fail(TransportError(f"connection to {self._peer} lost{detail}"))
+        self._fail(TransportError(f"connection to {self._peer} lost{detail}"))
 
     async def call(
         self,
@@ -561,15 +535,40 @@ class TcpConnection(_FrameProtocol):
         Raises:
             TransportError: Timeout, dead or lost connection, or a
                 transport-kind error reply.
-            RuntimeProtocolError: A protocol-kind error reply, or the
+            RuntimeProtocolError: An empty or in-flight request id, an
+                unencodable message, a protocol-kind error reply, or the
                 peer violating the protocol while the call waits.
         """
         if self.dead:
             raise TransportError(f"connection to {self._peer} is closed")
+        request_id = message.request_id
+        if not request_id or request_id in self._pending:
+            # An empty id reads as the server rejecting the stream, and a
+            # second call under a live id would take the first one's reply.
+            raise RuntimeProtocolError(
+                f"request id {request_id!r} is empty or already in flight"
+            )
         self.transport.write(frame(message, codec))
         self.ledger.frames_sent += 1
         self.ledger.bytes_sent += message.body_bytes
-        return await self._pending.wait(message.request_id, self._peer, timeout)
+        # Registered only now the request is on the way, so a send that
+        # raises leaves nothing behind.
+        loop = self._loop
+        future = self._pending[request_id] = loop.create_future()
+        timer = None if timeout is None else loop.call_later(timeout, _expire, future)
+        try:
+            reply = await future
+        except asyncio.TimeoutError:
+            raise TransportError(
+                f"request {request_id} to {self._peer} timed out after {timeout}s"
+            ) from None
+        finally:
+            # Cleans up after timeouts AND cancellation of the awaiting
+            # task; without this, a cancelled call leaks its future.
+            if timer is not None:
+                timer.cancel()
+            self._pending.pop(request_id, None)
+        return raise_if_error(reply)
 
 
 async def dial(
@@ -610,40 +609,42 @@ async def dial(
 
 
 class _ServerConnection(_FrameProtocol):
-    """One accepted socket: a handler task per frame, replies as they finish."""
+    """The serving end of one connection: a handler task per frame,
+    replies as they finish."""
 
-    def __init__(self, server: "TcpServer"):
-        super().__init__(server._max_frame_bytes)
-        self._server = server
-        self._codec = server._forced_codec
+    def __init__(self, service: _Service):
+        super().__init__(service._max_frame_bytes)
+        self._service = service
+        self._codec = service._codec
         self._inflight = 0
         self._choked = False  # the peer lets its replies pile up unread
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         super().connection_made(transport)
-        self._server._connections.add(self)
+        self._service._connections[self] = None
+        self._flow()  # a service that is not serving yet reads nothing
 
     def connection_lost(self, exc: Exception | None) -> None:
-        self._server._connections.discard(self)
+        self._service._connections.pop(self, None)
         super().connection_lost(exc)
 
     def _message(self, message: Message, body: bytes) -> None:
-        server = self._server
+        service = self._service
         if self._codec is None:
             # Negotiation: replies mirror the first inbound frame's codec.
             self._codec = sniff_codec(body)
-        server.ledger.frames_delivered += 1
-        server.ledger.bytes_delivered += message.body_bytes
+        service.ledger.frames_delivered += 1
+        service.ledger.bytes_delivered += message.body_bytes
         self._inflight += 1
-        server._tasks.add(self._loop.create_task(self._serve(message)))
+        service._tasks.add(self._loop.create_task(self._serve(message)))
         if self._inflight >= MAX_INFLIGHT:
             self._flow()
 
     def _violated(self, err: RuntimeProtocolError) -> None:
         # Hostile or broken peer: report the violation on the codec in
         # force and hang up instead of trusting any further byte.
-        self._server.protocol_errors += 1
-        error = make_error("server", "", "protocol", str(err))
+        self._service.protocol_errors += 1
+        error = make_error(self._service.name, "", "protocol", str(err))
         self.transport.write(frame(error, self._codec))
         self.transport.close()
 
@@ -656,8 +657,8 @@ class _ServerConnection(_FrameProtocol):
         self._flow()
 
     def _flow(self) -> None:
-        """Read only while open, replies drain and tasks are under the cap."""
-        hold = self._choked or self._server._closing or self._inflight >= MAX_INFLIGHT
+        """Read only while serving, replies drain and tasks are under the cap."""
+        hold = self._choked or self._service._closing or self._inflight >= MAX_INFLIGHT
         if hold and not self._paused:
             self._paused = True
             self.transport.pause_reading()
@@ -667,24 +668,37 @@ class _ServerConnection(_FrameProtocol):
             self._cut()
 
     async def _serve(self, message: Message) -> None:
-        server = self._server
-        ledger = server.ledger
+        """The dispatch boundary: the one place a handler runs, as the
+        task of one request; an exception becomes an ``error`` reply,
+        counted in ``handler_errors``."""
+        service = self._service
+        ledger = service.ledger
         try:
-            reply = await _answer(
-                server._handler, message, "server", ledger, server._tasks
-            )
+            reply = await service._handler(message)  # type: ignore[misc]
+        except Exception as err:  # repro-lint: disable=H002
+            # Deliberately broad: ANY handler crash must cost one request an
+            # error reply instead of stranding its requester until the
+            # timeout.  The error kind preserves the exception class across
+            # the wire.
+            ledger.handler_errors += 1
+            kind = "transport" if isinstance(err, TransportError) else "protocol"
+            reason = f"handler failed: {type(err).__name__}: {err}"
+            reply = make_error(service.name, message.request_id, kind, reason)
         finally:
             self._inflight -= 1
+            # Nothing the caller does after this awaits, so the task is as
+            # good as done.
+            service._tasks.discard(asyncio.current_task())  # type: ignore[arg-type]
         if reply is not None and not self.transport.is_closing():
             self.transport.write(frame(reply, self._codec))
             ledger.frames_sent += 1
             ledger.bytes_sent += reply.body_bytes
-        server.requests_served += 1
+        service.requests_served += 1
         if self._paused:
             self._flow()
 
 
-class TcpServer:
+class TcpServer(_Service):
     """Serves a message handler over real TCP, one frame per request.
 
     Connections are persistent and multiplexed: each inbound frame gets
@@ -720,19 +734,13 @@ class TcpServer:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         drain_timeout: float = 5.0,
     ):
+        super().__init__("server", FrameLedger(), codec)
         self._handler = handler
-        self._host = host
-        self._forced_codec = None if codec is None else resolve_codec(codec)
         self._max_frame_bytes = max_frame_bytes
+        self._host = host
         self._drain_timeout = drain_timeout
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[_ServerConnection] = set()
-        self._tasks: set[asyncio.Task[None]] = set()
-        self._closing = False
         self.port: int = port
-        self.requests_served = 0
-        self.protocol_errors = 0
-        self.ledger = FrameLedger()
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
@@ -749,17 +757,9 @@ class TcpServer:
         its reply (else clients burn a full timeout on a reply that was
         one write away) before it is cancelled and the sockets closed.
         """
-        self._closing = True
         if self._server is not None:
             self._server.close()
-        for connection in self._connections:
-            connection._flow()
-        if self._tasks:
-            await asyncio.wait(self._tasks, timeout=self._drain_timeout)
-        stuck = list(self._tasks)
-        for task in stuck:
-            task.cancel()
-        await asyncio.gather(*stuck, return_exceptions=True)
+        await super().close()
         for connection in list(self._connections):
             await connection.close()
         if self._server is not None:
@@ -796,7 +796,6 @@ __all__: list[str] = [
     "FrameLedger",
     "Handler",
     "InMemoryNetwork",
-    "PendingCalls",
     "TcpConnection",
     "TcpServer",
     "dial",

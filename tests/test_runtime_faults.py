@@ -37,6 +37,8 @@ from repro.runtime.messages import Message, make_request, make_response
 from repro.runtime.resilience import retry_rng
 from repro.trace.records import Document, Request
 
+from .test_runtime_transport import pending_of
+
 
 def catalog(*sizes: int) -> dict[str, Document]:
     """A tiny catalog: /doc-0, /doc-1, ... with the given sizes."""
@@ -77,11 +79,11 @@ class TestEndpointRegressions:
                 client.call("server", request, timeout=None)
             )
             await asyncio.sleep(0.1)
-            assert len(client._pending) == 1
+            assert len(pending_of(client)) == 1
             caller.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await caller
-            pending = dict(client._pending)
+            pending = pending_of(client)
             await server.close()
             await client.close()
             return pending
@@ -108,7 +110,7 @@ class TestEndpointRegressions:
             )
             with pytest.raises(RuntimeProtocolError):
                 await client.call("server", poisoned, timeout=1.0)
-            return dict(client._pending), network.stats()
+            return pending_of(client), network.stats()
 
         pending, stats = run_virtual(scenario())
         assert pending == {}

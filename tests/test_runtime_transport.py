@@ -198,11 +198,13 @@ class TestInMemoryNetwork:
                     arrivals.setdefault(link, []).append(loop.time())
 
                 endpoint.start(handler)
+            by_name = {endpoint.name: endpoint for endpoint in endpoints}
+            calls = []
             for batch in batches:
                 for source, destination in batch:
-                    request = Message(kind="request", sender=source)
-                    network.deliver(source, destination, request)
+                    calls.append(send(by_name[source], destination, timeout=0.5))
                 await asyncio.sleep(1.0)
+            await asyncio.gather(*calls, return_exceptions=True)  # unanswered
             for endpoint in endpoints:
                 await endpoint.close()
             return arrivals
@@ -235,18 +237,12 @@ class TestInMemoryNetwork:
 
             receiver.start(handler)
             sender.start(None)
-            for n, body in enumerate([1_000_000, 0, 10]):
-                network.deliver(
-                    "tx",
-                    "rx",
-                    Message(
-                        kind="request",
-                        sender="tx",
-                        payload={"n": n},
-                        body_bytes=body,
-                    ),
-                )
+            calls = [
+                send(sender, "rx", n=n, body_bytes=body, timeout=200.0)
+                for n, body in enumerate([1_000_000, 0, 10])
+            ]
             await asyncio.sleep(500.0)
+            await asyncio.gather(*calls, return_exceptions=True)  # unanswered
             await receiver.close()
             await sender.close()
             return seen
@@ -256,9 +252,9 @@ class TestInMemoryNetwork:
     def test_unknown_endpoint_raises(self):
         async def scenario():
             network = InMemoryNetwork()
-            network.endpoint("tx")
+            sender = network.endpoint("tx")
             with pytest.raises(TransportError, match="unknown endpoint"):
-                network.deliver("tx", "nowhere", Message(kind="request", sender="tx"))
+                await sender.call("nowhere", numbered(sender, 0))
 
         run_virtual(scenario())
 
@@ -333,20 +329,6 @@ class TestInMemoryNetwork:
         assert attempts == 2
         assert dropped == 1
 
-    def test_full_inbox_rejects_frames(self):
-        async def scenario():
-            network = InMemoryNetwork(seed=0, jitter=0.0)
-            network.endpoint("rx", inbox_limit=1)  # pump never started
-            network.endpoint("tx")
-            for _ in range(3):
-                network.deliver("tx", "rx", Message(kind="request", sender="tx"))
-            await asyncio.sleep(1.0)
-            return network.stats()
-
-        stats = run_virtual(scenario())
-        assert stats["frames_rejected"] == 2
-        assert stats["frames_delivered"] == 1
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(TransportError):
             InMemoryNetwork(base_latency=-1.0)
@@ -360,19 +342,20 @@ class TestInMemoryNetwork:
         # the destination up, so the raise left sent 1 != settled 0.
         async def scenario():
             network = InMemoryNetwork(seed=0)
-            network.endpoint("tx")
+            sender = network.endpoint("tx")
             with pytest.raises(TransportError, match="unknown endpoint"):
-                network.deliver("tx", "nobody", Message(kind="request", sender="tx"))
+                await sender.call("nobody", numbered(sender, 0))
             return network.stats()
 
         stats = run_virtual(scenario())
         assert stats["frames_sent"] == stats["bytes_sent"] == 0
         verify_conservation(network_snapshot(stats))
 
-    def test_reply_to_spoofed_sender_is_dropped_not_raised(self):
-        # A request whose ``sender`` names no endpoint: the reply has
-        # nowhere to go.  That used to escape the dispatch task as a
-        # never-retrieved exception with one frame sent and none settled.
+    def test_reply_to_spoofed_sender_returns_on_its_pipe(self):
+        # A request whose ``sender`` names no endpoint.  Replies were
+        # once routed by that name, so this one had nowhere to go and
+        # escaped its handler task as a never-retrieved exception.  A
+        # reply now returns on the pipe its request came in on.
         async def scenario():
             network = InMemoryNetwork(seed=0)
             server = network.endpoint("server")
@@ -391,21 +374,48 @@ class TestInMemoryNetwork:
             server.start(handler)
             client.start(None)
             spoofed = make_request("ghost", "ghost#1", "/a", 0.0)
-            network.deliver("client", "server", spoofed)
-            await asyncio.sleep(1.0)
-            tasks = set(server._dispatch_tasks)
+            reply = await client.call("server", spoofed, timeout=1.0)
+            tasks = set(server._tasks)
             await server.close()
             await client.close()
             gc.collect()  # a lost task exception is reported on collection
-            return network.stats(), tasks, unhandled
+            return reply, network.stats(), tasks, unhandled
 
-        stats, tasks, unhandled = run_virtual(scenario())
+        reply, stats, tasks, unhandled = run_virtual(scenario())
         assert unhandled == [] and tasks == set()
+        assert reply.request_id == "ghost#1"
         assert stats["handler_errors"] == 0  # the handler did its job
-        assert stats["frames_sent"] == 2
-        assert stats["frames_delivered"] == 1  # the request
-        assert stats["frames_dropped"] == 1  # the reply to nobody
-        assert stats["bytes_dropped"] == 2048
+        assert stats["frames_sent"] == stats["frames_delivered"] == 2
+        assert stats["frames_dropped"] == 0
+        verify_conservation(network_snapshot(stats))
+
+    def test_an_aborted_pipe_fails_its_callers_and_shuts_its_far_end(self):
+        # Link death in memory, as a lost socket over TCP.
+        async def scenario():
+            network = InMemoryNetwork(seed=0)
+            server = network.endpoint("server")
+            client = network.endpoint("client")
+            server.start(contract_handler)
+            loop = asyncio.get_running_loop()
+            request = contract_request(client, "/slow")
+            call = loop.create_task(client.call("server", request, timeout=30.0))
+            await asyncio.sleep(0.03)  # the request is with the handler
+            client._outgoing["server"].transport.abort()
+            with pytest.raises(TransportError, match="'server' lost"):
+                await call
+            await asyncio.sleep(1.0)  # the handler finishes; its reply has no pipe
+            far_ends = dict(server._connections)
+            reply = await client.call(
+                "server", contract_request(client, "/a"), timeout=30.0
+            )  # on a fresh pipe
+            await server.close()
+            return far_ends, reply, server.requests_served, network.stats()
+
+        far_ends, reply, served, stats = run_virtual(scenario())
+        assert far_ends == {}
+        assert reply.payload["doc_id"] == "/a"
+        assert served == 2
+        assert (stats["frames_sent"], stats["frames_delivered"]) == (3, 3)
         verify_conservation(network_snapshot(stats))
 
 
@@ -414,47 +424,75 @@ def network_snapshot(stats):
     return {"counters": {f"network.{key}": value for key, value in stats.items()}}
 
 
+def pending_of(endpoint):
+    """Every call ``endpoint`` awaits, over all its connections."""
+    return {
+        request_id: future
+        for connection in endpoint._outgoing.values()
+        for request_id, future in connection._pending.items()
+    }
+
+
+def numbered(sender, n, body_bytes=0):
+    """A request from ``sender`` carrying ``n``, under a fresh id."""
+    return Message(
+        kind="request",
+        sender=sender.name,
+        request_id=sender.next_request_id(),
+        payload={"n": n},
+        body_bytes=body_bytes,
+    )
+
+
+def send(sender, destination, n=0, body_bytes=0, timeout=None):
+    """Call ``destination`` from ``sender`` in a task of its own."""
+    request = numbered(sender, n, body_bytes)
+    return asyncio.get_running_loop().create_task(
+        sender.call(destination, request, timeout=timeout)
+    )
+
+
+async def ack_handler(message):
+    """Acknowledges every request."""
+    return Message(kind="ack", sender="rx", request_id=message.request_id)
+
+
 class TestEndpointArrival:
-    """What the queue-less endpoint must keep doing."""
+    """What an endpoint's reading must keep doing."""
 
-    @staticmethod
-    def numbered(n):
-        return Message(kind="request", sender="tx", payload={"n": n})
-
-    def test_frames_before_start_are_held_bounded_and_ordered(self):
+    def test_requests_wait_inflight_until_start(self):
         async def scenario():
             network = InMemoryNetwork(seed=0, jitter=0.0)
-            receiver = network.endpoint("rx", inbox_limit=3)
-            network.endpoint("tx")
+            receiver = network.endpoint("rx")
+            sender = network.endpoint("tx")
             seen = []
 
             async def handler(message):
                 seen.append(message.payload["n"])
-                return None
+                return await ack_handler(message)
 
-            for n in range(5):
-                network.deliver("tx", "rx", self.numbered(n))
+            calls = [send(sender, "rx", n, timeout=30.0) for n in range(5)]
             await asyncio.sleep(1.0)
-            held = network.stats()
+            waiting = network.stats()
             assert seen == []  # nothing handled before start()
             receiver.start(handler)
-            await asyncio.sleep(0.001)  # the held frames' handler tasks run
-            network.deliver("tx", "rx", self.numbered(5))  # started: no bound, no hold
-            await asyncio.sleep(1.0)
+            await asyncio.gather(*calls)
+            await send(sender, "rx", 5, timeout=30.0)  # started: read at once
             await receiver.close()
-            return held, network.stats(), seen
+            return waiting, network.stats(), seen
 
-        held, final, seen = run_virtual(scenario())
-        assert (held["frames_delivered"], held["frames_rejected"]) == (3, 2)
-        assert seen == [0, 1, 2, 5]
-        assert (final["frames_delivered"], final["frames_rejected"]) == (4, 2)
+        waiting, final, seen = run_virtual(scenario())
+        assert (waiting["frames_inflight"], waiting["frames_delivered"]) == (5, 0)
+        assert seen == [0, 1, 2, 3, 4, 5]
+        assert final["frames_sent"] == final["frames_delivered"] == 12
+        assert final["frames_inflight"] == final["frames_rejected"] == 0
         verify_conservation(network_snapshot(final))
 
     def test_closed_endpoint_holds_again_until_restarted(self):
         async def scenario():
             network = InMemoryNetwork(seed=0, jitter=0.0)
-            receiver = network.endpoint("rx", inbox_limit=1)
-            network.endpoint("tx")
+            receiver = network.endpoint("rx")
+            sender = network.endpoint("tx")
             seen = []
 
             async def handler(message):
@@ -463,18 +501,20 @@ class TestEndpointArrival:
 
             receiver.start(handler)
             await receiver.close()
-            for n in range(2):
-                network.deliver("tx", "rx", self.numbered(n))
+            calls = [send(sender, "rx", n, timeout=5.0) for n in range(2)]
             await asyncio.sleep(1.0)
             assert seen == []
+            held = network.stats()
             receiver.start(handler)
             await asyncio.sleep(0.001)
             await receiver.close()
-            return network.stats(), seen
+            await asyncio.gather(*calls, return_exceptions=True)  # unanswered
+            return held, network.stats(), seen
 
-        stats, seen = run_virtual(scenario())
-        assert seen == [0]
-        assert (stats["frames_delivered"], stats["frames_rejected"]) == (1, 1)
+        held, stats, seen = run_virtual(scenario())
+        assert seen == [0, 1]
+        assert (held["frames_inflight"], held["frames_delivered"]) == (2, 0)
+        assert (stats["frames_delivered"], stats["frames_rejected"]) == (2, 0)
 
     def test_replies_are_never_held(self):
         # A reply needs the pending table, not a handler: it settles its
@@ -483,7 +523,7 @@ class TestEndpointArrival:
         async def scenario():
             network = InMemoryNetwork(seed=0)
             server = network.endpoint("server")
-            client = network.endpoint("client", inbox_limit=0)
+            client = network.endpoint("client")  # never started
             server.start(echo_handler)
             request = make_request("client", client.next_request_id(), "/a", 0.0)
             reply = await client.call("server", request, timeout=1.0)
@@ -541,9 +581,9 @@ class TestEndpointArrival:
             with pytest.raises(TransportError, match="timed out after 5.0s"):
                 await client.call("server", request, timeout=5.0)
             waited = loop.time() - started
-            assert client._pending == {}
+            assert pending_of(client) == {}
             await asyncio.sleep(30.0)  # the late reply arrives meanwhile
-            assert client._pending == {}
+            assert pending_of(client) == {}
             await server.close()
             await client.close()
             return waited, network.stats()
@@ -760,7 +800,7 @@ def run_pair(kind, scenario):
             client.start(None)
             try:
                 return await scenario(
-                    client, lambda: client._pending, network.stats
+                    client, lambda: pending_of(client), network.stats
                 )
             finally:
                 await server.close()
@@ -867,4 +907,43 @@ class TestCallContract:
         assert elapsed < 1.0  # at network speed, not at the timeout
         assert left == {}
         assert stats["handler_errors"] == 2
+        verify_conservation(network_snapshot(stats))
+
+    def test_empty_request_id_is_refused_before_anything_is_sent(self, kind):
+        # Regression: over TCP a request without an id drew a reply that
+        # read as the server rejecting the stream, so it failed every
+        # other call on the connection; in memory it was simply sent.
+        async def scenario(client, pending, ledger):
+            slow = asyncio.get_running_loop().create_task(
+                client.call("server", contract_request(client, "/slow"), timeout=30.0)
+            )
+            await asyncio.sleep(0.03)  # the slow request is with the handler
+            nameless = make_request(client.name, "", "/a", 0.0)
+            with pytest.raises(RuntimeProtocolError, match="request id '' is empty"):
+                await client.call("server", nameless, timeout=30.0)
+            return await slow, dict(pending()), ledger()
+
+        reply, left, stats = run_pair(kind, scenario)
+        assert reply.payload["doc_id"] == "/slow"
+        assert left == {}
+        assert stats["frames_sent"] == 2  # the slow request and its reply
+        verify_conservation(network_snapshot(stats))
+
+    def test_a_request_id_already_in_flight_is_refused(self, kind):
+        # Regression: a second call under a live id took the first one's
+        # reply, and the first timed out although its reply had come.
+        async def scenario(client, pending, ledger):
+            request = contract_request(client, "/slow")
+            first = asyncio.get_running_loop().create_task(
+                client.call("server", request, timeout=30.0)
+            )
+            await asyncio.sleep(0.03)  # the first request is with the handler
+            with pytest.raises(RuntimeProtocolError, match="already in flight"):
+                await client.call("server", request, timeout=30.0)
+            return await first, dict(pending()), ledger()
+
+        reply, left, stats = run_pair(kind, scenario)
+        assert (reply.request_id, reply.payload["doc_id"]) == ("client#1", "/slow")
+        assert left == {}
+        assert stats["frames_sent"] == 2
         verify_conservation(network_snapshot(stats))

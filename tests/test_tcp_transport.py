@@ -1,9 +1,11 @@
 """The multiplexed TCP transport: correlation by id, link death, back-pressure.
 
-Everything here runs on loopback sockets under plain ``asyncio.run``.
-CI runs this module once more under ``python -X dev -W
-error::ResourceWarning`` so an unclosed transport or a never-retrieved
-exception fails the build.
+The ``tcp`` cases run on loopback sockets under plain ``asyncio.run``.
+A case that needs no kernel also runs as ``memory``: the same protocol
+classes over the in-memory network's virtual pipes, deterministically
+under the virtual clock.  CI runs this module once more under ``python
+-X dev -W error::ResourceWarning`` so an unclosed transport or a
+never-retrieved exception fails the build.
 """
 
 import asyncio
@@ -12,7 +14,7 @@ import pytest
 
 from repro.deploy import TcpMesh
 from repro.errors import RuntimeProtocolError, TransportError
-from repro.runtime import TcpServer, tcp_call, transport
+from repro.runtime import InMemoryNetwork, TcpServer, run_virtual, tcp_call, transport
 from repro.runtime.messages import (
     HEADER_BYTES,
     Message,
@@ -52,8 +54,31 @@ def with_server(scenario, handler=doc_handler, **server_kwargs):
     return asyncio.run(run())
 
 
+def with_pair(kind, scenario, handler=doc_handler):
+    """Run ``scenario(server, network)`` with ``handler`` served as
+    ``"server"`` over ``kind``: a :class:`TcpServer` behind a mesh, or an
+    endpoint of an :class:`InMemoryNetwork` under the virtual clock."""
+    if kind == "tcp":
+        return with_server(scenario, handler)
+
+    async def run():
+        network = InMemoryNetwork(seed=0)
+        server = network.endpoint("server")
+        server.start(handler)
+        try:
+            return await scenario(server, network)
+        finally:
+            await server.close()
+
+    return run_virtual(run())
+
+
+KINDS = ["memory", "tcp"]
+
+
 class TestReplyCorrelation:
-    def test_out_of_order_replies_reach_their_own_callers(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_of_order_replies_reach_their_callers(self, kind):
         async def scenario(server, mesh):
             first, second = mesh.endpoint("a"), mesh.endpoint("b")
             finished = []
@@ -69,13 +94,14 @@ class TestReplyCorrelation:
             replies = await asyncio.gather(
                 call(first, "/slow"), call(second, "/fast")
             )
-            return replies, finished, len(mesh._links)
+            return replies, finished, len(server._connections)
 
-        (slow, fast), finished, links = with_server(scenario)
+        (slow, fast), finished, links = with_pair(kind, scenario)
         assert finished == ["b", "a"]  # answered in the other order
         assert (slow.request_id, slow.payload["doc_id"]) == ("a#1", "/slow")
         assert (fast.request_id, fast.payload["doc_id"]) == ("b#1", "/fast")
-        assert links == 1  # …on one socket
+        # …on one socket; in memory each caller has its own pipe.
+        assert links == {"tcp": 1, "memory": 2}[kind]
 
     def test_sixty_four_endpoints_share_one_connection(self, monkeypatch):
         accepted = []
@@ -134,7 +160,8 @@ class TestReplyCorrelation:
         )
         assert stats["bytes_dropped"] == 1  # the slow document's body
 
-    def test_handler_crash_answers_that_request_only(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_handler_crash_answers_that_request_only(self, kind):
         async def handler(message):
             if message.payload["doc_id"] == "/boom":
                 raise KeyError("boom")
@@ -149,7 +176,7 @@ class TestReplyCorrelation:
             )
             return results, server.ledger.handler_errors, server.requests_served
 
-        (slow, boom), errors, served = with_server(scenario, handler)
+        (slow, boom), errors, served = with_pair(kind, scenario, handler)
         assert slow.payload["doc_id"] == "/slow"
         assert isinstance(boom, RuntimeProtocolError)
         assert "KeyError" in str(boom)
@@ -189,7 +216,47 @@ class RawPeer:
             writer.close()
 
 
-def with_raw_peer(poison, scenario):
+class MemoryPeer:
+    """:class:`RawPeer` on the in-memory network: an endpoint whose first
+    pipe answers every request with ``poison``; later pipes answer
+    properly."""
+
+    def __init__(self, network, poison):
+        self._poison = poison
+        self._pipes = []
+        self._endpoint = network.endpoint("peer")
+        self._endpoint.start(self.serve)
+
+    @property
+    def connections(self):
+        return len(self._pipes)
+
+    async def serve(self, message):
+        # The pipe that carried the request: a caller has one live pipe
+        # to the peer at a time, however many other callers are open.
+        (pipe,) = [
+            connection.transport
+            for connection in self._endpoint._connections
+            if connection.transport.remote == message.sender
+            and not connection.transport.is_closing()
+        ]
+        if pipe not in self._pipes:
+            self._pipes.append(pipe)
+        if pipe is self._pipes[0]:
+            pipe.write(self._poison)
+            return None
+        return make_response("peer", message.request_id, "/a", 1, "peer")
+
+
+def with_raw_peer(poison, scenario, kind="tcp"):
+    if kind == "memory":
+
+        async def memory():
+            network = InMemoryNetwork(seed=0)
+            return await scenario(MemoryPeer(network, poison), network)
+
+        return run_virtual(memory())
+
     async def run():
         peer = RawPeer(poison)
         listener = await asyncio.start_server(peer.serve, "127.0.0.1", 0)
@@ -216,8 +283,9 @@ class TestProtocolViolation:
             ),
         ],
     )
+    @pytest.mark.parametrize("kind", KINDS)
     def test_violation_fails_every_caller_and_the_next_call_redials(
-        self, poison
+        self, kind, poison
     ):
         # Regression: the violated connection was kept, so every later
         # call read mid-frame junk as a header ("peer announced a
@@ -232,7 +300,7 @@ class TestProtocolViolation:
             reply = await client.call("peer", request("c", "c#3"))
             return failures, reply, peer.connections
 
-        failures, reply, connections = with_raw_peer(poison, scenario)
+        failures, reply, connections = with_raw_peer(poison, scenario, kind)
         assert [type(failure) for failure in failures] == [
             RuntimeProtocolError,
             RuntimeProtocolError,
@@ -269,7 +337,8 @@ class TestProtocolViolation:
 class TestBackPressure:
     REQUESTS = 10_000
 
-    def test_pipelined_requests_never_exceed_the_inflight_cap(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pipelined_requests_peak_at_the_inflight_cap(self, kind):
         alive = peak = 0
 
         async def handler(message):
@@ -281,30 +350,22 @@ class TestBackPressure:
             return make_response("server", message.request_id, "/a", 0, "server")
 
         async def scenario(server, mesh):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            try:
-                writer.write(
-                    b"".join(
-                        frame(request("raw", f"raw#{n}"))
-                        for n in range(self.REQUESTS)
-                    )
+            # Every request is written before the server reads one.
+            client = mesh.endpoint("c")
+            replies = await asyncio.gather(
+                *(
+                    client.call("server", request("c", f"c#{n}"))
+                    for n in range(self.REQUESTS)
                 )
-                answered = set()
-                for _ in range(self.REQUESTS):
-                    reply = Message.decode(await read_raw_frame(reader))
-                    answered.add(reply.request_id)
-                return answered
-            finally:
-                writer.close()
-                await writer.wait_closed()
+            )
+            return {reply.request_id for reply in replies}
 
-        answered = with_server(
+        answered = with_pair(
+            kind,
             lambda server, mesh: asyncio.wait_for(scenario(server, mesh), 60.0),
             handler,
         )
-        assert answered == {f"raw#{n}" for n in range(self.REQUESTS)}
+        assert answered == {f"c#{n}" for n in range(self.REQUESTS)}
         assert peak == MAX_INFLIGHT
 
     def test_requests_wait_while_the_peer_reads_no_replies(self):

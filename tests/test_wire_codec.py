@@ -33,7 +33,7 @@ from repro.runtime.messages import (
     resolve_codec,
     sniff_codec,
 )
-from repro.runtime.transport import dial
+from repro.runtime.transport import _FrameProtocol, dial
 
 #: Offset of the payload-format byte in a binary frame header
 #: (magic 2, version 1, kind 1, then format).
@@ -349,6 +349,64 @@ class TestPackedIdLists:
             Message.decode(raw)
 
 
+class _Cutter(_FrameProtocol):
+    """A frame protocol on no carrier, recording what it cuts."""
+
+    def __init__(self):
+        super().__init__(MAX_FRAME_BYTES)
+        self.messages = []
+        self.violations = []
+
+    def _message(self, message, body):
+        self.messages.append(message)
+
+    def _violated(self, err):
+        self.violations.append(err)
+
+
+def _feed(stream, cuts):
+    """A fresh cutter fed ``stream`` in the chunks ``cuts`` split it into."""
+    cutter = _Cutter()
+    bounds = sorted(set(cuts))
+    for start, end in zip([0, *bounds], [*bounds, len(stream)]):
+        cutter.data_received(stream[start:end])
+    return cutter
+
+
+class TestFrameCutting:
+    """A carrier may split the byte stream anywhere: the frames cut out
+    of it must not depend on where."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        messages=st.lists(_messages, max_size=6),
+        codec=st.sampled_from(sorted(CODECS)),
+        data=st.data(),
+    )
+    def test_any_split_yields_the_same_messages_in_order(self, messages, codec, data):
+        stream = b"".join(frame(message, codec) for message in messages)
+        cutter = _feed(stream, data.draw(st.lists(st.integers(0, len(stream)))))
+        assert cutter.messages == messages
+        assert cutter.violations == [] and not cutter._buffer
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        messages=st.lists(_messages, max_size=6),
+        malformed=st.sampled_from([param.values[0] for param in _MALFORMED_FRAMES]),
+        data=st.data(),
+    )
+    def test_a_malformed_frame_is_one_violation_and_ends_the_cutting(
+        self, messages, malformed, data
+    ):
+        at = data.draw(st.integers(0, len(messages)))
+        framed = [frame(message) for message in messages]
+        framed.insert(at, len(malformed).to_bytes(HEADER_BYTES, "big") + malformed)
+        stream = b"".join(framed)
+        cutter = _feed(stream, data.draw(st.lists(st.integers(0, len(stream)))))
+        assert cutter.messages == messages[:at]  # nothing cut after it
+        assert len(cutter.violations) == 1 and cutter.dead
+
+
 class TestCodecSelection:
     def test_resolve_codec(self):
         assert resolve_codec(None) is BINARY_CODEC
@@ -392,16 +450,19 @@ class TestInMemoryCodec:
         async def scenario():
             network = InMemoryNetwork(seed=0)
             network.endpoint("rx")
-            network.endpoint("tx")
+            sender = network.endpoint("tx")
             poisoned = Message(
                 kind="stats",
                 sender="tx",
+                request_id="tx#1",
                 payload={"bad": {1: "non-string key"}},
             )
-            with pytest.raises(RuntimeProtocolError):
-                network.deliver("tx", "rx", poisoned)
+            with pytest.raises(RuntimeProtocolError, match="string payload keys"):
+                await sender.call("rx", poisoned)
+            return network.stats()
 
-        run_virtual(scenario())
+        stats = run_virtual(scenario())
+        assert stats["frames_sent"] == stats["frames_inflight"] == 0
 
 
 async def _echo_handler(message):
