@@ -17,7 +17,7 @@ Every method — :meth:`Session.loadtest`, :meth:`Session.chaos`,
 :meth:`Session.bench` — takes its inputs from one normalised
 :class:`RunSpec` and returns one :class:`RunReport` shape, replacing
 the keyword dialects the engines grew over time.
-Execution shape (process topology, origin shards, wire codec) lives in
+Execution shape (process topology, origin shards, worker shards) lives in
 one :class:`~repro.config.DeploySpec` threaded as ``RunSpec.deploy``.
 """
 

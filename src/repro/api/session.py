@@ -68,8 +68,8 @@ class RunSpec:
         tolerance: Divergence tolerance for the smoke self-checks.
         workers: Process count for sweep sharding (None stays serial).
         deploy: Deployment shape (:class:`~repro.config.DeploySpec`):
-            process topology, origin shards, replication, wire codec
-            and bus path.  None means the local single-loop default —
+            process topology, origin shards, replication, worker
+            shards and bus path.  None means the local single-loop default —
             ``DeploySpec(processes=1)`` — so every run kind reads its
             execution shape from this one object.
         obs: Observability channels threaded through every run.

@@ -714,7 +714,6 @@ def cmd_deploy(args) -> None:
                     processes=processes,
                     shards=args.shards,
                     replicas=args.replicas,
-                    codec=args.codec,
                     bus_path=args.bus_dir,
                 )
             except ReproError as error:
@@ -817,17 +816,11 @@ def cmd_serve(args) -> None:
     )
 
     async def _serve() -> None:
-        server = TcpServer(
-            origin.handle,
-            host=args.host,
-            port=args.port,
-            codec=None if args.codec == "auto" else args.codec,
-        )
+        server = TcpServer(origin.handle, host=args.host, port=args.port)
         await server.start()
         print(
             f"serving {len(trace.documents):,} documents on "
-            f"{args.host}:{server.port} (threshold {args.threshold}, "
-            f"codec {args.codec})",
+            f"{args.host}:{server.port} (threshold {args.threshold})",
             flush=True,
         )
         try:
@@ -864,50 +857,6 @@ def cmd_serve(args) -> None:
         print("interrupted; shutting down")
 
 
-#: Minimum binary-over-JSON codec speedup on the bench corpus (one
-#: encode+decode round trip per message).  Measured ~1.5x interleaved
-#: on the reference machine (encode alone is ~2.7x); the floor mainly
-#: guards the invariant that the default codec is never *slower* than
-#: the JSON debug codec, with headroom for interpreter variance.
-CODEC_SPEEDUP_FLOOR = 1.05
-
-
-def _codec_corpus():
-    """Deterministic message mix for the wire-codec benchmark.
-
-    Mirrors live traffic shape: demand requests with growing cache
-    digests, responses with speculated riders, and the occasional error
-    reply — so both packed layouts and the generic fallback are on the
-    timed path.
-    """
-    from ..runtime.messages import make_error, make_request, make_response
-
-    n_docs = 64
-    docs = [f"/doc/{i:04d}.html" for i in range(n_docs)]
-    corpus = []
-    for i in range(256):
-        client = f"client-{i % 17}"
-        doc = docs[i % n_docs]
-        digest = tuple(docs[(i + k) % n_docs] for k in range(i % 17))
-        corpus.append(
-            make_request(
-                client, f"{client}#{i}", doc, i * 0.25, digest=digest
-            )
-        )
-        riders = [(docs[(i + k) % n_docs], 512 + 64 * k) for k in range(i % 5)]
-        corpus.append(
-            make_response(
-                "origin", f"{client}#{i}", doc, 4096 + i, "origin",
-                speculated=riders,
-            )
-        )
-        if i % 64 == 0:
-            corpus.append(
-                make_error("origin", f"{client}#{i}", "protocol", "bad doc")
-            )
-    return corpus
-
-
 def cmd_bench(args) -> None:
     """``repro bench`` — measure engine medians and gate regressions."""
     import functools
@@ -925,12 +874,10 @@ def cmd_bench(args) -> None:
     section = perf.run_scale(scale, repeats=args.repeats)
     # The perf layer sits below the fleet and the runtime, so those
     # verbs are handed down as plain callables: the fleet smoke and the
-    # sharded loadtest as baseline-gated wall sections, the wire-codec
-    # pass as an interleaved pair with its own speedup floor.
+    # sharded loadtest as baseline-gated wall sections.
     from ..deploy import execute_deploy_smoke
     from ..fleet import execute_fleet_smoke
     from ..runtime import LiveSettings, execute_loadtest, smoke_workload
-    from ..runtime.messages import CODECS
 
     fleet_section = perf.time_wall(
         "fleet_smoke",
@@ -957,21 +904,6 @@ def cmd_bench(args) -> None:
         repeats=args.repeats if args.repeats is not None else 3,
     )
 
-    corpus = _codec_corpus()
-
-    def codec_pass(name):
-        codec = CODECS[name]
-        return lambda: [codec.decode(codec.encode(m)) for m in corpus]
-
-    codec_section = perf.time_paired(
-        "codec",
-        codec_pass("json"),
-        codec_pass("binary"),
-        suffixes=("_binary", "_json"),
-        repeats=args.repeats if args.repeats is not None else 9,
-        floor=CODEC_SPEEDUP_FLOOR,
-    )
-
     shard_workers = 4
     sharded_section = perf.time_wall(
         "loadtest_sharded",
@@ -987,7 +919,6 @@ def cmd_bench(args) -> None:
         "fleet-smoke": fleet_section,
         "loadtest-smoke": loadtest_section,
         "deploy-smoke": deploy_section,
-        "codec": codec_section,
         "loadtest-sharded": sharded_section,
     }
     report = perf.build_report(sections)

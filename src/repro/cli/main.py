@@ -418,12 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         "1 selects the in-process single-loop mode",
     )
     deploy.add_argument(
-        "--codec",
-        default="binary",
-        choices=["binary", "json"],
-        help="wire codec every TCP frame round-trips through",
-    )
-    deploy.add_argument(
         "--bus-dir",
         default=None,
         help="event-bus directory (default: a fresh temp dir); each arm "
@@ -577,13 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="exit after serving this many requests",
-    )
-    serve.add_argument(
-        "--codec",
-        default="auto",
-        choices=["auto", "binary", "json"],
-        help="reply wire format: auto mirrors each connection's first "
-        "frame; json forces the debug/interop format",
     )
     serve.add_argument(
         "--smoke",

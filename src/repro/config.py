@@ -142,9 +142,6 @@ class DeploySpec:
     #: Local client-shard forks for the single-loop engine (the former
     #: ``execute_loadtest(workers=)`` knob, now spec-carried).
     workers: int = 1
-    #: Wire codec for every transport in the deployment; ``None`` means
-    #: inherit the verb's settings (``LiveSettings.codec``).
-    codec: str | None = None
     #: Directory holding the append-only JSONL topic logs; ``None``
     #: creates a temporary directory per run.
     bus_path: str | None = None
@@ -160,8 +157,6 @@ class DeploySpec:
             raise SimulationError("replicas must be in [1, shards]")
         if self.workers < 1:
             raise SimulationError("workers must be >= 1")
-        if self.codec is not None and self.codec not in ("binary", "json"):
-            raise SimulationError("codec must be 'binary', 'json', or None")
         if self.processes > 1 and self.processes < self.shards + 1:
             raise SimulationError(
                 "a distributed deployment needs at least one process per "

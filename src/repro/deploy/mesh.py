@@ -26,7 +26,7 @@ from __future__ import annotations
 import asyncio
 
 from ..errors import TransportError
-from ..runtime.messages import MAX_FRAME_BYTES, Codec, Message
+from ..runtime.messages import MAX_FRAME_BYTES, Message
 from ..runtime.transport import FrameLedger, TcpConnection, dial
 
 __all__ = ["TcpMesh", "TcpMeshEndpoint"]
@@ -37,7 +37,6 @@ class TcpMesh:
 
     Args:
         directory: ``node name → (host, port)`` of every listener.
-        codec: Wire codec for outbound frames (replies are sniffed).
         timeout: Default per-call timeout; it also bounds each dial.
         max_frame_bytes: Per-frame cap applied to inbound replies.
     """
@@ -46,12 +45,10 @@ class TcpMesh:
         self,
         directory: dict[str, tuple[str, int]],
         *,
-        codec: str | Codec = "binary",
         timeout: float | None = 30.0,
         max_frame_bytes: int = MAX_FRAME_BYTES,
     ):
         self._directory = dict(directory)
-        self._codec = codec
         self._timeout = timeout
         self._max_frame_bytes = max_frame_bytes
         self._endpoints: dict[str, TcpMeshEndpoint] = {}
@@ -160,7 +157,7 @@ class TcpMeshEndpoint:
             link = await asyncio.shield(task)
         if timeout is None:
             timeout = mesh._timeout
-        return await link.call(message, mesh._codec, timeout=timeout)
+        return await link.call(message, timeout=timeout)
 
     async def close(self) -> None:
         """Nothing to release: the connections are the mesh's."""

@@ -6,8 +6,8 @@ in-process executor (``processes == 1`` — a plain
 :func:`~repro.runtime.service.execute_loadtest`) or stands up a real
 multi-process system: ``shards`` origin processes (consistent hashing
 over document ids, ``replicas``-way failover), the remaining processes
-hosting the region proxies, all wired by the TCP transport with the
-binary codec and coordinated over a durable JSONL event bus.
+hosting the region proxies, all wired by the TCP transport and
+coordinated over a durable JSONL event bus.
 
 The coordinator itself runs the load generator: it publishes the
 dissemination decision and per-proxy placements (twice — at-least-once
@@ -298,9 +298,7 @@ async def _coordinate(
     metrics = default_registry()
     loop = asyncio.get_running_loop()
     metrics.bind_clock(loop.time)
-    mesh = TcpMesh(
-        directory, codec=settings.codec, timeout=settings.request_timeout
-    )
+    mesh = TcpMesh(directory, timeout=settings.request_timeout)
     generator = LoadGenerator(
         mesh,
         prepared.routes,
@@ -383,7 +381,6 @@ def _run_arm(
             )
 
     buckets = _assign_proxies(prepared.proxies, spec.proxy_hosts)
-    codec = spec.codec if spec.codec is not None else prepared.settings.codec
     contexts: list[tuple[Any, Any]] = [
         (
             run_origin_shard,
@@ -392,7 +389,6 @@ def _run_arm(
                 bus_path=str(bus_path),
                 prepared=prepared,
                 speculative=speculative,
-                codec=codec,
                 host=spec.host,
                 startup_timeout=STARTUP_TIMEOUT,
                 run_timeout=RUN_TIMEOUT,
@@ -410,7 +406,6 @@ def _run_arm(
                 proxies=bucket,
                 shards=spec.shards,
                 replicas=spec.replicas,
-                codec=codec,
                 host=spec.host,
                 faults={
                     proxy: faults[proxy] for proxy in bucket if proxy in faults
@@ -486,8 +481,7 @@ def execute_deploy(
 
     Args:
         workload: Synthetic workload configuration (seeded).
-        settings: Live-run knobs; ``spec.codec`` (when set) overrides
-            ``settings.codec``.
+        settings: Live-run knobs; defaults to :class:`LiveSettings`.
         config: The paper's cost model and timeouts.
         spec: The deployment spec; None means the local default.
         fault_plan: Scripted crash/partition faults (distributed specs
@@ -517,8 +511,6 @@ def execute_deploy(
             processes=1,
         )
 
-    if spec.codec is not None:
-        settings = replace(settings, codec=spec.codec)
     require_shard_exact(settings)
     prepared = prepare_live_run(workload, settings, config=config)
     faults = (
@@ -573,7 +565,7 @@ def execute_deploy(
 
 def deploy_smoke_spec() -> DeploySpec:
     """The 2-shard / 2-proxy-host topology ``repro deploy --smoke`` runs."""
-    return DeploySpec(processes=4, shards=2, replicas=2, codec="binary")
+    return DeploySpec(processes=4, shards=2, replicas=2)
 
 
 def deploy_smoke_fault_plan() -> DeployFaultPlan:

@@ -126,7 +126,6 @@ class ShardContext:
     bus_path: str
     prepared: Any
     speculative: bool
-    codec: str
     host: str = "127.0.0.1"
     startup_timeout: float = 30.0
     run_timeout: float = 900.0
@@ -142,7 +141,6 @@ class ProxyHostContext:
     proxies: tuple[str, ...]
     shards: int
     replicas: int
-    codec: str
     host: str = "127.0.0.1"
     faults: dict[str, ProxyFault] = field(default_factory=dict)
     startup_timeout: float = 30.0
@@ -159,7 +157,7 @@ async def _serve(
     coordinator's shutdown; returns the drained servers' ledgers."""
     servers: list[TcpServer] = []
     for node, handler in handlers.items():
-        server = TcpServer(handler, host=ctx.host, port=0, codec=ctx.codec)
+        server = TcpServer(handler, host=ctx.host, port=0)
         await server.start()
         servers.append(server)
         bus.publish(
@@ -372,9 +370,7 @@ async def _proxy_host_main(ctx: ProxyHostContext) -> None:
     prepared = ctx.prepared
     settings = prepared.settings
     metrics = default_registry()
-    mesh = TcpMesh(
-        directory, codec=ctx.codec, timeout=settings.request_timeout
-    )
+    mesh = TcpMesh(directory, timeout=settings.request_timeout)
     resolve = HashRing(ctx.shards).resolver(ctx.replicas)
     nodes: dict[str, CacheNode] = {}
     handlers: dict[str, Handler] = {}

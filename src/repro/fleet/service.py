@@ -76,11 +76,6 @@ class FleetSettings:
         drop_probability: Frame-drop rate (exercises retry paths).
         schedule_seed: When not ``None``, perturb same-deadline timer
             order (the race gate; results must not change).
-        codec: Wire codec every in-memory frame is written in
-            (``"binary"`` or ``"json"``) — the same knob
-            :class:`~repro.runtime.service.LiveSettings` has, so one
-            :class:`~repro.config.DeploySpec` can configure both run
-            kinds.
     """
 
     budget_bytes: float = 2_000_000.0
@@ -97,7 +92,6 @@ class FleetSettings:
     seed: int = 0
     drop_probability: float = 0.0
     schedule_seed: int | None = None
-    codec: str = "binary"
 
 
 @dataclass(frozen=True)
@@ -296,23 +290,25 @@ def execute_fleet(
         sampling: Replay only a hash-selected client fraction and
             attach Horvitz–Thompson ratio estimates with bootstrap
             intervals; None replays the full population.
-        deploy: A **local** :class:`~repro.config.DeploySpec`; its
-            ``codec`` (when set) overrides ``settings.codec`` so fleet
-            runs read their wire format from the same spec as every
-            other run kind.  Distributed specs are rejected — the
-            multi-process path is :func:`repro.deploy.execute_deploy`.
+        deploy: A **local** :class:`~repro.config.DeploySpec` with
+            one worker: the fleet runs in one process.  Distributed
+            specs are rejected — the multi-process path is
+            :func:`repro.deploy.execute_deploy`.
 
     Returns:
         A :class:`FleetReport` with all three snapshots and both ratio
         sets.
 
     Raises:
-        SimulationError: On an unusable workload or plan, or a
-            distributed ``deploy`` spec.
+        SimulationError: On an unusable workload or plan, a
+            distributed ``deploy`` spec, or one with ``workers > 1``.
         RuntimeProtocolError: On a byte/frame conservation violation.
     """
     settings = settings if settings is not None else FleetSettings()
-    settings, _ = resolve_local_deploy(settings, deploy)
+    if resolve_local_deploy(deploy) > 1:
+        raise SimulationError(
+            "execute_fleet runs in one process; DeploySpec.workers must be 1"
+        )
     prepared = _FleetPrepared(workload, settings, config, sampling)
 
     demand_snap, demand_obs = prepared.arm("demand", obs=obs)

@@ -30,7 +30,6 @@ from .bench import (
     machine_fingerprint,
     merge_reports,
     run_scale,
-    time_paired,
     time_wall,
     write_baseline,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "parallel_map",
     "run_scale",
     "spawn_seeds",
-    "time_paired",
     "time_wall",
     "write_baseline",
 ]

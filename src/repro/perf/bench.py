@@ -12,12 +12,10 @@ fast on this machine*.
 Two kinds of gate protect that trajectory:
 
 * **Speedup floors** — where two implementations both stay in ``src/``
-  (columnar replay over the general loop, binary codec over JSON) the
-  fast one must beat the other by a fixed factor.  Speedup is a *ratio
-  of two measurements on the same machine in the same run*, so it is
-  stable across hardware and is enforced unconditionally.  Scale floors
-  live in :data:`SCALES`; injected sections (:func:`time_paired`) carry
-  their own ``speedup_floors``.
+  (columnar replay over the general loop) the fast one must beat the
+  other by a fixed factor.  Speedup is a *ratio of two measurements on
+  the same machine in the same run*, so it is stable across hardware
+  and is enforced unconditionally.  The floors live in :data:`SCALES`.
 * **Absolute regression** — medians may not slow down against the
   committed baseline.  Wall-clock medians only compare across runs on
   the same machine, so this check applies only when the stored
@@ -71,13 +69,11 @@ WALL_MAX_REGRESSION = 0.5
 DEFAULT_BASELINE = Path("BENCH_PERF.json")
 
 #: Gated-median suffix → interleaved reference-partner suffix.  Each
-#: pair is sampled by :func:`_paired_medians` (or :func:`time_paired`),
-#: the left side is gated against the baseline load-normalized by the
-#: right side's drift, and the right side is recorded ungated as the
-#: load reference.
+#: pair is sampled by :func:`_paired_medians`, the left side is gated
+#: against the baseline load-normalized by the right side's drift, and
+#: the right side is recorded ungated as the load reference.
 PAIRED_SUFFIXES: dict[str, str] = {
     "_columnar": "_general",
-    "_binary": "_json",
 }
 
 
@@ -288,62 +284,6 @@ def time_wall(
     }
 
 
-def time_paired(
-    metric: str,
-    reference_pass: Callable[[], Any],
-    gated_pass: Callable[[], Any],
-    *,
-    suffixes: tuple[str, str],
-    repeats: int = 9,
-    floor: float | None = None,
-) -> dict[str, Any]:
-    """Time an injected reference/optimized pair as a report section.
-
-    Like :func:`time_wall` this takes plain callables from higher
-    layers — the wire-codec pass, for instance, lives above this
-    package.  Unlike a wall section the pair is sampled interleaved
-    (:func:`_paired_medians`), so the optimized median is gated against
-    the baseline load-normalized by its reference partner, and the
-    speedup floor travels inside the section where
-    :func:`find_regressions` picks it up.
-
-    Args:
-        metric: Benchmark stem; medians land under ``<metric><suffix>``.
-        reference_pass: Zero-argument reference implementation.
-        gated_pass: Zero-argument optimized implementation.
-        suffixes: ``(gated_suffix, reference_suffix)`` — must be a
-            :data:`PAIRED_SUFFIXES` item so the gate recognizes the pair.
-        repeats: Timing repetitions (median is reported).
-        floor: Minimum reference-over-optimized speedup, enforced
-            unconditionally when given.
-
-    Returns:
-        A scale-shaped section: ``repeats``, ``medians_seconds``,
-        ``speedups`` and (when ``floor`` is given) ``speedup_floors``.
-    """
-    gated_suffix, reference_suffix = suffixes
-    if PAIRED_SUFFIXES.get(gated_suffix) != reference_suffix:
-        raise PerfRegressionError(
-            f"unknown paired suffixes {suffixes!r}; expected an item of "
-            f"{sorted(PAIRED_SUFFIXES.items())}"
-        )
-    reps = max(1, repeats)
-    reference_median, gated_median = _paired_medians(
-        reference_pass, gated_pass, reps
-    )
-    section: dict[str, Any] = {
-        "repeats": reps,
-        "medians_seconds": {
-            f"{metric}{reference_suffix}": reference_median,
-            f"{metric}{gated_suffix}": gated_median,
-        },
-        "speedups": {metric: reference_median / gated_median},
-    }
-    if floor is not None:
-        section["speedup_floors"] = {metric: floor}
-    return section
-
-
 def build_report(sections: dict[str, dict[str, Any]]) -> dict[str, Any]:
     """Assemble the report written to ``BENCH_PERF.json``."""
     return {
@@ -391,11 +331,11 @@ def _load_scale(
 ) -> float:
     """Machine-load normalization factor for one absolute comparison.
 
-    The reference stages (``*_general``, ``*_json``) time
-    implementations the optimized engines never touch — so when *those*
-    medians drift versus the committed baseline, the machine is busier
-    (or idler), not the code slower.  An optimized stage is normalized
-    by its paired reference stage (:data:`PAIRED_SUFFIXES`; sampled
+    The reference stages (``*_general``) time implementations the
+    optimized engines never touch — so when *those* medians drift
+    versus the committed baseline, the machine is busier (or idler),
+    not the code slower.  An optimized stage is normalized by its
+    paired reference stage (:data:`PAIRED_SUFFIXES`; sampled
     interleaved, so both see the same load), falling back to the median
     drift of all reference stages in the section.  The factor is
     clamped to at least 1.0: a uniform slow-down of both passes
@@ -429,12 +369,11 @@ def find_regressions(
 ) -> list[str]:
     """Every gate violation in ``report``, as human-readable findings.
 
-    Speedup floors are checked unconditionally — scale floors from
-    :data:`SCALES` plus any ``speedup_floors`` an injected section
-    carries (:func:`time_paired`).  Absolute medians are compared only
-    when a baseline exists, ``compare_absolute`` is set, and its machine
-    fingerprint matches the current machine.  Matching fingerprints
-    still share the host with other tenants, so each partnered median
+    Speedup floors (:data:`SCALES`) are checked unconditionally.
+    Absolute medians are compared only when a baseline exists,
+    ``compare_absolute`` is set, and its machine fingerprint matches
+    the current machine.  Matching fingerprints still share the host
+    with other tenants, so each partnered median
     (:data:`PAIRED_SUFFIXES` left-hand suffixes) is load-normalized by
     its reference-stage drift (:func:`_load_scale`); the reference
     medians themselves are the load reference and are not gated, and
@@ -442,10 +381,7 @@ def find_regressions(
     """
     findings: list[str] = []
     for scale_name, section in report.get("scales", {}).items():
-        floors = dict(
-            SCALES[scale_name].speedup_floors if scale_name in SCALES else {}
-        )
-        floors.update(section.get("speedup_floors", {}))
+        floors = SCALES[scale_name].speedup_floors if scale_name in SCALES else {}
         speedups = section.get("speedups", {})
         for metric, floor in floors.items():
             achieved = speedups.get(metric)

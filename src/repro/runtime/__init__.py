@@ -30,16 +30,7 @@ from .daemon import DisseminationDaemon
 from .estimator import OnlineDependencyEstimator
 from .faults import FaultEvent, FaultInjector, FaultPlan
 from .loadgen import ClientRoute, LoadConfig, LoadGenerator
-from .messages import (
-    BINARY_CODEC,
-    CODECS,
-    JSON_CODEC,
-    BinaryCodec,
-    JsonCodec,
-    Message,
-    resolve_codec,
-    sniff_codec,
-)
+from .messages import BINARY_CODEC, BinaryCodec, Message
 from .metrics import (
     Counter,
     Histogram,
@@ -71,7 +62,6 @@ __all__ = [
     "BINARY_CODEC",
     "BackoffPolicy",
     "BinaryCodec",
-    "CODECS",
     "CacheNode",
     "ChaosReport",
     "ChaosSettings",
@@ -86,8 +76,6 @@ __all__ = [
     "FaultPlan",
     "Histogram",
     "InMemoryNetwork",
-    "JSON_CODEC",
-    "JsonCodec",
     "LiveReport",
     "LiveSettings",
     "LoadConfig",
@@ -109,12 +97,10 @@ __all__ = [
     "live_ratios",
     "prepare_live_run",
     "require_shard_exact",
-    "resolve_codec",
     "retry_rng",
     "run_live",
     "run_virtual",
     "smoke_workload",
-    "sniff_codec",
     "tcp_call",
     "verify_conservation",
 ]

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import asyncio
 import functools
-from dataclasses import asdict, replace
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
+from dataclasses import asdict
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from ..config import SECONDS_PER_DAY, BaselineConfig, DeploySpec
 from ..core.planner import DisseminationPlanner
@@ -54,7 +54,6 @@ class RunKnobs(Protocol):
 
     seed: int
     drop_probability: float
-    codec: str
     concurrency: int
     request_timeout: float
     retries: int
@@ -207,12 +206,9 @@ def load_config(settings: RunKnobs) -> LoadConfig:
     )
 
 
-def resolve_local_deploy(
-    settings: Any, deploy: DeploySpec | None, workers: int = 1
-) -> tuple[Any, int]:
-    """Fold a local DeploySpec into (settings, workers).
-
-    ``settings`` is any settings dataclass with a ``codec`` field.
+def resolve_local_deploy(deploy: DeploySpec | None, workers: int = 1) -> int:
+    """The worker count a local DeploySpec asks for (``workers`` when
+    there is no spec).
 
     Raises:
         SimulationError: When the spec is distributed — in-process
@@ -220,16 +216,14 @@ def resolve_local_deploy(
             multi-process request would misreport what ran.
     """
     if deploy is None:
-        return settings, workers
+        return workers
     if not deploy.local:
         raise SimulationError(
             f"DeploySpec(processes={deploy.processes}) is distributed; "
             "run it through repro.deploy.execute_deploy "
             "(or Session.deploy)"
         )
-    if deploy.codec is not None:
-        settings = replace(settings, codec=deploy.codec)
-    return settings, deploy.workers
+    return deploy.workers
 
 
 def entry_routes(
@@ -297,7 +291,7 @@ async def run_live(
             :class:`~repro.runtime.node.CacheNode`).
         config: The paper's cost model and timeouts.
         settings: The shared run knobs (network seed and drop rate,
-            codec, load-generator limits).
+            load-generator limits).
         estimator: The origin's (warm) dependency estimator.
         origin_policy: Origin-side speculation; None serves demand only.
         model: Frozen dependency model for node-side speculation.
@@ -329,7 +323,6 @@ async def run_live(
         seed=settings.seed,
         drop_probability=settings.drop_probability,
         hop_count=_tree_hop_count(tree),
-        codec=settings.codec,
     )
     bundle = ObsBundle.from_config(obs)
     metrics = bundle.registry

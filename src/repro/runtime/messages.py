@@ -1,33 +1,24 @@
 """Wire protocol shared by every runtime transport.
 
 One message shape serves both transports: each :class:`Message` travels
-as a codec frame behind a 4-byte big-endian length prefix, whether a
+as a binary frame behind a 4-byte big-endian length prefix, whether a
 socket or the in-memory network's virtual pipe carries the bytes.
 Keeping the schema tiny (a kind tag, a sender, a correlation id, a
 payload dict) means the protocol layer — origin, proxies, load
 generator — never knows which transport carried a message.
 
-Two codecs serialise that schema:
-
-* :data:`BINARY_CODEC` — the default.  A ``struct``-packed header
-  (magic, version, kind, payload format, field lengths, body bytes)
-  followed by a packed payload.  The hot ``request`` and ``response``
-  payloads use fixed packed layouts whose id lists (the request's
-  cache digest, the response's rider ids) travel as one
-  separator-joined blob; everything else — including an id list that
-  contains the separator — falls back to a tagged value encoding that
-  covers exactly the JSON value domain.
-  Decoding reads straight out of a ``memoryview`` — no intermediate
-  copies, no text parse.
-* :data:`JSON_CODEC` — canonical JSON, kept as the debug/interop mode
-  (``repro serve --codec json``).  ``Message.encode`` is this form.
-
-Both codecs accept the same payload value domain (``None``, ``bool``,
-``int``, ``float``, ``str``, ``list``, string-keyed ``dict``) and
-:meth:`Message.decode` sniffs the codec from the first byte (binary
-frames start with ``0xAB``, which no JSON document can), so every layer
-above the codec is codec-agnostic and roundtrip equivalence is enforced
-here, once.
+One codec serialises that schema, :data:`BINARY_CODEC`: a
+``struct``-packed header (magic, version, kind, payload format, field
+lengths, body bytes) followed by a packed payload.  The hot ``request``
+and ``response`` payloads use fixed packed layouts whose id lists (the
+request's cache digest, the response's rider ids) travel as one
+separator-joined blob; everything else — including an id list that
+contains the separator — falls back to a tagged value encoding that
+covers exactly the JSON value domain (``None``, ``bool``, ``int``,
+``float``, ``str``, ``list``, string-keyed ``dict``).  Decoding reads
+straight out of a ``memoryview`` — no intermediate copies, no text
+parse.  Bytes that are not a binary frame of the current version are a
+protocol violation, like any other malformed frame.
 
 Message kinds
 -------------
@@ -46,10 +37,9 @@ Message kinds
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any
 
 from ..errors import RuntimeProtocolError
 
@@ -73,7 +63,7 @@ class Message:
         kind: One of :data:`KINDS`.
         sender: Endpoint name of the node that produced the message.
         request_id: Correlation id; replies echo their request's id.
-        payload: Kind-specific fields (JSON-serialisable).
+        payload: Kind-specific fields (JSON value domain).
         body_bytes: Nominal body size used by the simulated network's
             latency model, which reads it back from the frame with
             :func:`nominal_bytes`; for a response it is the *document*
@@ -86,87 +76,13 @@ class Message:
     payload: dict[str, Any] = field(default_factory=dict)
     body_bytes: int = 0
 
-    def encode(self) -> bytes:
-        """Serialise to canonical JSON bytes (sorted keys → stable)."""
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "sender": self.sender,
-                "request_id": self.request_id,
-                "payload": self.payload,
-                "body_bytes": self.body_bytes,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "Message":
-        """Parse encoded bytes back into a message, sniffing the codec.
-
-        Binary frames are recognised by their ``0xAB`` magic byte —
-        unreachable by JSON, whose first byte is always ASCII — so one
-        decoder serves both wire formats and peers never have to agree
-        on a codec out of band.
-
-        Raises:
-            RuntimeProtocolError: On malformed input, a non-object
-                body, or an unknown message kind.
-        """
-        if raw[:1] == _MAGIC_BYTE:
-            return BINARY_CODEC.decode(raw)
-        return JSON_CODEC.decode(raw)
-
-
-class JsonCodec:
-    """Canonical-JSON wire codec: the debug/interop format.
-
-    Frames are ``json.dumps(..., sort_keys=True)`` of the message
-    fields — human-readable on the wire and accepted by any peer,
-    at the cost of text parsing on every decode.
-    """
-
-    name = "json"
-
-    def encode(self, message: Message) -> bytes:
-        """Serialise ``message`` to canonical JSON bytes."""
-        return message.encode()
-
-    def decode(self, raw: bytes) -> Message:
-        """Parse JSON bytes back into a message.
-
-        Raises:
-            RuntimeProtocolError: On malformed JSON, a non-object body,
-                or an unknown message kind.
-        """
-        try:
-            data = json.loads(bytes(raw).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
-            raise RuntimeProtocolError(f"undecodable frame: {err}") from err
-        if not isinstance(data, dict):
-            raise RuntimeProtocolError("frame must encode a JSON object")
-        kind = data.get("kind")
-        if kind not in KINDS:
-            raise RuntimeProtocolError(f"unknown message kind {kind!r}")
-        payload = data.get("payload", {})
-        if not isinstance(payload, dict):
-            raise RuntimeProtocolError("message payload must be an object")
-        return Message(
-            kind=kind,
-            sender=str(data.get("sender", "")),
-            request_id=str(data.get("request_id", "")),
-            payload=payload,
-            body_bytes=int(data.get("body_bytes", 0)),
-        )
-
 
 # --------------------------------------------------------------------------
 # Binary codec
 #
 # Frame layout (all integers big-endian):
 #
-#   magic      2 bytes   0xAB 0x52 — 0xAB is not a valid leading UTF-8/JSON
-#                        byte, so codec sniffing is unambiguous
+#   magic      2 bytes   0xAB 0x52; a frame without it is rejected
 #   version    1 byte    wire format version (currently 2; a frame of any
 #                        other version is rejected, not translated)
 #   kind       1 byte    index into _KIND_CODES
@@ -414,8 +330,7 @@ def _write_value(chunks: list[bytes], value: Any) -> None:
     """Append the tagged encoding of one JSON-domain value.
 
     The tag set mirrors the JSON value domain exactly — tuples encode
-    like lists (JSON coerces them the same way) and dict keys must be
-    strings — so the two codecs stay roundtrip-equivalent.
+    like lists (and decode as lists) and dict keys must be strings.
 
     Raises:
         RuntimeProtocolError: On a value outside the JSON domain.
@@ -511,17 +426,15 @@ def _read_value(view: memoryview, offset: int) -> tuple[Any, int]:
 
 
 class BinaryCodec:
-    """Struct-packed wire codec: the default transport format.
+    """Struct-packed wire codec: the one transport format.
 
     The header is one ``struct`` pack; the hot ``request``/``response``
     payload shapes get fixed packed layouts and everything else takes a
     tagged value encoding covering exactly the JSON value domain, so
-    ``binary → decode`` and ``json → decode`` agree on every message.
+    ``decode(encode(message)) == message`` for every message in it.
     Decoding is zero-copy: fields are unpacked straight out of a
     ``memoryview`` of the frame.
     """
-
-    name = "binary"
 
     def encode(self, message: Message) -> bytes:
         """Serialise ``message`` to binary frame bytes.
@@ -626,55 +539,18 @@ class BinaryCodec:
         )
 
 
-#: Union of the concrete codec types (both are duck-compatible).
-Codec = Union[JsonCodec, BinaryCodec]
-
-#: Singleton codec instances (codecs are stateless).
-JSON_CODEC = JsonCodec()
+#: The one codec instance (the codec is stateless).
 BINARY_CODEC = BinaryCodec()
 
-#: Codec registry keyed by wire-format name.
-CODECS: dict[str, Codec] = {"json": JSON_CODEC, "binary": BINARY_CODEC}
 
-
-def resolve_codec(codec: str | Codec | None) -> Codec:
-    """Map a codec name (or codec instance, or ``None``) to a codec.
-
-    ``None`` resolves to the default :data:`BINARY_CODEC`.
-
-    Raises:
-        RuntimeProtocolError: On an unknown codec name.
-    """
-    if codec is None:
-        return BINARY_CODEC
-    if isinstance(codec, str):
-        try:
-            return CODECS[codec]
-        except KeyError:
-            raise RuntimeProtocolError(
-                f"unknown codec {codec!r}; expected one of {sorted(CODECS)}"
-            ) from None
-    return codec
-
-
-def sniff_codec(raw: bytes) -> Codec:
-    """Identify which codec produced ``raw`` from its first byte."""
-    return BINARY_CODEC if raw[:1] == _MAGIC_BYTE else JSON_CODEC
-
-
-def frame(
-    message: Message,
-    codec: str | Codec | None = None,
-    *,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> bytes:
+def frame(message: Message, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Length-prefix a message for stream transports.
 
     Raises:
         RuntimeProtocolError: If the encoded body exceeds
             ``max_frame_bytes``.
     """
-    body = resolve_codec(codec).encode(message)
+    body = BINARY_CODEC.encode(message)
     if len(body) > max_frame_bytes:
         raise RuntimeProtocolError(
             f"frame of {len(body)} bytes exceeds the {max_frame_bytes}-byte cap"
@@ -688,14 +564,14 @@ _BODY_BYTES_AT = HEADER_BYTES + _HEADER.size - _I64.size
 
 def nominal_bytes(framed: bytes) -> int:
     """The ``body_bytes`` one :func:`frame` output declares, read in place
-    from a binary header (a JSON frame is parsed); 0 for bytes that are
-    not one well-formed frame, which only a hostile peer writes."""
+    from its header; 0 for bytes that are not one well-formed frame,
+    which only a hostile peer writes."""
     try:
         if framed[HEADER_BYTES : HEADER_BYTES + 1] == _MAGIC_BYTE:
             return _I64.unpack_from(framed, _BODY_BYTES_AT)[0]
-        return JSON_CODEC.decode(framed[HEADER_BYTES:]).body_bytes
-    except (struct.error, RuntimeProtocolError):
-        return 0
+    except struct.error:
+        pass
+    return 0
 
 
 def make_request(

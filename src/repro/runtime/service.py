@@ -86,9 +86,6 @@ class LiveSettings:
             seed (see :func:`~repro.runtime.clock.run_virtual`).  Used
             by ``repro racecheck``; the reported ratios must be
             bit-identical for every value.
-        codec: Wire codec every in-memory frame is written in
-            (``"binary"`` or ``"json"``); both formats are exercised
-            end to end and must produce identical ratios.
     """
 
     budget_bytes: float = 2_000_000.0
@@ -103,7 +100,6 @@ class LiveSettings:
     drop_probability: float = 0.0
     refresh_interval: int = 512
     schedule_seed: int | None = None
-    codec: str = "binary"
 
 
 @dataclass(frozen=True)
@@ -582,9 +578,9 @@ def execute_loadtest(
             (no drops, no online learning, no replanning daemon, no
             obs channels); 1 runs in-process as before.
         deploy: A **local** :class:`~repro.config.DeploySpec`
-            (``processes == 1``); its ``workers``/``codec`` override the
-            bare ``workers`` argument and ``settings.codec``, so the
-            spec is the single source of execution shape.  A
+            (``processes == 1``); its ``workers`` override the bare
+            ``workers`` argument, so the spec is the single source of
+            execution shape.  A
             distributed spec is rejected — route it through
             :func:`repro.deploy.execute_deploy`.
 
@@ -599,7 +595,7 @@ def execute_loadtest(
             if ``deploy`` is a distributed spec.
     """
     settings = settings if settings is not None else LiveSettings()
-    settings, workers = resolve_local_deploy(settings, deploy, workers)
+    workers = resolve_local_deploy(deploy, workers)
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
     if workers > 1:
@@ -762,7 +758,7 @@ def execute_smoke(
     Runs the small smoke workload live, verifies the live ratios
     against the batch reference, and raises on divergence — this is the
     check CI runs after the test suite.  ``deploy`` accepts a local
-    :class:`~repro.config.DeploySpec` (worker shards, wire codec) as in
+    :class:`~repro.config.DeploySpec` (worker shards) as in
     :func:`execute_loadtest`.
 
     Raises:

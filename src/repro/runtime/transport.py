@@ -1,8 +1,7 @@
 """Pluggable transports: one request/reply protocol over two byte carriers.
 
-One protocol pair moves every message as a length-prefixed frame of a
-negotiated wire codec (packed binary by default, canonical JSON as the
-debug/interop mode; see :mod:`~repro.runtime.messages`).  A
+One protocol pair moves every message as a length-prefixed binary
+frame (see :mod:`~repro.runtime.messages`).  A
 :class:`TcpConnection` at the caller matches each reply to its call by
 ``request_id`` (the one reply rule); a :class:`_ServerConnection` at
 the callee runs one handler task per request (at most
@@ -21,7 +20,7 @@ in a :class:`FrameLedger`.  Two carriers move the bytes:
 Failure mapping: anything the *network* did wrong (timeout, dropped
 frame, refused connection, truncated stream) raises
 :class:`~repro.errors.TransportError`; anything the *peer* did wrong
-(bad frame contents, unknown kind, oversized frame) raises
+(bad or non-binary frame contents, unknown kind, oversized frame) raises
 :class:`~repro.errors.RuntimeProtocolError`.
 """
 
@@ -38,16 +37,14 @@ import numpy as np
 
 from ..errors import RuntimeProtocolError, TransportError
 from .messages import (
+    BINARY_CODEC,
     HEADER_BYTES,
     MAX_FRAME_BYTES,
-    Codec,
     Message,
     frame,
     make_error,
     nominal_bytes,
     raise_if_error,
-    resolve_codec,
-    sniff_codec,
 )
 from .resilience import name_digest
 
@@ -97,15 +94,13 @@ def _expire(future: "asyncio.Future[Message]") -> None:
 class _Service:
     """What a :class:`_ServerConnection` reads of the :class:`TcpServer`
     or :class:`Endpoint` it serves: the handler and its live tasks, the
-    ledger, the reply codec (``None`` mirrors each connection's first
-    inbound frame) and ``_closing`` (while set, no connection reads)."""
+    ledger and ``_closing`` (while set, no connection reads)."""
 
-    def __init__(self, name: str, ledger: FrameLedger, codec: str | Codec | None):
+    def __init__(self, name: str, ledger: FrameLedger):
         self._handler: Handler | None = None
         #: The sender of the ``error`` replies this service writes.
         self.name = name
         self.ledger = ledger
-        self._codec = None if codec is None else resolve_codec(codec)
         self._max_frame_bytes = MAX_FRAME_BYTES
         #: Seconds :meth:`close` waits for handlers (TcpServer; never in memory).
         self._drain_timeout: float | None = None
@@ -146,7 +141,7 @@ class Endpoint(_Service):
     """
 
     def __init__(self, network: "InMemoryNetwork", name: str):
-        super().__init__(name, network.ledger, network.codec)
+        super().__init__(name, network.ledger)
         self._network = network
         self._closing = True  # reads no request until start()
         #: The context ``start()`` was called in: arrivals run in it, not
@@ -175,7 +170,7 @@ class Endpoint(_Service):
         connection = self._outgoing.get(destination)
         if connection is None or connection.dead:
             connection = self._network._connect(self, destination)
-        return await connection.call(message, self._codec, timeout=timeout)
+        return await connection.call(message, timeout=timeout)
 
 
 class _Pipe(asyncio.Transport):
@@ -277,9 +272,6 @@ class InMemoryNetwork:
         hop_count: Maps ``(src, dst)`` to the hop distance, asked once
             per link; defaults to 1 hop for every pair.  The service
             harness wires in routing tree distances here.
-        codec: Wire codec (``"binary"`` or ``"json"``) every endpoint
-            writes its frames in; the latency model reads ``body_bytes``
-            back from each frame's header either way.
     """
 
     def __init__(
@@ -291,7 +283,6 @@ class InMemoryNetwork:
         jitter: float = 0.2,
         drop_probability: float = 0.0,
         hop_count: Callable[[str, str], int] | None = None,
-        codec: str | Codec = "binary",
     ):
         if base_latency < 0:
             raise TransportError("base_latency must be non-negative")
@@ -305,7 +296,6 @@ class InMemoryNetwork:
         self._jitter = jitter
         self._drop_probability = drop_probability
         self._hop_count = hop_count
-        self._codec = resolve_codec(codec)
         self._endpoints: dict[str, Endpoint] = {}
         #: Built on each link's first frame: few endpoint pairs ever talk,
         #: and minting a generator costs as much as some 40 draws from it.
@@ -333,11 +323,6 @@ class InMemoryNetwork:
         endpoint = Endpoint(self, name)
         self._endpoints[name] = endpoint
         return endpoint
-
-    @property
-    def codec(self) -> Codec:
-        """The wire codec every endpoint writes its frames in."""
-        return self._codec
 
     def _connect(self, caller: Endpoint, destination: str) -> TcpConnection:
         """A fresh pipe from ``caller`` to ``destination``, made at once:
@@ -453,7 +438,7 @@ class _FrameProtocol(asyncio.Protocol):
                     break
                 offset = start + length
                 body = bytes(buffer[start:offset])
-                self._message(Message.decode(body), body)  # type: ignore[attr-defined]
+                self._message(BINARY_CODEC.decode(body))  # type: ignore[attr-defined]
         except RuntimeProtocolError as err:
             offset = end
             self.dead = True
@@ -488,7 +473,7 @@ class TcpConnection(_FrameProtocol):
         # callers and nobody else's.
         self._pending: dict[str, asyncio.Future[Message]] = {}
 
-    def _message(self, message: Message, body: bytes) -> None:
+    def _message(self, message: Message) -> None:
         """The one reply rule: the waiting call gets ``message``, booked
         ``delivered``.  A reply whose caller timed out or was cancelled
         finds nothing (or a done future), is never handed to another
@@ -523,13 +508,7 @@ class TcpConnection(_FrameProtocol):
         super().connection_lost(exc)
         self._fail(TransportError(f"connection to {self._peer} lost{detail}"))
 
-    async def call(
-        self,
-        message: Message,
-        codec: str | Codec | None = None,
-        *,
-        timeout: float | None = None,
-    ) -> Message:
+    async def call(self, message: Message, *, timeout: float | None = None) -> Message:
         """Send a request and await the reply with its ``request_id``.
 
         Raises:
@@ -548,7 +527,7 @@ class TcpConnection(_FrameProtocol):
             raise RuntimeProtocolError(
                 f"request id {request_id!r} is empty or already in flight"
             )
-        self.transport.write(frame(message, codec))
+        self.transport.write(frame(message))
         self.ledger.frames_sent += 1
         self.ledger.bytes_sent += message.body_bytes
         # Registered only now the request is on the way, so a send that
@@ -615,7 +594,6 @@ class _ServerConnection(_FrameProtocol):
     def __init__(self, service: _Service):
         super().__init__(service._max_frame_bytes)
         self._service = service
-        self._codec = service._codec
         self._inflight = 0
         self._choked = False  # the peer lets its replies pile up unread
 
@@ -628,11 +606,8 @@ class _ServerConnection(_FrameProtocol):
         self._service._connections.pop(self, None)
         super().connection_lost(exc)
 
-    def _message(self, message: Message, body: bytes) -> None:
+    def _message(self, message: Message) -> None:
         service = self._service
-        if self._codec is None:
-            # Negotiation: replies mirror the first inbound frame's codec.
-            self._codec = sniff_codec(body)
         service.ledger.frames_delivered += 1
         service.ledger.bytes_delivered += message.body_bytes
         self._inflight += 1
@@ -641,11 +616,11 @@ class _ServerConnection(_FrameProtocol):
             self._flow()
 
     def _violated(self, err: RuntimeProtocolError) -> None:
-        # Hostile or broken peer: report the violation on the codec in
-        # force and hang up instead of trusting any further byte.
+        # Hostile or broken peer: report the violation and hang up
+        # instead of trusting any further byte.
         self._service.protocol_errors += 1
         error = make_error(self._service.name, "", "protocol", str(err))
-        self.transport.write(frame(error, self._codec))
+        self.transport.write(frame(error))
         self.transport.close()
 
     def pause_writing(self) -> None:
@@ -690,7 +665,7 @@ class _ServerConnection(_FrameProtocol):
             # good as done.
             service._tasks.discard(asyncio.current_task())  # type: ignore[arg-type]
         if reply is not None and not self.transport.is_closing():
-            self.transport.write(frame(reply, self._codec))
+            self.transport.write(frame(reply))
             ledger.frames_sent += 1
             ledger.bytes_sent += reply.body_bytes
         service.requests_served += 1
@@ -715,9 +690,6 @@ class TcpServer(_Service):
         host: Interface to bind.
         port: Port to bind; 0 picks an ephemeral port (read it back
             from :attr:`port` after :meth:`start`).
-        codec: Reply wire format: ``None`` (the default) mirrors each
-            connection's first inbound frame, ``"binary"``/``"json"``
-            force one (``--codec json``); inbound is always sniffed.
         max_frame_bytes: Per-frame size cap enforced on the *declared*
             length before any body byte is kept.
         drain_timeout: Seconds :meth:`close` gives requests already
@@ -730,11 +702,10 @@ class TcpServer(_Service):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        codec: str | Codec | None = None,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         drain_timeout: float = 5.0,
     ):
-        super().__init__("server", FrameLedger(), codec)
+        super().__init__("server", FrameLedger())
         self._handler = handler
         self._max_frame_bytes = max_frame_bytes
         self._host = host
@@ -773,12 +744,10 @@ async def tcp_call(
     message: Message,
     *,
     timeout: float = 5.0,
-    codec: str | Codec | None = None,
     max_frame_bytes: int = MAX_FRAME_BYTES,
 ) -> Message:
     """One request/reply round trip on a :class:`TcpConnection` of its
-    own, for the CLI and tests (binary by default; ``codec="json"`` is
-    the debug/interop format).
+    own, for the CLI and tests.
 
     Raises:
         TransportError: On connect failure, timeout or a lost socket.
@@ -786,7 +755,7 @@ async def tcp_call(
     """
     link = await dial(host, port, timeout=timeout, max_frame_bytes=max_frame_bytes)
     try:
-        return await link.call(message, codec, timeout=timeout)
+        return await link.call(message, timeout=timeout)
     finally:
         await link.close()
 

@@ -198,8 +198,6 @@ class TestDeploySpec:
         with pytest.raises(SimulationError):
             DeploySpec(shards=2, replicas=3)
         with pytest.raises(SimulationError):
-            DeploySpec(codec="morse")
-        with pytest.raises(SimulationError):
             # 3 shards need at least 4 processes (one proxy host).
             DeploySpec(processes=3, shards=3)
 

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro.api import Session
+from repro.config import DeploySpec
 from repro.errors import RuntimeProtocolError, SimulationError
 from repro.fleet import (
     FLEET_POLICIES,
@@ -438,6 +440,15 @@ class TestFleetRun:
                 perturbed.fleet["counters"][key]
                 == fleet_report.fleet["counters"][key]
             )
+
+    def test_a_multi_worker_spec_is_refused_not_run_in_one_process(self):
+        # The fleet has no sharded executor: answering a four-worker spec
+        # from one process would misreport what ran.
+        spec = DeploySpec(workers=4)
+        with pytest.raises(SimulationError, match="workers"):
+            execute_fleet(WORKLOAD, FleetSettings(), deploy=spec)
+        with pytest.raises(SimulationError, match="workers"):
+            Session(deploy=spec).fleet()
 
 
 class TestFleetFaults:

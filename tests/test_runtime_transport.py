@@ -19,6 +19,7 @@ from repro.runtime import (
 )
 from repro.runtime.clock import _RankedTimerHandle
 from repro.runtime.messages import (
+    BINARY_CODEC,
     HEADER_BYTES,
     frame,
     make_error,
@@ -31,32 +32,32 @@ from repro.runtime.messages import (
 class TestMessages:
     def test_encode_decode_round_trip(self):
         message = make_request("client-1", "client-1#7", "/a.html", 12.5)
-        assert Message.decode(message.encode()) == message
+        assert BINARY_CODEC.decode(BINARY_CODEC.encode(message)) == message
 
     def test_frame_is_length_prefixed(self):
         message = make_request("c", "c#1", "/a", 0.0)
-        for codec in ("binary", "json"):
-            framed = frame(message, codec)
-            body = framed[HEADER_BYTES:]
-            assert framed[:HEADER_BYTES] == len(body).to_bytes(
-                HEADER_BYTES, "big"
-            )
-            assert Message.decode(body) == message
-        # JSON remains the debug form: frame(..., "json") carries the
-        # canonical Message.encode() bytes verbatim.
-        assert frame(message, "json")[HEADER_BYTES:] == message.encode()
+        framed = frame(message)
+        body = framed[HEADER_BYTES:]
+        assert framed[:HEADER_BYTES] == len(body).to_bytes(HEADER_BYTES, "big")
+        assert BINARY_CODEC.decode(body) == message
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(RuntimeProtocolError):
-            Message.decode(b"not json at all")
+            BINARY_CODEC.decode(b"not a binary frame")
 
     def test_decode_rejects_non_object(self):
-        with pytest.raises(RuntimeProtocolError):
-            Message.decode(b"[1, 2, 3]")
+        # An empty generic payload ends in the map tag and a zero count;
+        # the list tag in its place decodes to a non-object payload.
+        raw = BINARY_CODEC.encode(Message(kind="stats", sender="x"))
+        assert raw.endswith(b"m" + bytes(4))
+        with pytest.raises(RuntimeProtocolError, match="must be an object"):
+            BINARY_CODEC.decode(raw[:-5] + b"l" + bytes(4))
 
     def test_decode_rejects_unknown_kind(self):
-        with pytest.raises(RuntimeProtocolError):
-            Message.decode(b'{"kind": "teleport", "sender": "x"}')
+        raw = bytearray(BINARY_CODEC.encode(make_request("c", "c#1", "/a", 0.0)))
+        raw[3] = 0xFF  # the kind byte: magic 2, version 1, then kind
+        with pytest.raises(RuntimeProtocolError, match="unknown kind"):
+            BINARY_CODEC.decode(bytes(raw))
 
     def test_oversized_frame_rejected(self):
         huge = Message(

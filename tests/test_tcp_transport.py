@@ -16,8 +16,8 @@ from repro.deploy import TcpMesh
 from repro.errors import RuntimeProtocolError, TransportError
 from repro.runtime import InMemoryNetwork, TcpServer, run_virtual, tcp_call, transport
 from repro.runtime.messages import (
+    BINARY_CODEC,
     HEADER_BYTES,
-    Message,
     frame,
     make_request,
     make_response,
@@ -201,7 +201,7 @@ class RawPeer:
         poisoned = self.connections == 1
         try:
             while True:
-                asked = Message.decode(await read_raw_frame(reader))
+                asked = BINARY_CODEC.decode(await read_raw_frame(reader))
                 if poisoned:
                     writer.write(self._poison)
                 else:

@@ -1,16 +1,18 @@
-"""Binary wire codec: JSON equivalence, negotiation, hostile peers.
+"""Binary wire codec: round trips, the packed layout, hostile peers.
 
-The binary codec must be observationally equivalent to the JSON debug
-codec over the whole JSON value domain: for any message, encoding with
-either codec and decoding the result reconstructs the identical
-:class:`~repro.runtime.messages.Message`.  Equality here is exact
-``==`` — the codecs carry floats as IEEE doubles and ints as ints, so
-no tolerance is ever needed.
+Over the whole JSON value domain, encoding a message and decoding the
+result must reconstruct the identical
+:class:`~repro.runtime.messages.Message`: the message is the oracle.
+Equality here is exact ``==`` — the codec carries floats as IEEE
+doubles and ints as ints, so no tolerance is ever needed.  Bytes that
+are not a binary frame (a canonical-JSON request, say) are hostile
+input like any other malformed frame.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import struct
 
 import pytest
@@ -18,20 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RuntimeProtocolError, TransportError
-from repro.runtime import InMemoryNetwork, Message, TcpServer, run_virtual, tcp_call
+from repro.runtime import InMemoryNetwork, Message, TcpServer, run_virtual
 from repro.runtime.messages import (
     BINARY_CODEC,
-    CODECS,
     HEADER_BYTES,
-    JSON_CODEC,
     KINDS,
     MAX_FRAME_BYTES,
     frame,
     make_error,
     make_request,
     make_response,
-    resolve_codec,
-    sniff_codec,
 )
 from repro.runtime.transport import _FrameProtocol, dial
 
@@ -41,7 +39,7 @@ _FORMAT_BYTE = 4
 
 # The full JSON value domain, including non-ASCII text, big integers
 # (beyond i64, forcing the codec's arbitrary-precision path), and
-# finite floats.  NaN/inf are excluded: canonical JSON rejects them.
+# finite floats.  NaN/inf are excluded: the value domain is JSON's.
 _scalars = (
     st.none()
     | st.booleans()
@@ -75,17 +73,7 @@ class TestCodecEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(message=_messages)
     def test_roundtrip_equivalence(self, message):
-        via_binary = BINARY_CODEC.decode(BINARY_CODEC.encode(message))
-        via_json = JSON_CODEC.decode(JSON_CODEC.encode(message))
-        assert via_binary == message
-        assert via_json == message
-        assert via_binary == via_json
-
-    @settings(max_examples=100, deadline=None)
-    @given(message=_messages)
-    def test_decode_sniffs_either_encoding(self, message):
-        assert Message.decode(BINARY_CODEC.encode(message)) == message
-        assert Message.decode(JSON_CODEC.encode(message)) == message
+        assert BINARY_CODEC.decode(BINARY_CODEC.encode(message)) == message
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -150,7 +138,6 @@ class TestCodecEquivalence:
         raw = BINARY_CODEC.encode(message)
         assert raw[_FORMAT_BYTE] == 1  # packed
         assert BINARY_CODEC.decode(raw) == message
-        assert JSON_CODEC.decode(JSON_CODEC.encode(message)) == message
 
     @pytest.mark.parametrize(
         "extra",
@@ -172,7 +159,6 @@ class TestCodecEquivalence:
         raw = BINARY_CODEC.encode(message)
         assert raw[_FORMAT_BYTE] == 0  # generic tagged encoding
         assert BINARY_CODEC.decode(raw) == message
-        assert JSON_CODEC.decode(JSON_CODEC.encode(message)) == message
 
     def test_non_ascii_and_empty_fields(self):
         cases = [
@@ -185,7 +171,6 @@ class TestCodecEquivalence:
         ]
         for message in cases:
             assert BINARY_CODEC.decode(BINARY_CODEC.encode(message)) == message
-            assert JSON_CODEC.decode(JSON_CODEC.encode(message)) == message
 
     def test_huge_counter_payload(self):
         message = Message(
@@ -216,7 +201,23 @@ class TestCodecEquivalence:
             "client-7", "client-7#42", "/docs/a.html", 1234.5,
             digest=tuple(f"/docs/{i}.html" for i in range(12)),
         )
-        assert len(BINARY_CODEC.encode(message)) < len(JSON_CODEC.encode(message))
+        assert len(BINARY_CODEC.encode(message)) < len(_json_body(message))
+
+
+def _json_body(message: Message) -> bytes:
+    """``message`` as canonical JSON: the text form a peer might send
+    instead of a binary frame."""
+    return json.dumps(
+        {
+            "kind": message.kind,
+            "sender": message.sender,
+            "request_id": message.request_id,
+            "payload": message.payload,
+            "body_bytes": message.body_bytes,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
 
 
 def _header(
@@ -270,9 +271,10 @@ def _response_frame(
     )
 
 
-#: Frames the packed layout must refuse: id blobs that disagree with
-#: their count, the v1 header, and a response flag bit other than
-#: ``path_hops`` (bit 0 is retired).
+#: Frames the codec must refuse: id blobs that disagree with their
+#: count, the v1 header, a response flag bit other than ``path_hops``
+#: (bit 0 is retired), and a request in canonical JSON instead of the
+#: binary format.
 _MALFORMED_FRAMES = [
     pytest.param(_request_frame(3, b"/b\0/c"), id="request-count-above-blob"),
     pytest.param(_request_frame(1, b"/b\0/c"), id="request-count-below-blob"),
@@ -293,6 +295,9 @@ _MALFORMED_FRAMES = [
     ),
     pytest.param(
         _response_frame([4, 6], b"/b\0/c", flags=1), id="response-flag-bit-0"
+    ),
+    pytest.param(
+        _json_body(make_request("c", "c#1", "/a", 0.0)), id="request-json-body"
     ),
 ]
 
@@ -326,7 +331,6 @@ class TestPackedIdLists:
             raw = BINARY_CODEC.encode(message)
             assert raw[_FORMAT_BYTE] == 0  # generic tagged encoding
             assert BINARY_CODEC.decode(raw) == message
-            assert JSON_CODEC.decode(JSON_CODEC.encode(message)) == message
 
     @settings(max_examples=100, deadline=None)
     @given(ids=st.lists(_packable_ids, max_size=12))
@@ -345,8 +349,6 @@ class TestPackedIdLists:
         # pytest.raises lets any other exception class through as a failure.
         with pytest.raises(RuntimeProtocolError):
             BINARY_CODEC.decode(raw)
-        with pytest.raises(RuntimeProtocolError):
-            Message.decode(raw)
 
 
 class _Cutter(_FrameProtocol):
@@ -357,7 +359,7 @@ class _Cutter(_FrameProtocol):
         self.messages = []
         self.violations = []
 
-    def _message(self, message, body):
+    def _message(self, message):
         self.messages.append(message)
 
     def _violated(self, err):
@@ -380,11 +382,10 @@ class TestFrameCutting:
     @settings(max_examples=100, deadline=None)
     @given(
         messages=st.lists(_messages, max_size=6),
-        codec=st.sampled_from(sorted(CODECS)),
         data=st.data(),
     )
-    def test_any_split_yields_the_same_messages_in_order(self, messages, codec, data):
-        stream = b"".join(frame(message, codec) for message in messages)
+    def test_any_split_yields_the_same_messages_in_order(self, messages, data):
+        stream = b"".join(frame(message) for message in messages)
         cutter = _feed(stream, data.draw(st.lists(st.integers(0, len(stream)))))
         assert cutter.messages == messages
         assert cutter.violations == [] and not cutter._buffer
@@ -408,23 +409,6 @@ class TestFrameCutting:
 
 
 class TestCodecSelection:
-    def test_resolve_codec(self):
-        assert resolve_codec(None) is BINARY_CODEC
-        assert resolve_codec("binary") is BINARY_CODEC
-        assert resolve_codec("json") is JSON_CODEC
-        assert resolve_codec(JSON_CODEC) is JSON_CODEC
-        with pytest.raises(RuntimeProtocolError, match="unknown codec"):
-            resolve_codec("msgpack")
-
-    def test_sniff_codec(self):
-        message = make_request("c", "c#1", "/a", 0.0)
-        assert sniff_codec(BINARY_CODEC.encode(message)) is BINARY_CODEC
-        assert sniff_codec(JSON_CODEC.encode(message)) is JSON_CODEC
-
-    def test_codec_names(self):
-        assert CODECS["binary"].name == "binary"
-        assert CODECS["json"].name == "json"
-
     def test_decode_rejects_truncated_binary(self):
         raw = BINARY_CODEC.encode(make_request("c", "c#1", "/a", 0.0))
         for cut in (1, 3, len(raw) // 2, len(raw) - 1):
@@ -435,17 +419,13 @@ class TestCodecSelection:
 
     def test_frame_respects_custom_limit(self):
         message = make_request("c", "c#1", "/a", 0.0)
-        framed = frame(message, "binary", max_frame_bytes=MAX_FRAME_BYTES)
+        framed = frame(message, max_frame_bytes=MAX_FRAME_BYTES)
         assert len(framed) > HEADER_BYTES
         with pytest.raises(RuntimeProtocolError, match="frame"):
-            frame(message, "binary", max_frame_bytes=8)
+            frame(message, max_frame_bytes=8)
 
 
 class TestInMemoryCodec:
-    def test_network_defaults_to_binary(self):
-        assert InMemoryNetwork().codec is BINARY_CODEC
-        assert InMemoryNetwork(codec="json").codec is JSON_CODEC
-
     def test_codec_errors_surface_at_sender(self):
         async def scenario():
             network = InMemoryNetwork(seed=0)
@@ -471,7 +451,7 @@ async def _echo_handler(message):
     )
 
 
-class TestTcpNegotiation:
+class TestHostilePeer:
     def _serve(self, coro_factory, **server_kwargs):
         async def scenario():
             server = TcpServer(_echo_handler, **server_kwargs)
@@ -501,52 +481,6 @@ class TestTcpNegotiation:
             except (ConnectionError, OSError):
                 pass
 
-    def test_server_mirrors_client_codec(self):
-        request = make_request("probe", "probe#1", "/a", 0.0)
-
-        async def probe(server):
-            json_reply, _ = await self._raw_exchange(
-                server.port, JSON_CODEC.encode(request)
-            )
-            binary_reply, _ = await self._raw_exchange(
-                server.port, BINARY_CODEC.encode(request)
-            )
-            return json_reply, binary_reply
-
-        json_reply, binary_reply = self._serve(probe)
-        assert json_reply[:1] == b"{"
-        assert binary_reply[:1] == b"\xab"
-        assert Message.decode(json_reply) == Message.decode(binary_reply)
-
-    def test_forced_json_server_replies_json_to_binary_client(self):
-        request = make_request("probe", "probe#1", "/a", 0.0)
-
-        async def probe(server):
-            reply, _ = await self._raw_exchange(
-                server.port, BINARY_CODEC.encode(request)
-            )
-            return reply
-
-        reply = self._serve(probe, codec="json")
-        assert reply[:1] == b"{"
-        assert Message.decode(reply).kind == "response"
-
-    def test_tcp_call_works_on_both_codecs(self):
-        request = make_request("probe", "probe#1", "/a", 0.0)
-
-        async def probe(server):
-            results = []
-            for codec in ("json", "binary"):
-                reply = await tcp_call(
-                    "127.0.0.1", server.port, request, codec=codec
-                )
-                results.append(reply)
-            return results
-
-        json_reply, binary_reply = self._serve(probe)
-        assert json_reply == binary_reply
-        assert json_reply.payload["size"] == 10
-
     def test_oversize_frame_from_hostile_peer(self):
         async def probe(server):
             reader, writer = await asyncio.open_connection(
@@ -569,7 +503,7 @@ class TestTcpNegotiation:
                     pass
 
         reply, trailer, errors = self._serve(probe, max_frame_bytes=1024)
-        decoded = Message.decode(reply)
+        decoded = BINARY_CODEC.decode(reply)
         assert decoded.kind == "error"
         assert decoded.payload["error_kind"] == "protocol"
         assert trailer == b""  # connection closed after the error reply
@@ -583,7 +517,7 @@ class TestTcpNegotiation:
             return reply, trailer, server.protocol_errors
 
         reply, trailer, errors = self._serve(probe)
-        decoded = Message.decode(reply)
+        decoded = BINARY_CODEC.decode(reply)
         assert decoded.kind == "error"
         assert decoded.payload["error_kind"] == "protocol"
         assert trailer == b""
@@ -622,7 +556,7 @@ class TestTcpNegotiation:
             return reply, trailer, server.protocol_errors, leftover
 
         reply, trailer, errors, leftover = self._serve(probe)
-        assert Message.decode(reply).payload["error_kind"] == "protocol"
+        assert BINARY_CODEC.decode(reply).payload["error_kind"] == "protocol"
         assert trailer == b""
         assert errors == 1
         assert leftover == {}
