@@ -210,7 +210,7 @@ def run_scale(name: str, *, repeats: int | None = None) -> dict[str, Any]:
 
     def closure_pass() -> None:
         # A fresh model per pass so memoized rows never trivialize the
-        # timing; closure_rows computes the whole universe in one batch.
+        # timing; closure_rows computes the whole universe in one call.
         fresh = DependencyModel.from_counts(
             model.pair_counts, model.occurrence_counts
         )

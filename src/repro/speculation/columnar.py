@@ -55,7 +55,7 @@ from ..config import BaselineConfig
 from ..trace.records import Document, Trace
 from .dependency import DependencyModel
 from .metrics import SpeculationMetrics
-from .policies import SpeculationPolicy
+from .policies import SpeculationPolicy, ThresholdPolicy
 
 #: Sessions resolved per dense coverage matrix; bounds peak memory of
 #: the hit/miss fixpoint at ``chunk × universe`` int64 cells.
@@ -74,9 +74,10 @@ _trace_sessions: "weakref.WeakKeyDictionary[Trace, dict[float, _SessionTables]]"
     weakref.WeakKeyDictionary()
 )
 
-#: Per-trace, per-model memoized push tables.  The inner key pins the
-#: policy (frozen dataclass), the MaxSize cap, and the model's mutation
-#: counter, so an ``observe`` on the model invalidates the entry.
+#: Per-trace, per-model memoized push tables and ``ThresholdPolicy``
+#: ranked tables.  The inner keys pin the policy (frozen dataclass) or
+#: its pruning, the MaxSize caps, and the model's mutation counter, so
+#: an ``observe`` on the model invalidates every entry.
 _trace_pushes: "weakref.WeakKeyDictionary[Trace, weakref.WeakKeyDictionary]" = (
     weakref.WeakKeyDictionary()
 )
@@ -223,6 +224,26 @@ class _PushTables:
     target_sizes: np.ndarray
 
 
+def _pack_push_tables(n_docs: int, rows, targets, sizes, universe: int) -> _PushTables:
+    """CSR push tables from row-grouped ``(row, target, size)`` entries."""
+    targets = np.asarray(targets, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    lengths = np.bincount(np.asarray(rows, dtype=np.int64), minlength=n_docs)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    running = np.concatenate(([0], np.cumsum(sizes)))
+    target_sizes = np.zeros(universe, dtype=np.int64)
+    target_sizes[targets] = sizes
+    return _PushTables(
+        universe=universe,
+        indptr=indptr,
+        targets=targets,
+        sizes=sizes,
+        lengths=lengths,
+        byte_sums=running[indptr[1:]] - running[indptr[:-1]],
+        target_sizes=target_sizes,
+    )
+
+
 def _build_push_tables(
     docs: list[str],
     policy: SpeculationPolicy,
@@ -238,7 +259,7 @@ def _build_push_tables(
     """
     index = {doc: code for code, doc in enumerate(docs)}
     extra: dict[str, int] = {}
-    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    rows: list[int] = []
     columns: list[int] = []
     column_sizes: list[int] = []
     for code, doc in enumerate(docs):
@@ -248,30 +269,76 @@ def _build_push_tables(
                 continue
             target = index.get(candidate.doc_id)
             if target is None:
-                target = extra.get(candidate.doc_id)
-                if target is None:
-                    target = len(index) + len(extra)
-                    extra[candidate.doc_id] = target
+                target = extra.setdefault(candidate.doc_id, len(docs) + len(extra))
+            rows.append(code)
             columns.append(target)
             column_sizes.append(document.size)
-        indptr[code + 1] = len(columns)
-    lengths = np.diff(indptr)
-    sizes = np.asarray(column_sizes, dtype=np.int64)
-    byte_sums = np.zeros(len(docs), dtype=np.int64)
-    np.add.at(byte_sums, np.repeat(np.arange(len(docs)), lengths), sizes)
-    universe = len(index) + len(extra)
-    targets = np.asarray(columns, dtype=np.int64)
-    target_sizes = np.zeros(universe, dtype=np.int64)
-    target_sizes[targets] = sizes
-    return _PushTables(
-        universe=universe,
-        indptr=indptr,
-        targets=targets,
-        sizes=sizes,
-        lengths=lengths,
-        byte_sums=byte_sums,
-        target_sizes=target_sizes,
+    universe = len(docs) + len(extra)
+    return _pack_push_tables(len(docs), rows, columns, column_sizes, universe)
+
+
+def _ranked_table(
+    docs: list[str],
+    policy: ThresholdPolicy,
+    model: DependencyModel,
+    catalog: dict[str, Document],
+    max_size: float,
+) -> tuple[np.ndarray, ...]:
+    """Every document's ``select`` candidates down to the pruning floor.
+
+    Returns ``(rows, targets, sizes, probabilities)``, grouped by row and
+    sorted as ``select`` sorts, ``(-probability, doc_id)``, with the
+    catalog and both ``MaxSize`` filters applied: the push lists at
+    ``T_p`` are every row's ``probability >= T_p`` prefix.  The rows are
+    the memoized ``closure_rows`` ``select`` would read (stale after
+    ``observe`` until ``refresh_closure``, as there).
+    """
+    if policy.use_closure:
+        found = model.closure_rows(
+            docs,
+            min_probability=min(policy.min_probability, policy.threshold),
+            max_hops=policy.max_hops,
+        )
+        found_rows = [found[doc] for doc in docs]
+    else:
+        found_rows = [model.successors(doc) for doc in docs]
+    ids = [target for row in found_rows for target in row]
+    probabilities = np.fromiter(
+        (p for row in found_rows for p in row.values()), np.float64, len(ids)
     )
+    rows = np.repeat(np.arange(len(docs)), [len(row) for row in found_rows])
+    # Per distinct target, in doc_id order: catalog size (-1: filtered
+    # out) and code (push-only documents numbered after ``docs``).
+    distinct = sorted(set(ids))
+    rank = {doc_id: position for position, doc_id in enumerate(distinct)}
+    index = {doc: code for code, doc in enumerate(docs)}
+    cap = min(policy.max_size, max_size)
+    sizes = np.array([getattr(catalog.get(d), "size", -1) for d in distinct], np.int64)
+    sizes[sizes > cap] = -1
+    codes = np.array(
+        [index.get(doc_id, len(docs) + r) for r, doc_id in enumerate(distinct)],
+        np.int64,
+    )
+    ranks = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    order = np.lexsort((ranks, -probabilities, rows))
+    order = order[sizes[ranks[order]] >= 0]
+    ranked = ranks[order]
+    return rows[order], codes[ranked], sizes[ranked], probabilities[order]
+
+
+def _cut_push_tables(
+    ranked: tuple[np.ndarray, ...], n_docs: int, threshold: float
+) -> _PushTables:
+    """The push tables at ``T_p``: every ranked row's ``p >= T_p`` prefix."""
+    rows, targets, sizes, probabilities = ranked
+    keep = probabilities >= threshold
+    targets = targets[keep]
+    # Number the surviving push-only targets densely after ``docs``.
+    extra = targets >= n_docs
+    used = np.unique(targets[extra])
+    targets[extra] = n_docs + np.searchsorted(used, targets[extra])
+    universe = n_docs + used.size
+    return _pack_push_tables(n_docs, rows[keep], targets, sizes[keep], universe)
 
 
 def _push_tables(
@@ -287,7 +354,10 @@ def _push_tables(
     the trace (outer weak key), the model (inner weak key) and its
     :attr:`~DependencyModel.version`, the frozen policy, and the
     ``MaxSize`` cap — so repeated replays (sweeps, benchmark repeats)
-    skip the per-document ``select`` calls entirely.
+    skip the per-document ``select`` calls entirely.  A
+    :class:`ThresholdPolicy` never calls ``select``: its tables are a
+    cut of one :func:`_ranked_table`, memoized under the pruning every
+    ``T_p`` of a sweep shares.
     """
     per_trace = _trace_pushes.get(trace)
     if per_trace is None:
@@ -297,19 +367,31 @@ def _push_tables(
     if per_model is None:
         per_model = {}
         per_trace[model] = per_model
-    try:
-        key = (policy, float(max_size))
-    except TypeError:  # unhashable policy: build uncached
-        return _build_push_tables(docs, policy, model, trace.documents, max_size)
-    entry = per_model.get(key)
+    catalog = trace.documents
     version = getattr(model, "version", None)
-    if entry is not None and entry[0] == version and version is not None:
-        tables: _PushTables = entry[1]
-        return tables
-    tables = _build_push_tables(docs, policy, model, trace.documents, max_size)
-    if version is not None:
-        per_model[key] = (version, tables)
-    return tables
+
+    def memo(key: tuple, build):
+        try:
+            entry = per_model.get(key)
+        except TypeError:  # unhashable policy: build uncached
+            return build()
+        if entry is not None and entry[0] == version and version is not None:
+            return entry[1]
+        value = build()
+        if version is not None:
+            per_model[key] = (version, value)
+        return value
+
+    key = (policy, float(max_size))
+    if type(policy) is not ThresholdPolicy:
+        return memo(
+            key, lambda: _build_push_tables(docs, policy, model, catalog, max_size)
+        )
+    # One ranked table per pruning, shared by every T_p cut from it.
+    floor = min(policy.min_probability, policy.threshold)
+    shared = (policy.use_closure, floor, policy.max_hops, policy.max_size, max_size)
+    ranked = memo(shared, lambda: _ranked_table(docs, policy, model, catalog, max_size))
+    return memo(key, lambda: _cut_push_tables(ranked, len(docs), policy.threshold))
 
 
 def _expand_csr(

@@ -43,6 +43,10 @@ from ..trace.records import Trace
 #: bounds peak memory on dense windows (e.g. an infinite ``T_w``).
 _BLOCK_PAIR_BUDGET = 4_000_000
 
+#: Sources relaxed together by :meth:`SparseDependencyEngine.closure_rows`;
+#: bounds its dense ``block × documents`` matrices for any batch size.
+_CLOSURE_BLOCK = 64
+
 #: Integer-coded columns per trace.  A :class:`Trace` is immutable by
 #: contract, and the coding depends only on the trace (not on ``window``
 #: or ``stride_timeout``), so re-estimating over the same trace — the
@@ -319,6 +323,8 @@ class SparseDependencyEngine:
         the reference relaxation (same multiplies, same
         ``>= min_probability`` prune before the clamp to 1.0, same
         strict-improvement test), so the two return identical floats.
+        Sources are relaxed in blocks of ``_CLOSURE_BLOCK``; rows are
+        independent, so the blocking never changes a value.
 
         Args:
             sources: Source documents (unknown ids yield empty rows).
@@ -331,22 +337,36 @@ class SparseDependencyEngine:
         """
         source_list = list(sources)
         rows: list[dict[str, float]] = [{} for _ in source_list]
-        n = len(self._docs)
-        if not source_list or n == 0 or self._indices.size == 0:
+        if not source_list or not self._docs or self._indices.size == 0:
             return rows
         src_idx = np.array(
             [self._index.get(source, -1) for source in source_list],
             dtype=np.int64,
         )
-        known = np.nonzero(src_idx >= 0)[0]
-        if known.size == 0:
-            return rows
+        known = np.flatnonzero(src_idx >= 0)
+        for start in range(0, known.size, _CLOSURE_BLOCK):
+            block = known[start : start + _CLOSURE_BLOCK]
+            codes = src_idx[block]
+            best = self._relax(codes, min_probability, max_hops)
+            best[np.arange(codes.size), codes] = 0.0  # the source itself
+            owner, target = np.nonzero(best)  # row-major: grouped by owner
+            names = list(map(self._docs.__getitem__, target.tolist()))
+            values = best[owner, target].tolist()
+            bounds = np.searchsorted(owner, np.arange(codes.size + 1)).tolist()
+            for k, lo, hi in zip(block.tolist(), bounds, bounds[1:]):
+                rows[k] = dict(zip(names[lo:hi], values[lo:hi]))
+        return rows
 
-        best = np.zeros((len(source_list), n), dtype=np.float64)
-        best[known, src_idx[known]] = 1.0
-        frontier = np.zeros((len(source_list), n), dtype=bool)
-        frontier[known, src_idx[known]] = True
+    def _relax(self, codes: np.ndarray, min_probability: float, max_hops: int):
+        """Best chain products from each source code to every document."""
+        n = len(self._docs)
+        sources = np.arange(codes.size)
+        best = np.zeros((codes.size, n), dtype=np.float64)
+        best[sources, codes] = 1.0
+        frontier = np.zeros((codes.size, n), dtype=bool)
+        frontier[sources, codes] = True
         flat = best.reshape(-1)
+        previous = np.empty_like(best)
         indptr, indices, probs = self._indptr, self._indices, self._probs
 
         for _ in range(max_hops):
@@ -372,17 +392,7 @@ class SparseDependencyEngine:
             targets = (
                 np.repeat(s_front, row_len)[keep] * n + indices[position[keep]]
             )
-            previous = best.copy()
+            np.copyto(previous, best)
             np.maximum.at(flat, targets, chained)
-            frontier = best > previous
-
-        for k in known.tolist():
-            source_code = int(src_idx[k])
-            values = best[k]
-            nonzero = np.nonzero(values)[0]
-            rows[k] = {
-                self._docs[j]: float(values[j])
-                for j in nonzero.tolist()
-                if j != source_code
-            }
-        return rows
+            np.greater(best, previous, out=frontier)
+        return best

@@ -219,20 +219,27 @@ class Trace:
         """Return the sub-trace with ``start <= timestamp < end``.
 
         Uses binary search, so slicing a long trace into daily windows
-        is cheap.  The document catalog is re-derived from the window's
-        requests plus any catalog entries they reference.
+        is cheap.  The catalog keeps this trace's entries for the
+        documents the window's requests reference.
         """
         lo = bisect.bisect_left(self._timestamps, start)
         hi = bisect.bisect_left(self._timestamps, end)
-        subset = self._requests[lo:hi]
-        docs = [self._documents[r.doc_id] for r in subset]
-        return Trace(subset, docs)
+        return self._derived(self._requests[lo:hi], self._timestamps[lo:hi])
 
     def filter(self, predicate) -> "Trace":
         """Return a new trace keeping requests where ``predicate(r)`` holds."""
         subset = [r for r in self._requests if predicate(r)]
-        docs = [self._documents[r.doc_id] for r in subset]
-        return Trace(subset, docs)
+        return self._derived(subset, [r.timestamp for r in subset])
+
+    def _derived(self, subset: list[Request], timestamps: list[float]) -> "Trace":
+        """``Trace(subset, [its documents])`` without re-checking what
+        this trace guarantees: order, and each document's largest size."""
+        trace = Trace.__new__(Trace)
+        trace._requests = subset
+        trace._timestamps = timestamps
+        catalog = self._documents
+        trace._documents = {r.doc_id: catalog[r.doc_id] for r in subset}
+        return trace
 
     def remote_only(self) -> "Trace":
         """The sub-trace of remote accesses (section 2's focus)."""

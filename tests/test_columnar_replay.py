@@ -9,6 +9,7 @@ identical metrics, not merely close ones.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -18,9 +19,14 @@ from hypothesis import strategies as st
 
 import repro.speculation.simulator as simulator_module
 from repro.config import BASELINE
+from repro.core import Experiment, evaluate_thresholds
 from repro.speculation.aging import RollingEstimator
 from repro.speculation.caches import make_cache_factory
-from repro.speculation.columnar import replay_columnar
+from repro.speculation.columnar import (
+    _build_push_tables,
+    _push_tables,
+    replay_columnar,
+)
 from repro.speculation.dependency import DependencyModel
 from repro.speculation.policies import (
     EmbeddingOnlyPolicy,
@@ -29,6 +35,8 @@ from repro.speculation.policies import (
 )
 from repro.speculation.prefetch import ClientPrefetcher
 from repro.speculation.simulator import SpeculativeServiceSimulator
+from repro.speculation.sparse import SparseDependencyEngine, _coded_columns
+from repro.trace import Trace
 from repro.workload import GeneratorConfig, SyntheticTraceGenerator
 
 
@@ -84,6 +92,89 @@ class TestColumnarParity:
         assert columnar.accesses == general.accesses
         assert columnar.cache_hits == general.cache_hits
 
+    @pytest.mark.parametrize(
+        "policy, config",
+        [
+            (ThresholdPolicy(threshold=0.1, max_size=4_000), BASELINE),
+            (
+                ThresholdPolicy(threshold=0.1),
+                dataclasses.replace(BASELINE, max_size=3_000),
+            ),
+            (
+                ThresholdPolicy(threshold=0.1, max_size=6_000),
+                dataclasses.replace(BASELINE, max_size=2_500),
+            ),
+            # Below min_probability: a ranked table of its own.
+            (ThresholdPolicy(threshold=0.005), BASELINE),
+            (ThresholdPolicy(threshold=0.1, use_closure=False), BASELINE),
+            (ThresholdPolicy(threshold=0.1, max_hops=2), BASELINE),
+        ],
+        ids=[
+            "policy-maxsize",
+            "config-maxsize",
+            "both-maxsize",
+            "below-floor",
+            "direct",
+            "two-hops",
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_threshold_cut_matches_general(self, policy, config, seed):
+        sim = SpeculativeServiceSimulator(_trace(seed), config, model=_model(seed))
+        assert sim.run(policy) == _general(sim, policy)
+
+    def test_push_only_catalog_targets_match_general(self):
+        # The replayed trace never requests a third of its catalog; the
+        # model still pushes those documents, numbered after its own.
+        full = _trace(0)
+        unrequested = set(sorted(full.documents)[::3])
+        replayed = Trace(
+            [r for r in full if r.doc_id not in unrequested],
+            full.documents.values(),
+        )
+        sim = SpeculativeServiceSimulator(replayed, BASELINE, model=_model(0))
+        for threshold in (0.05, 0.5, 0.95):
+            policy = ThresholdPolicy(threshold=threshold)
+            assert sim.run(policy) == _general(sim, policy)
+
+    @pytest.mark.parametrize("use_closure", [True, False])
+    def test_one_trace_replayed_at_many_thresholds(self, use_closure):
+        # Every T_p after the first cuts the ranked table the first built;
+        # each cut holds select's lists, in select's order.
+        trace, model = _trace(2), _model(2)
+        docs = _coded_columns(trace)[0]
+        sim = SpeculativeServiceSimulator(trace, BASELINE, model=model)
+        for threshold in (0.95, 0.5, 0.25, 0.1, 0.05, 0.25, 0.005, 0.95):
+            policy = ThresholdPolicy(threshold=threshold, use_closure=use_closure)
+            assert sim.run(policy) == _general(sim, policy)
+            cut = _push_tables(trace, docs, policy, model, BASELINE.max_size)
+            loop = _build_push_tables(
+                docs, policy, model, trace.documents, BASELINE.max_size
+            )
+            assert cut.indptr.tolist() == loop.indptr.tolist()
+            assert cut.targets.tolist() == loop.targets.tolist()
+
+    @pytest.mark.parametrize("refresh", [False, True])
+    @pytest.mark.parametrize("use_closure", [True, False])
+    def test_observe_between_replays_rebuilds_from_selects_rows(
+        self, refresh, use_closure
+    ):
+        # observe() bumps the version; the rebuilt table must read the
+        # rows select reads: live P, and memoized P* rows that stay
+        # stale until refresh_closure().
+        model = DependencyModel.estimate(_trace(0), window=5.0)
+        sim = SpeculativeServiceSimulator(_trace(0), BASELINE, model=model)
+        policy = ThresholdPolicy(threshold=0.2, use_closure=use_closure)
+        before = sim.run(policy)
+        assert before == _general(sim, policy)
+        for request in list(_trace(1))[:400]:
+            model.observe(request.client, request.doc_id, request.timestamp)
+        if refresh:
+            model.refresh_closure()
+        after = sim.run(policy)
+        assert after == _general(sim, policy)
+        assert (after != before) == (refresh or not use_closure)
+
     def test_auto_dispatch_equals_forced_columnar(self):
         sim = SpeculativeServiceSimulator(_trace(0), BASELINE, model=_model(0))
         for policy in (ThresholdPolicy(threshold=0.25), None):
@@ -97,6 +188,41 @@ class TestColumnarParity:
             assert dispatched.prefetch_requests == 0
 
 
+#: The paper's Figure-5 T_p grid.
+_FIGURE5_GRID = [0.95, 0.75, 0.5, 0.35, 0.25, 0.2, 0.15, 0.1, 0.08, 0.05]
+
+
+@pytest.mark.parametrize(
+    "grid, pruning_keys",
+    [(_FIGURE5_GRID, 1), (_FIGURE5_GRID + [0.005, 0.002], 3)],
+)
+def test_threshold_sweep_selects_nothing_and_closes_once_per_pruning(
+    monkeypatch, grid, pruning_keys
+):
+    # Every T_p >= min_probability shares the floor 0.01; each lower
+    # T_p is its own floor, hence its own ranked table.
+    calls = {"select": 0, "closure": 0}
+
+    def counted(name, method):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(
+        ThresholdPolicy, "select", counted("select", ThresholdPolicy.select)
+    )
+    monkeypatch.setattr(
+        SparseDependencyEngine,
+        "closure_rows",
+        counted("closure", SparseDependencyEngine.closure_rows),
+    )
+    points = evaluate_thresholds(Experiment(_trace(3), BASELINE, train_days=2.0), grid)
+    assert calls == {"select": 0, "closure": pruning_keys}
+    assert [point.parameter for point in points] == grid
+
+
 @dataclass(frozen=True)
 class _StatefulThreshold:
     """A policy that does not declare ``select_is_pure``."""
@@ -106,6 +232,24 @@ class _StatefulThreshold:
 
     def select(self, requested, model, catalog):
         return self.inner.select(requested, model, catalog)
+
+
+@dataclass
+class _UnhashablePure:
+    """A pure policy that is a plain (eq, hence unhashable) dataclass."""
+
+    inner: ThresholdPolicy = ThresholdPolicy(threshold=0.25)
+    select_is_pure = True
+
+    def select(self, requested, model, catalog):
+        return self.inner.select(requested, model, catalog)
+
+
+def test_unhashable_pure_policy_replays_uncached():
+    sim = SpeculativeServiceSimulator(_trace(0), BASELINE, model=_model(0))
+    policy = _UnhashablePure()
+    assert sim.run(policy) == _general(sim, policy)
+    assert sim.run(policy) == sim.run(policy.inner)
 
 
 @pytest.fixture

@@ -135,6 +135,41 @@ class TestTraceDerivation:
         big = self._trace().filter(lambda r: r.size >= 20)
         assert len(big) == 2
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=100, allow_nan=False),
+                st.sampled_from(["/1", "/2", "/3", "/4"]),
+                st.integers(min_value=0, max_value=50),
+                st.booleans(),
+            ),
+            max_size=40,
+        ),
+        st.floats(min_value=0, max_value=100),
+        st.floats(min_value=0, max_value=100),
+    )
+    def test_derived_trace_equals_rebuilt_trace(self, entries, start, end):
+        # An unordered parent (sort=True) whose catalog holds "/1"
+        # larger than any request for it, plus an unrequested "/9".
+        requests = [
+            make_request(t=t, client="c", doc=doc, size=size, remote=remote)
+            for t, doc, size, remote in entries
+        ]
+        catalog = [Document("/1", 999, kind="embedded"), Document("/9", 5)]
+        parent = Trace(requests, catalog, sort=True)
+        for derived in (
+            parent.window(start, end),
+            parent.filter(lambda r: r.size % 2 == 0),
+            parent.remote_only(),
+        ):
+            subset = list(derived)
+            rebuilt = Trace(subset, [parent.documents[r.doc_id] for r in subset])
+            assert list(derived.requests) == list(rebuilt.requests)
+            assert list(derived.timestamps) == list(rebuilt.timestamps)
+            assert list(derived.documents.items()) == list(
+                rebuilt.documents.items()
+            )
+
 
 @given(
     st.lists(
