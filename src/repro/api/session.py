@@ -65,7 +65,8 @@ class RunSpec:
         fleet: Fleet-run knobs; None means the standard fleet preset
             seeded with ``seed``.
         config: The paper's cost model.
-        tolerance: Divergence tolerance for the smoke self-checks.
+        tolerance: Divergence tolerance for the chaos and deploy smoke
+            self-checks (the loadtest smoke holds live == batch).
         workers: Process count for sweep sharding (None stays serial).
         deploy: Deployment shape (:class:`~repro.config.DeploySpec`):
             process topology, origin shards, replication, worker
@@ -196,22 +197,19 @@ class Session:
 
         Args:
             smoke: Run the standard smoke workload *and* assert live ↔
-                batch convergence within the spec's tolerance (what
-                ``repro loadtest --smoke`` and CI do).
+                batch parity on all four ratios (what ``repro loadtest
+                --smoke`` and CI do).
             verify_batch: Attach batch-replay ratios for comparison;
                 defaults to True when ``smoke`` is set.
 
         Raises:
             RuntimeProtocolError: In smoke mode, when live and batch
-                ratios diverge beyond the spec's tolerance.
+                ratios diverge.
         """
         spec = self.spec
         if smoke:
             report = execute_smoke(
-                spec.seed,
-                tolerance=spec.tolerance,
-                obs=spec.obs,
-                deploy=spec.deploy,
+                spec.seed, obs=spec.obs, deploy=spec.deploy
             )
         else:
             report = execute_loadtest(

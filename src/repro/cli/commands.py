@@ -340,7 +340,7 @@ def _live_summary(report) -> list[str]:
     lines = [f"live ratios : {report.ratios.format()}"]
     if report.batch_ratios is not None:
         lines.append(f"batch check : {report.batch_ratios.format()}")
-        lines.append(f"divergence  : {report.max_divergence():.2%} (max of 3 ratios)")
+        lines.append(f"divergence  : {report.max_divergence():.3g} (max of 4 ratios)")
     latency = report.speculative.get("histograms", {}).get("request_latency", {})
     if latency.get("count"):
         lines.append(
@@ -376,8 +376,8 @@ def cmd_loadtest(args) -> None:
     if args.smoke:
         # The CI gate: deterministic live run, self-verified against the
         # batch combined simulator; raises RuntimeProtocolError (exit 3)
-        # on divergence beyond the tolerance.
-        report = execute_smoke(args.seed, tolerance=args.tolerance)
+        # when any of the four ratios diverges.
+        report = execute_smoke(args.seed)
     else:
         try:
             workload = (
@@ -403,7 +403,7 @@ def cmd_loadtest(args) -> None:
         except ReproError as error:
             raise CommandError(str(error)) from error
         if args.verify_batch:
-            report.require_convergence(args.tolerance)
+            report.require_convergence()
 
     if args.json:
         print(
@@ -411,12 +411,7 @@ def cmd_loadtest(args) -> None:
                 {
                     "speculative": report.speculative,
                     "baseline": report.baseline,
-                    "ratios": {
-                        "bandwidth": report.ratios.bandwidth_ratio,
-                        "server_load": report.ratios.server_load_ratio,
-                        "service_time": report.ratios.service_time_ratio,
-                        "miss_rate": report.ratios.miss_rate_ratio,
-                    },
+                    "ratios": report.ratios.by_name(),
                 },
                 sort_keys=True,
             )
@@ -460,12 +455,7 @@ def cmd_racecheck(args) -> None:
         return {
             "speculative": report.speculative,
             "baseline": report.baseline,
-            "ratios": {
-                "bandwidth": report.ratios.bandwidth_ratio,
-                "server_load": report.ratios.server_load_ratio,
-                "service_time": report.ratios.service_time_ratio,
-                "miss_rate": report.ratios.miss_rate_ratio,
-            },
+            "ratios": report.ratios.by_name(),
         }
 
     try:
@@ -737,12 +727,7 @@ def cmd_deploy(args) -> None:
             "anti_entropy": report.anti_entropy,
             "speculative": report.speculative,
             "baseline": report.baseline,
-            "ratios": {
-                "bandwidth": report.ratios.bandwidth_ratio,
-                "server_load": report.ratios.server_load_ratio,
-                "service_time": report.ratios.service_time_ratio,
-                "miss_rate": report.ratios.miss_rate_ratio,
-            },
+            "ratios": report.ratios.by_name(),
         }
         if smoke is not None:
             document["faulted_divergence"] = (

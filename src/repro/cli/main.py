@@ -211,18 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--learn-online",
         action="store_true",
-        help="keep estimating P from live requests (breaks batch parity)",
+        help="keep estimating P from live requests (breaks batch parity; "
+        "--verify-batch exits 3 once a decision differs)",
     )
     loadtest.add_argument(
         "--verify-batch",
         action="store_true",
-        help="also replay through core.combined and compare ratios",
-    )
-    loadtest.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="max live-vs-batch ratio divergence before failing",
+        help="also replay through core.combined; exit 3 unless all four "
+        "ratios match",
     )
     loadtest.add_argument(
         "--smoke",

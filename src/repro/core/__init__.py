@@ -28,6 +28,7 @@ from .sampling import (
     client_contributions,
     estimate_ratios,
     execute_sample_check,
+    ht_ratio_estimates,
     sample_check_workload,
 )
 
@@ -49,6 +50,7 @@ __all__ = [
     "CombinedResult",
     "client_contributions",
     "estimate_ratios",
+    "ht_ratio_estimates",
     "execute_sample_check",
     "sample_check_workload",
 ]

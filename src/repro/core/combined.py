@@ -47,6 +47,8 @@ class CombinedResult:
         service_time: Total client-visible latency (cost units).
         speculated_documents: Documents pushed by the origin.
         speculated_bytes: Bytes pushed speculatively.
+        miss_bytes: Bytes of accesses the client's cache missed.
+        accessed_bytes: Bytes of all client accesses (hit or miss).
     """
 
     accesses: int
@@ -57,6 +59,8 @@ class CombinedResult:
     service_time: float
     speculated_documents: int
     speculated_bytes: float
+    miss_bytes: float
+    accessed_bytes: float
 
     @property
     def origin_load_fraction(self) -> float:
@@ -157,6 +161,8 @@ class CombinedProtocolSimulator:
         service_time = 0.0
         speculated_documents = 0
         speculated_bytes = 0
+        miss_bytes = 0
+        accessed_bytes = 0
         accesses = 0
 
         def sample(timestamp: float) -> None:
@@ -178,6 +184,10 @@ class CombinedProtocolSimulator:
             recorder.sample_at(
                 timestamp, "speculated_bytes", float(speculated_bytes)
             )
+            recorder.sample_at(timestamp, "miss_bytes", float(miss_bytes))
+            recorder.sample_at(
+                timestamp, "accessed_bytes", float(accessed_bytes)
+            )
 
         for request in self._trace:
             accesses += 1
@@ -187,15 +197,17 @@ class CombinedProtocolSimulator:
                 cache = factory()
                 caches[client] = cache
             cache.access(request.timestamp)
+            size = request.size
+            accessed_bytes += size
 
             if cache.contains(request.doc_id):
                 cache_hits += 1
                 if recorder is not None:
                     sample(request.timestamp)
                 continue
+            miss_bytes += size
 
             depth = self._depths[client]
-            size = request.size
 
             serving_depth = 0
             for node in self._paths[client]:
@@ -249,4 +261,6 @@ class CombinedProtocolSimulator:
             service_time=service_time,
             speculated_documents=speculated_documents,
             speculated_bytes=speculated_bytes,
+            miss_bytes=miss_bytes,
+            accessed_bytes=accessed_bytes,
         )

@@ -1,13 +1,19 @@
 """Ratio estimation from client-sampled replays, and its validation gate.
 
-The statistics live in :mod:`repro.trace.sampling` (Horvitz–Thompson
-ratio estimation over per-client contribution vectors); this module
-supplies the contribution vectors by actually replaying the trace.
-The decomposition is exact: :class:`SpeculativeServiceSimulator` keeps
-strictly per-client state (caches, pending pushes, session clocks), so
-replaying each client's sub-trace alone — against the shared dependency
-model and the shared catalog — produces byte-identical per-client
-totals to one combined replay.
+:func:`ht_ratio_estimates` is Horvitz–Thompson ratio estimation with
+bootstrap confidence intervals over per-client contribution vectors.
+Under equal inclusion probability ``π`` (what hash sampling gives),
+each sampled total estimates ``π × population total``, so ``π``
+cancels in every ratio of totals — the point estimates are the plain
+sampled ratios, and they are consistent for the population ratios.
+The intervals come from resampling *clients* (the sampling unit) with
+replacement.  This module supplies the contribution vectors by
+actually replaying the trace, and the decomposition is exact:
+:class:`SpeculativeServiceSimulator` keeps strictly per-client state
+(caches, pending pushes, session clocks), so replaying each client's
+sub-trace alone — against the shared dependency model and the shared
+catalog — produces byte-identical per-client totals to one combined
+replay.
 
 :func:`estimate_ratios` is the driver the loadtest/fleet engines call
 on a sampled workload; :func:`execute_sample_check` is the spot-check
@@ -21,20 +27,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import BASELINE, SECONDS_PER_DAY, BaselineConfig
-from ..errors import RuntimeProtocolError, SimulationError
+from ..errors import RuntimeProtocolError, SimulationError, TraceFormatError
 from ..speculation.dependency import DependencyModel
-from ..speculation.metrics import SpeculationMetrics
+from ..speculation.metrics import SpeculationMetrics, ratios_from_totals
 from ..speculation.policies import SpeculationPolicy, ThresholdPolicy
 from ..speculation.simulator import SpeculativeServiceSimulator
 from ..trace.records import Trace
 from ..trace.sampling import (
     CONTRIBUTION_COLUMNS,
     RATIO_NAMES,
+    RatioEstimate,
     SampledRatioReport,
     SamplingConfig,
     sample_clients,
 )
-from ..trace.sampling import ht_ratio_estimates
 from ..workload.generator import GeneratorConfig, SyntheticTraceGenerator
 from .experiment import Experiment
 
@@ -42,6 +48,81 @@ from .experiment import Experiment
 def _contribution_row(metrics: SpeculationMetrics) -> list[float]:
     """One client's contribution vector, ordered like CONTRIBUTION_COLUMNS."""
     return [float(getattr(metrics, column)) for column in CONTRIBUTION_COLUMNS]
+
+
+def _summed_ratios(spec: np.ndarray, base: np.ndarray) -> dict[str, float]:
+    """The four ratios of two contribution arrays' column totals."""
+    return ratios_from_totals(
+        spec.sum(axis=0).tolist(), base.sum(axis=0).tolist()
+    ).by_name()
+
+
+def ht_ratio_estimates(
+    speculative: np.ndarray,
+    baseline: np.ndarray,
+    *,
+    n_boot: int = 400,
+    level: float = 0.95,
+    seed: int = 0,
+) -> dict[str, RatioEstimate]:
+    """Horvitz–Thompson ratio estimates with bootstrap intervals.
+
+    Args:
+        speculative: ``(n_clients, 5)`` per-client contributions of the
+            speculative arm, columns ordered like
+            :data:`~repro.trace.sampling.CONTRIBUTION_COLUMNS`.
+        baseline: Same shape for the no-speculation arm.
+        n_boot: Bootstrap replicates (clients resampled with
+            replacement).
+        level: Confidence level of the percentile intervals.
+        seed: Seeds the bootstrap resampling.
+
+    Returns:
+        Ratio name → :class:`RatioEstimate` for the four headline
+        ratios.  Equal inclusion probabilities cancel in each ratio of
+        totals, so the point estimate is the sampled ratio itself; the
+        interval captures the client-sampling variability.
+
+    Raises:
+        TraceFormatError: On mismatched or empty contribution arrays.
+    """
+    spec = np.asarray(speculative, dtype=np.float64)
+    base = np.asarray(baseline, dtype=np.float64)
+    if spec.shape != base.shape or spec.ndim != 2 or spec.shape[1] != 5:
+        raise TraceFormatError(
+            "contribution arrays must both be (n_clients, 5)"
+        )
+    n_clients = spec.shape[0]
+    if n_clients == 0:
+        raise TraceFormatError("cannot estimate ratios from zero clients")
+
+    points = _summed_ratios(spec, base)
+
+    rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(0xB007,))
+    )
+    draws = rng.integers(n_clients, size=(n_boot, n_clients))
+    replicates: dict[str, list[float]] = {name: [] for name in RATIO_NAMES}
+    for indices in draws:
+        for name, value in _summed_ratios(spec[indices], base[indices]).items():
+            replicates[name].append(value)
+
+    alpha = (1.0 - level) / 2.0
+    estimates: dict[str, RatioEstimate] = {}
+    for name in RATIO_NAMES:
+        values = np.asarray(replicates[name])
+        finite = values[np.isfinite(values)]
+        if len(finite) == 0:
+            low = high = points[name]
+        else:
+            low = float(np.quantile(finite, alpha))
+            high = float(np.quantile(finite, 1.0 - alpha))
+        estimates[name] = RatioEstimate(
+            value=points[name],
+            low=min(low, points[name]),
+            high=max(high, points[name]),
+        )
+    return estimates
 
 
 def client_contributions(
@@ -97,8 +178,7 @@ def estimate_ratios(
     ``sampling.fraction`` of its clients
     (:func:`~repro.trace.sampling.sample_clients`).  Each sampled
     client's stream is replayed with and without speculation; the
-    per-client totals feed
-    :func:`~repro.trace.sampling.ht_ratio_estimates`.  With the model
+    per-client totals feed :func:`ht_ratio_estimates`.  With the model
     fixed, contributions are fixed per client and equal inclusion
     probabilities cancel — the estimates are consistent for the exact
     full-replay ratios.
@@ -199,12 +279,7 @@ def execute_sample_check(
 
     experiment = Experiment(trace, config, train_days=train_days)
     exact_ratios, _ = experiment.evaluate(policy)
-    exact = {
-        "bandwidth": exact_ratios.bandwidth_ratio,
-        "server_load": exact_ratios.server_load_ratio,
-        "service_time": exact_ratios.service_time_ratio,
-        "miss_rate": exact_ratios.miss_rate_ratio,
-    }
+    exact = exact_ratios.by_name()
 
     sampling = SamplingConfig(
         fraction=fraction, seed=seed, n_boot=n_boot, level=level

@@ -47,9 +47,6 @@ from ..trace.sampling import SampledRatioReport, SamplingConfig
 from ..workload.generator import GeneratorConfig
 from .plan import build_fleet_plan, build_single_tier_plan
 
-#: The four headline ratios, in report order.
-RATIO_NAMES = ("bandwidth", "server_load", "service_time", "miss_rate")
-
 
 @dataclass(frozen=True)
 class FleetSettings:
@@ -126,22 +123,11 @@ class FleetReport:
 
     def improvement(self) -> dict[str, tuple[float, float]]:
         """Per-ratio ``(fleet, single_tier)`` pairs, lower is better."""
-        pairs = zip(
-            RATIO_NAMES,
-            (
-                self.ratios.bandwidth_ratio,
-                self.ratios.server_load_ratio,
-                self.ratios.service_time_ratio,
-                self.ratios.miss_rate_ratio,
-            ),
-            (
-                self.single_ratios.bandwidth_ratio,
-                self.single_ratios.server_load_ratio,
-                self.single_ratios.service_time_ratio,
-                self.single_ratios.miss_rate_ratio,
-            ),
-        )
-        return {name: (fleet, single) for name, fleet, single in pairs}
+        single = self.single_ratios.by_name()
+        return {
+            name: (fleet, single[name])
+            for name, fleet in self.ratios.by_name().items()
+        }
 
     def require_improvement(self, slack: float = 0.0) -> None:
         """Assert every headline ratio beats the single tier.

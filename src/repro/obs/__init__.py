@@ -1,7 +1,7 @@
 """Unified observability: traces, time-series, exporters, profiling.
 
 The paper's four ratios (bandwidth, server load, service time, byte
-miss rate) are computed in several places — batch replay, the live
+miss rate) are measured in several places — batch replay, the live
 runtime, the chaos gate.  ``repro.obs`` is the one layer they all share
 for *how the numbers were produced*: structured trace events on the
 virtual clock (:mod:`~repro.obs.trace`), windowed time-series that turn
@@ -32,7 +32,6 @@ from .timeseries import (
     MetricsRegistry,
     TimeSample,
     TimeSeriesRecorder,
-    bandwidth_curve,
     merge_registry_states,
     ratio_curve,
     ratios_from_counters,
@@ -58,7 +57,6 @@ __all__ = [
     "default_registry",
     "events_to_jsonl",
     "prometheus_text",
-    "bandwidth_curve",
     "merge_registry_states",
     "ratio_curve",
     "ratios_from_counters",
@@ -185,17 +183,6 @@ class RunObservations:
         ):
             return []
         return ratio_curve(
-            self.speculative.timeseries, self.baseline.timeseries
-        )
-
-    def bandwidth_curve(self) -> list[tuple[float, float]]:
-        """Per-window bytes × hops ratio; empty when time-series were off."""
-        if (
-            self.speculative.timeseries is None
-            or self.baseline.timeseries is None
-        ):
-            return []
-        return bandwidth_curve(
             self.speculative.timeseries, self.baseline.timeseries
         )
 

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Sequence
 
-from ..speculation.metrics import SpeculationRatios
+from ..speculation.metrics import SpeculationRatios, ratios_from_totals
 from .trace import Tracer
 
 #: A counter's exact accumulated state: the integer part plus the
@@ -471,11 +471,15 @@ def merge_registry_states(
     return merged
 
 
-def ratio(numerator: float, denominator: float) -> float:
-    """Guarded ratio: 1.0 for 0/0, +inf for x/0 with x > 0."""
-    if denominator == 0:
-        return 1.0 if numerator == 0 else float("inf")
-    return numerator / denominator
+#: The load generator's counters behind the paper's four ratios, in
+#: :func:`~repro.speculation.metrics.ratios_from_totals` order.
+_RATIO_COUNTERS = (
+    "bytes_hops",
+    "origin_requests",
+    "service_cost",
+    "miss_bytes",
+    "accessed_bytes",
+)
 
 
 def ratios_from_counters(
@@ -483,27 +487,14 @@ def ratios_from_counters(
 ) -> SpeculationRatios:
     """The paper's four ratios from two counter mappings.
 
-    Expects the counters the load generator maintains: ``bytes_hops``,
-    ``origin_requests``, ``service_cost``, ``miss_bytes`` and
-    ``accessed_bytes``.  Works equally on a live snapshot's
+    Reads the load generator's ``bytes_hops``, ``origin_requests``,
+    ``service_cost``, ``miss_bytes`` and ``accessed_bytes`` counters
+    (an absent counter reads 0).  Works equally on a live snapshot's
     ``counters`` dict and on :meth:`TimeSeriesRecorder.final_values`.
     """
-
-    def miss_rate(counters: dict[str, float]) -> float:
-        accessed = counters.get("accessed_bytes", 0)
-        return ratio(counters.get("miss_bytes", 0), accessed) if accessed else 0.0
-
-    return SpeculationRatios(
-        bandwidth_ratio=ratio(
-            spec.get("bytes_hops", 0), base.get("bytes_hops", 0)
-        ),
-        server_load_ratio=ratio(
-            spec.get("origin_requests", 0), base.get("origin_requests", 0)
-        ),
-        service_time_ratio=ratio(
-            spec.get("service_cost", 0), base.get("service_cost", 0)
-        ),
-        miss_rate_ratio=ratio(miss_rate(spec), miss_rate(base)),
+    return ratios_from_totals(
+        [spec.get(name, 0) for name in _RATIO_COUNTERS],
+        [base.get(name, 0) for name in _RATIO_COUNTERS],
     )
 
 
@@ -518,16 +509,9 @@ def ratio_curve(
     :func:`ratios_from_counters` over the recorders' final values — and
     therefore equals the end-of-run live ratios exactly.
     """
-    names = (
-        "bytes_hops",
-        "origin_requests",
-        "service_cost",
-        "miss_bytes",
-        "accessed_bytes",
-    )
     sides = []
     for recorder in (spec, base):
-        samples = {name: recorder.series(name) for name in names}
+        samples = {name: recorder.series(name) for name in _RATIO_COUNTERS}
         boundaries = {
             point.window_start
             for series in samples.values()
@@ -558,38 +542,3 @@ def ratio_curve(
         )
         for when in timeline
     ]
-
-
-def bandwidth_curve(
-    spec: TimeSeriesRecorder, base: TimeSeriesRecorder
-) -> list[tuple[float, float]]:
-    """Per-window bytes × hops ratio series from two recorders.
-
-    The bandwidth coordinate of :func:`ratio_curve` on its own — the
-    series fleet runs chart to show where in the run the hierarchy's
-    shorter serving paths pay for the origin's full-depth pushes.
-    Windows where the baseline has moved no bytes yet report ``1.0``.
-    """
-    sides = []
-    for recorder in (spec, base):
-        series = recorder.series("bytes_hops")
-        boundaries = {point.window_start for point in series}
-        sides.append((series, boundaries))
-    timeline = sorted(sides[0][1] | sides[1][1])
-
-    def value_at(series: tuple[TimeSample, ...], when: float) -> float:
-        current = 0.0
-        for point in series:
-            if point.window_start > when:
-                break
-            current = point.value
-        return current
-
-    curve: list[tuple[float, float]] = []
-    for when in timeline:
-        base_value = value_at(sides[1][0], when)
-        spec_value = value_at(sides[0][0], when)
-        curve.append(
-            (when, spec_value / base_value if base_value else 1.0)
-        )
-    return curve

@@ -45,7 +45,7 @@ from ..obs import (
 )
 from ..perf.parallel import parallel_map
 from ..speculation.dependency import DependencyModel
-from ..speculation.metrics import SpeculationRatios
+from ..speculation.metrics import SpeculationRatios, ratios_from_totals
 from ..speculation.policies import ThresholdPolicy
 from ..topology.tree import RoutingTree
 from ..trace.profiler import WorkloadProfile
@@ -57,6 +57,12 @@ from .clock import run_virtual
 from .faults import FaultPlan
 from .metrics import live_ratios, verify_conservation
 from .node import NodeSpec
+
+#: Default relative gap allowed between live and batch ratios.  The
+#: batch reference makes the same decisions and counts the same totals,
+#: so three ratios match exactly; service time sums the same floats in
+#: another order, which moves only its last digits.
+BATCH_PARITY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,9 @@ class LiveReport:
         speculative: Metrics snapshot of the dissemination+speculation
             run.
         ratios: The paper's four ratios, live-measured.
-        batch_ratios: Same three comparable ratios from the batch
-            replay (when ``verify_batch`` was requested).
+        batch_ratios: The same four ratios from the batch combined
+            replay (when ``verify_batch`` was requested); a
+            parity-preserving run reproduces them exactly.
         disseminated_documents: Documents the plan pushed to proxies.
         observed: Traces/time-series/manifest for both arms, when the
             run was executed with an enabled
@@ -136,34 +143,29 @@ class LiveReport:
     def max_divergence(self) -> float:
         """Largest relative gap between live and batch ratios.
 
-        Compares the three ratios the batch reference can reproduce
-        exactly (bandwidth, server load, service time); ``inf`` when no
-        batch verification ran.
+        Compares all four ratios
+        (:meth:`~repro.speculation.metrics.SpeculationRatios.max_gap`,
+        batch as the reference); ``inf`` when no batch verification
+        ran.
         """
         if self.batch_ratios is None:
             return math.inf
-        gaps = []
-        for live, batch in (
-            (self.ratios.bandwidth_ratio, self.batch_ratios.bandwidth_ratio),
-            (self.ratios.server_load_ratio, self.batch_ratios.server_load_ratio),
-            (self.ratios.service_time_ratio, self.batch_ratios.service_time_ratio),
-        ):
-            scale = abs(batch) if batch else 1.0
-            gaps.append(abs(live - batch) / scale)
-        return max(gaps)
+        return self.batch_ratios.max_gap(self.ratios)
 
-    def require_convergence(self, tolerance: float = 0.05) -> None:
+    def require_convergence(
+        self, tolerance: float = BATCH_PARITY_TOLERANCE
+    ) -> None:
         """Assert live ratios match the batch reference.
 
         Raises:
-            RuntimeProtocolError: When any comparable ratio diverges
+            RuntimeProtocolError: When any of the four ratios diverges
                 from the batch replay by more than ``tolerance``.
         """
         divergence = self.max_divergence()
         if divergence > tolerance:
             raise RuntimeProtocolError(
-                f"live ratios diverge {divergence:.1%} from batch replay "
-                f"(tolerance {tolerance:.0%}): live {self.ratios.format()} "
+                f"live ratios diverge {divergence:.3g} from batch replay "
+                f"(tolerance {tolerance:g}): live {self.ratios.format()} "
                 f"vs batch {self.batch_ratios.format() if self.batch_ratios else '-'}"
             )
 
@@ -238,26 +240,12 @@ class ChaosReport:
     def max_ratio_divergence(self) -> float:
         """Largest relative gap between faulted and clean ratios.
 
-        Compares all four of the paper's ratios: the whole point of the
-        resilience machinery is that scripted faults change *when*
-        things happen, not *what* the protocols ultimately deliver.
+        Compares all four of the paper's ratios (clean as the
+        reference): the whole point of the resilience machinery is that
+        scripted faults change *when* things happen, not *what* the
+        protocols ultimately deliver.
         """
-        gaps = []
-        for clean, faulted in (
-            (self.clean.ratios.bandwidth_ratio, self.faulted.ratios.bandwidth_ratio),
-            (
-                self.clean.ratios.server_load_ratio,
-                self.faulted.ratios.server_load_ratio,
-            ),
-            (
-                self.clean.ratios.service_time_ratio,
-                self.faulted.ratios.service_time_ratio,
-            ),
-            (self.clean.ratios.miss_rate_ratio, self.faulted.ratios.miss_rate_ratio),
-        ):
-            scale = abs(clean) if clean else 1.0
-            gaps.append(abs(faulted - clean) / scale)
-        return max(gaps)
+        return self.clean.ratios.max_gap(self.faulted.ratios)
 
     def require_resilience(self, tolerance: float = 0.05) -> None:
         """Assert the faulted ratios track the fault-free ratios.
@@ -311,7 +299,7 @@ def _batch_ratios(
     policy: ThresholdPolicy,
     config: BaselineConfig,
 ) -> SpeculationRatios:
-    """The comparable ratios from the offline combined replay."""
+    """The four ratios from the offline combined replay."""
     simulator = CombinedProtocolSimulator(
         serve, tree, config, model=model, remote_only=False
     )
@@ -320,22 +308,16 @@ def _batch_ratios(
         proxies=proxies, disseminated=disseminated, policy=policy
     )
 
-    def ratio(numerator: float, denominator: float) -> float:
-        if denominator == 0:
-            return 1.0 if numerator == 0 else math.inf
-        return numerator / denominator
+    def totals(result: CombinedResult) -> tuple[float, ...]:
+        return (
+            result.bytes_hops,
+            result.origin_requests,
+            result.service_time,
+            result.miss_bytes,
+            result.accessed_bytes,
+        )
 
-    def request_miss_rate(result: CombinedResult) -> float:
-        if result.accesses == 0:
-            return 0.0
-        return (result.accesses - result.cache_hits) / result.accesses
-
-    return SpeculationRatios(
-        bandwidth_ratio=ratio(spec.bytes_hops, base.bytes_hops),
-        server_load_ratio=ratio(spec.origin_requests, base.origin_requests),
-        service_time_ratio=ratio(spec.service_time, base.service_time),
-        miss_rate_ratio=ratio(request_miss_rate(spec), request_miss_rate(base)),
-    )
+    return ratios_from_totals(totals(spec), totals(base))
 
 
 class _PreparedRun(PreparedTrace):
@@ -749,7 +731,6 @@ def execute_chaos(
 def execute_smoke(
     seed: int = 0,
     *,
-    tolerance: float = 0.05,
     obs: ObsConfig | None = None,
     deploy: DeploySpec | None = None,
 ) -> LiveReport:
@@ -763,7 +744,7 @@ def execute_smoke(
 
     Raises:
         RuntimeProtocolError: If live and batch ratios diverge beyond
-            ``tolerance``.
+            :data:`BATCH_PARITY_TOLERANCE`.
     """
     report = execute_loadtest(
         smoke_workload(seed),
@@ -772,7 +753,7 @@ def execute_smoke(
         obs=obs,
         deploy=deploy,
     )
-    report.require_convergence(tolerance)
+    report.require_convergence()
     return report
 
 

@@ -39,7 +39,12 @@ from .caches import (
     SessionCache,
     make_cache_factory,
 )
-from .metrics import SpeculationMetrics, SpeculationRatios, compare
+from .metrics import (
+    SpeculationMetrics,
+    SpeculationRatios,
+    compare,
+    ratios_from_totals,
+)
 from .simulator import SimulationRun, SpeculativeServiceSimulator
 from .prefetch import ClientPrefetcher, HybridProtocol, PrefetchHints
 from .user_profiles import UserProfile, UserProfilePrefetcher
@@ -66,6 +71,7 @@ __all__ = [
     "SpeculationMetrics",
     "SpeculationRatios",
     "compare",
+    "ratios_from_totals",
     "SimulationRun",
     "SpeculativeServiceSimulator",
     "PrefetchHints",

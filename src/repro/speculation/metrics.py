@@ -8,13 +8,21 @@ over the same trace and cache model:
 * **Server load ratio** — requests hitting the server with / without.
 * **Service time ratio** — total retrieval latency with / without.
 * **Miss rate ratio** — client byte miss rate with / without.
+
+:func:`ratios_from_totals` is the one place that turns a run's five
+totals into these ratios, zero rules included; every engine (batch
+replay, combined replay, live counters, the sampling bootstrap) calls
+it through a thin adaptor for its own shape of totals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
+from typing import Sequence
 
 from ..errors import SimulationError
+from ..trace.sampling import CONTRIBUTION_COLUMNS, RATIO_NAMES
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,7 @@ class SpeculationMetrics:
     @property
     def miss_rate(self) -> float:
         """Byte miss rate: bytes not found in cache over bytes accessed."""
-        return self.miss_bytes / self.accessed_bytes if self.accessed_bytes else 0.0
+        return _byte_miss_rate(self.miss_bytes, self.accessed_bytes)
 
 
 @dataclass(frozen=True)
@@ -89,6 +97,24 @@ class SpeculationRatios:
     def miss_rate_reduction(self) -> float:
         return 1.0 - self.miss_rate_ratio
 
+    def by_name(self) -> dict[str, float]:
+        """The four ratios keyed by :data:`~repro.trace.sampling.RATIO_NAMES`."""
+        return dict(zip(RATIO_NAMES, astuple(self)))
+
+    def max_gap(self, other: SpeculationRatios) -> float:
+        """Largest relative gap of ``other`` from these reference ratios.
+
+        Per ratio: 0 when the two values are equal (``inf == inf``
+        included); ``inf`` when they differ and either is not finite
+        (NaN included, so a NaN never passes a ``<= tolerance`` gate);
+        otherwise ``|other − reference| / |reference|``, over 1 when
+        the reference is 0.
+        """
+        return max(
+            _relative_gap(reference, value)
+            for reference, value in zip(astuple(self), astuple(other))
+        )
+
     def format(self) -> str:
         """One-line human-readable rendering of the four ratios."""
         return (
@@ -99,21 +125,54 @@ class SpeculationRatios:
         )
 
 
+def _relative_gap(reference: float, value: float) -> float:
+    if value == reference:
+        return 0.0
+    if not (math.isfinite(reference) and math.isfinite(value)):
+        return math.inf
+    return abs(value - reference) / (abs(reference) if reference else 1.0)
+
+
 def _ratio(numerator: float, denominator: float) -> float:
     if denominator == 0:
-        return 1.0 if numerator == 0 else float("inf")
+        return 1.0 if numerator == 0 else math.inf
     return numerator / denominator
+
+
+def _byte_miss_rate(miss_bytes: float, accessed_bytes: float) -> float:
+    return miss_bytes / accessed_bytes if accessed_bytes else 0.0
+
+
+def ratios_from_totals(
+    speculation: Sequence[float], baseline: Sequence[float]
+) -> SpeculationRatios:
+    """The paper's four ratios from two runs' five totals.
+
+    Each side is ``(traffic, server_requests, service_time,
+    miss_bytes, accessed_bytes)``, ordered like
+    :data:`~repro.trace.sampling.CONTRIBUTION_COLUMNS`.  The zero rules:
+    ``x/0`` is ``inf``, ``0/0`` is 1, and a run that accessed nothing
+    has a byte miss rate of 0.
+    """
+    traffic, requests, time, miss, accessed = speculation
+    base_traffic, base_requests, base_time, base_miss, base_accessed = baseline
+    return SpeculationRatios(
+        bandwidth_ratio=_ratio(traffic, base_traffic),
+        server_load_ratio=_ratio(requests, base_requests),
+        service_time_ratio=_ratio(time, base_time),
+        miss_rate_ratio=_ratio(
+            _byte_miss_rate(miss, accessed),
+            _byte_miss_rate(base_miss, base_accessed),
+        ),
+    )
+
+
+def _totals(metrics: SpeculationMetrics) -> list[float]:
+    return [getattr(metrics, column) for column in CONTRIBUTION_COLUMNS]
 
 
 def compare(
     speculation: SpeculationMetrics, baseline: SpeculationMetrics
 ) -> SpeculationRatios:
     """Compute the four ratios of a speculation run over its baseline."""
-    return SpeculationRatios(
-        bandwidth_ratio=_ratio(speculation.bytes_sent, baseline.bytes_sent),
-        server_load_ratio=_ratio(
-            speculation.server_requests, baseline.server_requests
-        ),
-        service_time_ratio=_ratio(speculation.service_time, baseline.service_time),
-        miss_rate_ratio=_ratio(speculation.miss_rate, baseline.miss_rate),
-    )
+    return ratios_from_totals(_totals(speculation), _totals(baseline))

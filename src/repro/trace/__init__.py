@@ -27,7 +27,6 @@ from .sampling import (
     SampledRatioReport,
     SamplingConfig,
     client_hash,
-    ht_ratio_estimates,
     sample_clients,
 )
 from .profiler import TraceProfiler, WorkloadProfile, profile_trace
@@ -56,7 +55,6 @@ __all__ = [
     "SamplingConfig",
     "RatioEstimate",
     "SampledRatioReport",
-    "ht_ratio_estimates",
     "TraceProfiler",
     "WorkloadProfile",
     "profile_trace",

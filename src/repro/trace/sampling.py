@@ -1,4 +1,4 @@
-"""Client-level trace sampling and the ratio-estimation machinery.
+"""Client-level trace sampling and the vocabulary of ratio estimation.
 
 Long traces make iteration slow; the standard reduction that preserves
 both protocols' structure is **client sampling**: keep a random subset
@@ -9,41 +9,31 @@ see — is untouched; only the population shrinks.
 (Request-level sampling would be wrong here: it breaks strides and
 inflates miss rates, which is why it is not offered.)
 
-Beyond selection, this module holds the *statistics* of sampling:
+Beyond selection, this module holds the *vocabulary* of sampling:
 
 * :func:`client_hash` — the one hash family behind both client
   sampling (:func:`sample_clients`) and the workload generator's
   stream sharding, so a shard and a sample agree on who a client is.
-* :func:`ht_ratio_estimates` — Horvitz–Thompson ratio estimation with
-  bootstrap confidence intervals over per-client contribution vectors.
-  Under equal inclusion probability ``π`` (what hash sampling gives),
-  each sampled total estimates ``π × population total``, so ``π``
-  cancels in every ratio of totals — the point estimates are the plain
-  sampled ratios, and they are consistent for the population ratios.
-  The intervals come from resampling *clients* (the sampling unit)
-  with replacement, which is valid because the speculative-service
-  replay decomposes exactly per client (caches and pending pushes are
-  per-client state).
-
-The simulator-aware driver that produces the contribution vectors
-lives in :mod:`repro.core.sampling` (this layer cannot import the
-simulator); the report types it returns are defined here.
+* :data:`CONTRIBUTION_COLUMNS` and :data:`RATIO_NAMES` — the five
+  per-client totals and the four headline ratios built from them.
+* :class:`RatioEstimate` / :class:`SampledRatioReport` — the report
+  types of the Horvitz–Thompson estimator, which lives with its
+  simulator-aware driver in :mod:`repro.core.sampling` (this layer
+  cannot import the simulator or the ratio arithmetic).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..errors import TraceFormatError
 from .records import Trace
 
 #: Order of the per-client contribution columns consumed by
-#: :func:`ht_ratio_estimates`: the five :class:`SpeculationMetrics`
-#: components the four headline ratios are built from.
+#: :func:`repro.core.sampling.ht_ratio_estimates`: the five
+#: :class:`SpeculationMetrics` components the four headline ratios are
+#: built from.
 CONTRIBUTION_COLUMNS = (
     "bytes_sent",
     "server_requests",
@@ -224,97 +214,3 @@ class SampledRatioReport:
                 for name, e in self.estimates.items()
             },
         }
-
-
-def _safe_ratio(numerator: float, denominator: float) -> float:
-    """Mirror of the metrics layer's ratio semantics: 0/0 → 1, x/0 → inf."""
-    if denominator == 0.0:
-        return 1.0 if numerator == 0.0 else math.inf
-    return numerator / denominator
-
-
-def _four_ratios(spec: np.ndarray, base: np.ndarray) -> dict[str, float]:
-    """The paper's four ratios from summed contribution vectors.
-
-    ``spec``/``base`` are length-5 vectors ordered like
-    :data:`CONTRIBUTION_COLUMNS`.
-    """
-    spec_miss = _safe_ratio(float(spec[3]), float(spec[4]))
-    base_miss = _safe_ratio(float(base[3]), float(base[4]))
-    return {
-        "bandwidth": _safe_ratio(float(spec[0]), float(base[0])),
-        "server_load": _safe_ratio(float(spec[1]), float(base[1])),
-        "service_time": _safe_ratio(float(spec[2]), float(base[2])),
-        "miss_rate": _safe_ratio(spec_miss, base_miss),
-    }
-
-
-def ht_ratio_estimates(
-    speculative: np.ndarray,
-    baseline: np.ndarray,
-    *,
-    n_boot: int = 400,
-    level: float = 0.95,
-    seed: int = 0,
-) -> dict[str, RatioEstimate]:
-    """Horvitz–Thompson ratio estimates with bootstrap intervals.
-
-    Args:
-        speculative: ``(n_clients, 5)`` per-client contributions of the
-            speculative arm, columns ordered like
-            :data:`CONTRIBUTION_COLUMNS`.
-        baseline: Same shape for the no-speculation arm.
-        n_boot: Bootstrap replicates (clients resampled with
-            replacement).
-        level: Confidence level of the percentile intervals.
-        seed: Seeds the bootstrap resampling.
-
-    Returns:
-        Ratio name → :class:`RatioEstimate` for the four headline
-        ratios.  Equal inclusion probabilities cancel in each ratio of
-        totals, so the point estimate is the sampled ratio itself; the
-        interval captures the client-sampling variability.
-
-    Raises:
-        TraceFormatError: On mismatched or empty contribution arrays.
-    """
-    spec = np.asarray(speculative, dtype=np.float64)
-    base = np.asarray(baseline, dtype=np.float64)
-    if spec.shape != base.shape or spec.ndim != 2 or spec.shape[1] != 5:
-        raise TraceFormatError(
-            "contribution arrays must both be (n_clients, 5)"
-        )
-    n_clients = spec.shape[0]
-    if n_clients == 0:
-        raise TraceFormatError("cannot estimate ratios from zero clients")
-
-    points = _four_ratios(spec.sum(axis=0), base.sum(axis=0))
-
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(0xB007,))
-    )
-    draws = rng.integers(n_clients, size=(n_boot, n_clients))
-    replicates: dict[str, list[float]] = {name: [] for name in RATIO_NAMES}
-    for indices in draws:
-        sums = _four_ratios(
-            spec[indices].sum(axis=0), base[indices].sum(axis=0)
-        )
-        for name in RATIO_NAMES:
-            replicates[name].append(sums[name])
-
-    alpha = (1.0 - level) / 2.0
-    estimates: dict[str, RatioEstimate] = {}
-    for name in RATIO_NAMES:
-        values = np.asarray(replicates[name])
-        finite = values[np.isfinite(values)]
-        if len(finite) == 0:
-            low = high = points[name]
-        else:
-            low = float(np.quantile(finite, alpha))
-            high = float(np.quantile(finite, 1.0 - alpha))
-        estimates[name] = RatioEstimate(
-            value=points[name],
-            low=min(low, points[name]),
-            high=max(high, points[name]),
-        )
-    return estimates

@@ -16,9 +16,15 @@ class TestLoadtest:
         assert "batch check" in out
         assert "divergence" in out
 
-    def test_impossible_tolerance_exits_3(self, capsys):
-        code = main(["loadtest", "--smoke", "--tolerance", "-1"])
-        assert code == 3
+    def test_forced_divergence_exits_3(self, capsys, monkeypatch):
+        from repro.runtime import service
+        from repro.speculation.metrics import SpeculationRatios
+
+        def skewed(*args, **kwargs):
+            return SpeculationRatios(2.0, 2.0, 2.0, 2.0)
+
+        monkeypatch.setattr(service, "_batch_ratios", skewed)
+        assert main(["loadtest", "--smoke"]) == 3
         assert "protocol error:" in capsys.readouterr().err
 
     def test_json_output_is_deterministic(self, capsys):

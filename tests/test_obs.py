@@ -147,6 +147,8 @@ class TestCurveParity:
         assert final["bytes_hops"] == result.bytes_hops
         assert final["service_time"] == result.service_time
         assert final["speculated_bytes"] == result.speculated_bytes
+        assert final["miss_bytes"] == result.miss_bytes
+        assert final["accessed_bytes"] == result.accessed_bytes
         # Two requests 2.5 hours apart land in different windows.
         assert len(recorder.series("accesses")) == 2
         # The speculated rider produced exactly one trace event.

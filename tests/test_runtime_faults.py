@@ -9,6 +9,7 @@ recovery, and the end-to-end ``repro chaos --smoke`` invariants.
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -16,12 +17,14 @@ from repro.errors import RuntimeProtocolError, SimulationError, TransportError
 from repro.runtime import (
     BackoffPolicy,
     CacheNode,
+    ChaosReport,
     CircuitBreaker,
     DuplicateFilter,
     FaultEvent,
     FaultInjector,
     FaultPlan,
     InMemoryNetwork,
+    LiveReport,
     LoadConfig,
     LoadGenerator,
     MetricsRegistry,
@@ -35,6 +38,7 @@ from repro.runtime import (
 from repro.runtime.loadgen import ClientRoute
 from repro.runtime.messages import Message, make_request, make_response
 from repro.runtime.resilience import retry_rng
+from repro.speculation.metrics import SpeculationRatios
 from repro.trace.records import Document, Request
 
 from .test_runtime_transport import pending_of
@@ -555,6 +559,16 @@ class TestChaosSmoke:
     def test_ratios_survive_the_faults(self, report):
         assert report.max_ratio_divergence() <= 0.05
         report.require_resilience(0.05)
+
+    def test_a_non_finite_gap_fails_the_gate(self):
+        def pair(bandwidth):
+            ratios = SpeculationRatios(bandwidth, 1.0, 1.0, 1.0)
+            return LiveReport({}, {}, ratios=ratios)
+
+        report = ChaosReport(clean=pair(math.inf), faulted=pair(1.0))
+        assert report.max_ratio_divergence() == math.inf
+        with pytest.raises(RuntimeProtocolError, match="diverge"):
+            report.require_resilience(0.05)
 
     def test_fault_timeline_recorded(self, report):
         labels = [label for _, label in report.fault_events]

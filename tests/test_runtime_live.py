@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.runtime import (
     CacheNode,
     DisseminationDaemon,
     InMemoryNetwork,
+    LiveReport,
     LiveSettings,
     MetricsRegistry,
     NodeSpec,
@@ -19,9 +21,11 @@ from repro.runtime import (
     execute_loadtest,
     execute_smoke,
     run_virtual,
+    smoke_workload,
     tcp_call,
 )
 from repro.runtime.messages import Message, make_request
+from repro.speculation.metrics import SpeculationRatios
 from repro.speculation.policies import ThresholdPolicy
 from repro.trace.records import Document
 from repro.workload.generator import GeneratorConfig, generate_trace
@@ -108,6 +112,64 @@ class TestLoadtest:
         )
         with pytest.raises(SimulationError):
             execute_loadtest(tiny)
+
+
+#: The benchmark's MID scale (``benchmarks/e2e``, ``live-mem``).
+MID = GeneratorConfig(
+    seed=0, n_pages=300, n_clients=600, n_sessions=5000, duration_days=30
+)
+
+
+class TestBatchParity:
+    """Live == batch on all four ratios (the paper's section 3.2)."""
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            smoke_workload(1),
+            MID,
+            GeneratorConfig(
+                seed=1,
+                n_pages=300,
+                n_clients=600,
+                n_sessions=5000,
+                duration_days=30,
+            ),
+        ],
+        ids=["smoke-1", "mid-0", "mid-1"],
+    )
+    def test_live_equals_batch(self, workload):
+        report = execute_loadtest(
+            workload,
+            LiveSettings(seed=workload.seed, concurrency=8),
+            verify_batch=True,
+        )
+        live, batch = report.ratios, report.batch_ratios
+        assert live.bandwidth_ratio == batch.bandwidth_ratio
+        assert live.server_load_ratio == batch.server_load_ratio
+        assert live.miss_rate_ratio == batch.miss_rate_ratio
+        # The two sides sum the same service-time floats in another order.
+        assert live.service_time_ratio == pytest.approx(
+            batch.service_time_ratio, rel=1e-12, abs=0.0
+        )
+        report.require_convergence()
+
+    def test_a_non_finite_gap_fails_the_gate(self):
+        finite = SpeculationRatios(1.0, 1.0, 1.0, 1.0)
+        for batch in (
+            SpeculationRatios(math.inf, 1.0, 1.0, 1.0),
+            SpeculationRatios(1.0, 1.0, 1.0, math.nan),
+        ):
+            report = LiveReport({}, {}, ratios=finite, batch_ratios=batch)
+            assert report.max_divergence() == math.inf
+            with pytest.raises(RuntimeProtocolError, match="diverge"):
+                report.require_convergence(0.05)
+
+    def test_equal_infinities_do_not_diverge(self):
+        ratios = SpeculationRatios(math.inf, 1.0, 1.0, 1.0)
+        report = LiveReport({}, {}, ratios=ratios, batch_ratios=ratios)
+        assert report.max_divergence() == 0.0
+        report.require_convergence()
 
 
 class TestDaemon:

@@ -9,6 +9,7 @@ from repro.core.sampling import (
     client_contributions,
     estimate_ratios,
     execute_sample_check,
+    ht_ratio_estimates,
     sample_check_workload,
 )
 from repro.errors import RuntimeProtocolError, TraceFormatError
@@ -19,7 +20,6 @@ from repro.trace.sampling import (
     RatioEstimate,
     SampledRatioReport,
     SamplingConfig,
-    ht_ratio_estimates,
 )
 from repro.workload import GeneratorConfig, SyntheticTraceGenerator
 
