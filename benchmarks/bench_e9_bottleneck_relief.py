@@ -12,10 +12,6 @@ This bench quantifies both remedies with the paper's own numbers
 
 * an extra dissemination level divides the absorbed traffic;
 * dynamic shielding bounds the proxy's load through an overload spike.
-
-It also connects speculation to the same story through the M/M/1 lens:
-a 30% server-load reduction is worth more response time the hotter the
-server runs.
 """
 
 from _harness import emit
@@ -26,7 +22,6 @@ from repro.dissemination import (
     ProxyLevel,
 )
 from repro.popularity.expmodel import PAPER_LAMBDA
-from repro.speculation import MM1Server, SpeculationRatios, latency_impact
 
 N_SERVERS = 100
 OFFERED = 1_000_000.0
@@ -101,28 +96,3 @@ def test_e9_bottleneck_relief(benchmark):
     # The single proxy at 500 MB indeed absorbs ~96% (paper's number).
     absorbed = single.distribute(OFFERED)[0].absorbed_fraction
     assert abs(absorbed - 0.956) < 0.01
-
-    # Queueing coda: a 30% load reduction at 90% utilization buys >2x
-    # response time; at 30% utilization it buys much less.
-    server = MM1Server(capacity=100.0)
-    ratios = SpeculationRatios(
-        bandwidth_ratio=1.05,
-        server_load_ratio=0.70,
-        service_time_ratio=0.77,
-        miss_rate_ratio=0.82,
-    )
-    hot = latency_impact(server, ratios, arrival_rate=90.0)
-    cool = latency_impact(server, ratios, arrival_rate=30.0)
-    emit(
-        "e9",
-        format_table(
-            ["utilization", "speedup from a 30% load cut"],
-            [
-                ["90%", f"{hot.speedup:.2f}x"],
-                ["30%", f"{cool.speedup:.2f}x"],
-            ],
-            title="E9c: M/M/1 view — load cuts matter most on hot servers",
-        ),
-    )
-    assert hot.speedup > 2.0
-    assert cool.speedup < hot.speedup

@@ -1,26 +1,19 @@
 """Operating a speculative server under real-world constraints.
 
 The paper shows what speculation *can* buy; an operator has to buy it
-under constraints: a bandwidth budget, digest overhead on every
-request, and a server with finite capacity.  This example runs the
-production-shaped configuration end to end:
+under constraints: a bandwidth budget and digest overhead on every
+request.  This example runs the production-shaped configuration end to
+end:
 
 * the self-tuning policy holds a stated traffic budget,
-* cooperative clients piggyback Bloom-filter digests (bytes counted),
-* the M/M/1 lens translates the load reduction into response-time
-  headroom at several utilizations.
+* cooperative clients piggyback Bloom-filter digests (bytes counted).
 
 Run:  python examples/operating_under_constraints.py
 """
 
 from repro.config import BASELINE
 from repro.core import Experiment, format_table
-from repro.speculation import (
-    AdaptiveBudgetPolicy,
-    MM1Server,
-    digest_size_bytes,
-    latency_impact,
-)
+from repro.speculation import AdaptiveBudgetPolicy, digest_size_bytes
 from repro.workload import SyntheticTraceGenerator, preset
 
 
@@ -64,37 +57,6 @@ def main() -> None:
         f"\ndigest overhead at ~{mean_cache} cached documents: "
         f"exact list {digest_size_bytes(mean_cache):.0f} B/request, "
         f"Bloom(1%) {digest_size_bytes(mean_cache, fp_rate=0.01):.0f} B/request"
-    )
-
-    # --- capacity story: what the load cut is worth ----------------------------
-    policy = AdaptiveBudgetPolicy(
-        target_traffic_increase=0.08,
-        warmup_bytes=20_000,
-        window_bytes=300_000,
-    )
-    ratios, __ = experiment.evaluate(policy)
-    server = MM1Server(capacity=100.0)
-    rows = []
-    for utilization in (0.3, 0.6, 0.9):
-        impact = latency_impact(server, ratios, arrival_rate=100.0 * utilization)
-        rows.append(
-            [
-                f"{utilization:.0%}",
-                f"{impact.baseline_response * 1000:.1f} ms",
-                f"{impact.speculative_response * 1000:.1f} ms",
-                f"{impact.speedup:.2f}x",
-            ]
-        )
-    print()
-    print(
-        format_table(
-            ["server utilization", "response (baseline)", "response (speculative)", "speedup"],
-            rows,
-            title=(
-                f"M/M/1 view of a {ratios.server_load_reduction:.0%} "
-                "load reduction"
-            ),
-        )
     )
 
 

@@ -8,7 +8,7 @@ Public API highlights:
 * :class:`repro.config.BaselineConfig` — the paper's baseline parameters.
 * :mod:`repro.trace` — trace records, CLF parsing, cleaning, sessions.
 * :mod:`repro.workload` — the calibrated synthetic trace generator.
-* :mod:`repro.topology` — routing trees, clusters, proxy placement.
+* :mod:`repro.topology` — routing trees, proxy placement.
 * :mod:`repro.popularity` — popularity profiles and the exponential model.
 * :mod:`repro.dissemination` — optimal storage allocation + simulator.
 * :mod:`repro.speculation` — P/P* dependency model, policies, simulator.

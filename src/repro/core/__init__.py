@@ -1,9 +1,7 @@
-"""High-level API: facades, experiment sweeps, and report rendering.
+"""High-level API: the planner facade, experiment sweeps, and report rendering.
 
-* :mod:`repro.core.server` — :class:`SpeculativeServer`, the
-  deployable-shaped facade of the speculative-service protocol.
 * :mod:`repro.core.planner` — :class:`DisseminationPlanner`, the
-  equivalent facade for the dissemination protocol.
+  facade for the dissemination protocol.
 * :mod:`repro.core.experiment` — train/test preparation, threshold
   sweeps, and traffic-level interpolation used by the benchmarks.
 * :mod:`repro.core.reporting` — plain-text tables and series for the
@@ -12,7 +10,6 @@
   replays, and the ``repro sample --check`` validation gate.
 """
 
-from .server import SpeculativeResponse, SpeculativeServer
 from .planner import DisseminationPlan, DisseminationPlanner
 from .experiment import (
     Experiment,
@@ -33,8 +30,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "SpeculativeServer",
-    "SpeculativeResponse",
     "DisseminationPlanner",
     "DisseminationPlan",
     "Experiment",

@@ -12,8 +12,6 @@
   simulation behind Figure 3.
 * :mod:`repro.dissemination.shielding` — dynamic shielding: a proxy
   sheds load by shrinking its dissemination budget when overloaded.
-* :mod:`repro.dissemination.weighted` — the section-2.1 extension:
-  communication-cost-aware allocation.
 * :mod:`repro.dissemination.hierarchy` — multi-level dissemination:
   the "continue for another level" answer to the proxy bottleneck.
 """
@@ -39,11 +37,8 @@ from .simulator import (
     select_popular_bytes,
 )
 from .shielding import DynamicShield, ShieldSnapshot
-from .weighted import hop_weights_from_tree, weighted_exponential_allocation
 from .hierarchy import HierarchicalShielding, LevelLoad, ProxyLevel
 from .freshness import FreshnessResult, FreshnessSimulator
-from .cluster_sim import ClusterResult, ClusterSimulator, ServerInterception
-from .bidding import BiddingOutcome, ProxyOffer, select_offers
 
 __all__ = [
     "ServerModel",
@@ -62,17 +57,9 @@ __all__ = [
     "per_proxy_popular_docs",
     "DynamicShield",
     "ShieldSnapshot",
-    "weighted_exponential_allocation",
-    "hop_weights_from_tree",
     "HierarchicalShielding",
     "ProxyLevel",
     "LevelLoad",
     "FreshnessSimulator",
     "FreshnessResult",
-    "ClusterSimulator",
-    "ClusterResult",
-    "ServerInterception",
-    "ProxyOffer",
-    "BiddingOutcome",
-    "select_offers",
 ]

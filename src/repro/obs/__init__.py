@@ -1,14 +1,13 @@
-"""Unified observability: traces, time-series, exporters, profiling.
+"""Unified observability: traces, time-series, exporters.
 
 The paper's four ratios (bandwidth, server load, service time, byte
 miss rate) are measured in several places — batch replay, the live
 runtime, the chaos gate.  ``repro.obs`` is the one layer they all share
 for *how the numbers were produced*: structured trace events on the
 virtual clock (:mod:`~repro.obs.trace`), windowed time-series that turn
-the ratios into curves (:mod:`~repro.obs.timeseries`), deterministic
+the ratios into curves (:mod:`~repro.obs.timeseries`), and deterministic
 JSONL/Prometheus exporters with a provenance manifest
-(:mod:`~repro.obs.export`), and opt-in profiling hooks
-(:mod:`~repro.obs.profile`).
+(:mod:`~repro.obs.export`).
 
 Everything is off by default and zero-overhead when off: an
 :class:`ObsConfig` with no flags set produces a plain
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .export import config_digest, prometheus_text, run_manifest, trace_jsonl
-from .profile import Profiler
 from .timeseries import (
     Counter,
     CounterState,
@@ -47,7 +45,6 @@ __all__ = [
     "MetricsRegistry",
     "ObsBundle",
     "ObsConfig",
-    "Profiler",
     "RunObservations",
     "TimeSample",
     "TimeSeriesRecorder",

@@ -19,8 +19,6 @@
   the hybrid speculation+prefetch protocol.
 * :mod:`repro.speculation.user_profiles` — per-user access profiles and
   pure client-initiated prefetching (the paper's reference [5]).
-* :mod:`repro.speculation.validation` — precision/recall diagnostics
-  for speculation policies.
 """
 
 from .dependency import DependencyModel, PairHistogram
@@ -48,8 +46,6 @@ from .metrics import (
 from .simulator import SimulationRun, SpeculativeServiceSimulator
 from .prefetch import ClientPrefetcher, HybridProtocol, PrefetchHints
 from .user_profiles import UserProfile, UserProfilePrefetcher
-from .validation import PredictionQuality, evaluate_policy_predictions
-from .queueing import LatencyImpact, MM1Server, capacity_headroom, latency_impact
 from .adaptive import AdaptiveBudgetPolicy
 from .digests import BloomFilter, digest_size_bytes
 
@@ -79,12 +75,6 @@ __all__ = [
     "HybridProtocol",
     "UserProfile",
     "UserProfilePrefetcher",
-    "PredictionQuality",
-    "evaluate_policy_predictions",
-    "MM1Server",
-    "LatencyImpact",
-    "latency_impact",
-    "capacity_headroom",
     "AdaptiveBudgetPolicy",
     "BloomFilter",
     "digest_size_bytes",

@@ -1,4 +1,4 @@
-"""Network topology: routing trees, clusters, and proxy placement.
+"""Network topology: routing trees and proxy placement.
 
 Section 2.1 of the paper views the clientele of a home server as a tree
 rooted at the server, with clients at the leaves and potential service
@@ -7,7 +7,6 @@ hierarchy of clusters (a service proxy plus the home servers it
 represents).
 
 * :mod:`repro.topology.tree` — the rooted routing tree with hop counts.
-* :mod:`repro.topology.clusters` — clusters and cluster hierarchies.
 * :mod:`repro.topology.builder` — build a clientele tree from a trace
   (the analog of the paper's ``record route`` technique).
 * :mod:`repro.topology.placement` — choose proxy locations: demand-
@@ -16,19 +15,13 @@ represents).
 """
 
 from .tree import RoutingTree, TreeNode
-from .clusters import Cluster, ClusterHierarchy
 from .builder import build_clientele_tree
 from .placement import geographic_placement, greedy_tree_placement
-from .stats import TreeStatistics, tree_statistics
 
 __all__ = [
     "RoutingTree",
     "TreeNode",
-    "Cluster",
-    "ClusterHierarchy",
     "build_clientele_tree",
     "greedy_tree_placement",
     "geographic_placement",
-    "TreeStatistics",
-    "tree_statistics",
 ]

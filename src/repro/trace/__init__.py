@@ -21,7 +21,6 @@ from .clf import format_clf_line, parse_clf_line, read_clf, write_clf
 from .cleaning import CleaningReport, TraceCleaner
 from .sessions import Session, Stride, split_sessions, split_strides
 from .stats import TraceStatistics, bytes_per_period, requests_per_period, summarize
-from .anonymize import anonymize_trace
 from .sampling import (
     RatioEstimate,
     SampledRatioReport,
@@ -49,7 +48,6 @@ __all__ = [
     "summarize",
     "requests_per_period",
     "bytes_per_period",
-    "anonymize_trace",
     "sample_clients",
     "client_hash",
     "SamplingConfig",

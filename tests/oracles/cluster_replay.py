@@ -1,4 +1,4 @@
-"""Cluster-level dissemination simulation.
+"""Cluster replay: the empirical reference for the planner's predicted α.
 
 The paper's model (§2.1) is a *cluster*: one service proxy fronting
 several home servers, with the proxy's storage divided among them by
@@ -7,16 +7,17 @@ empirically: it takes each member server's trace, a dissemination plan
 (byte allocation per server), materializes each server's most popular
 documents into the proxy, replays all traces, and reports both the
 overall intercepted fraction α_C and the per-server interception — so
-the analytical α of the planner can be validated against trace replay.
+the analytical α of :class:`repro.core.DisseminationPlanner` can be
+checked against trace replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import SimulationError
-from ..popularity.profile import PopularityProfile
-from ..trace.records import Trace
+from repro.errors import SimulationError
+from repro.popularity import PopularityProfile
+from repro.trace import Trace
 
 
 @dataclass(frozen=True)

@@ -1,109 +1,11 @@
-"""Tests for proxy bidding and client-level trace sampling."""
+"""Tests for client-level trace sampling."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import TopologyError, TraceFormatError
-from repro.dissemination import BiddingOutcome, ProxyOffer, select_offers
-from repro.topology import RoutingTree
+from repro.errors import TraceFormatError
 from repro.trace import Request, Trace, sample_clients, split_strides
 from repro.workload import SyntheticTraceGenerator, preset
-
-
-@pytest.fixture
-def tree():
-    return RoutingTree(
-        "root",
-        {
-            "r0": "root",
-            "r1": "root",
-            "s0": "r0",
-            "s1": "r1",
-            "c1": "s0",
-            "c2": "s0",
-            "c3": "s1",
-        },
-    )
-
-
-DEMAND = {"c1": 100.0, "c2": 100.0, "c3": 50.0}
-
-
-class TestProxyOffer:
-    def test_validation(self):
-        with pytest.raises(TopologyError):
-            ProxyOffer(name="", node="r0", capacity_bytes=1.0, price=1.0)
-        with pytest.raises(TopologyError):
-            ProxyOffer(name="x", node="r0", capacity_bytes=0.0, price=1.0)
-        with pytest.raises(TopologyError):
-            ProxyOffer(name="x", node="r0", capacity_bytes=1.0, price=-1.0)
-
-
-class TestSelectOffers:
-    def _offers(self):
-        return [
-            ProxyOffer(name="deep-busy", node="s0", capacity_bytes=1e6, price=10.0),
-            ProxyOffer(name="deep-idle", node="s1", capacity_bytes=1e6, price=10.0),
-            ProxyOffer(name="shallow", node="r0", capacity_bytes=1e6, price=1.0),
-        ]
-
-    def test_prefers_value_per_money(self, tree):
-        outcome = select_offers(tree, DEMAND, self._offers(), budget=1.0)
-        # Only "shallow" is affordable; it still adds savings.
-        assert [o.name for o in outcome.accepted] == ["shallow"]
-
-    def test_spends_within_budget(self, tree):
-        outcome = select_offers(tree, DEMAND, self._offers(), budget=11.5)
-        assert outcome.total_price <= 11.5
-
-    def test_big_budget_takes_all_useful_offers(self, tree):
-        outcome = select_offers(tree, DEMAND, self._offers(), budget=100.0)
-        names = {o.name for o in outcome.accepted}
-        assert {"deep-busy", "deep-idle"} <= names
-        # shallow adds nothing once deep-busy shields its subtree.
-        assert "shallow" not in names or outcome.expected_savings > 0
-
-    def test_zero_budget_free_offers_only(self, tree):
-        offers = [
-            ProxyOffer(name="free", node="s0", capacity_bytes=1e6, price=0.0),
-            ProxyOffer(name="paid", node="s1", capacity_bytes=1e6, price=5.0),
-        ]
-        outcome = select_offers(tree, DEMAND, offers, budget=0.0)
-        assert [o.name for o in outcome.accepted] == ["free"]
-        assert outcome.total_price == 0.0
-
-    def test_useless_offers_rejected(self, tree):
-        # No demand under r1: its offer adds no savings.
-        demand = {"c1": 100.0}
-        offers = [ProxyOffer(name="idle", node="s1", capacity_bytes=1e6, price=1.0)]
-        outcome = select_offers(tree, demand, offers, budget=10.0)
-        assert outcome.accepted == ()
-        assert outcome.expected_savings == 0.0
-
-    def test_savings_value(self, tree):
-        offers = [ProxyOffer(name="o", node="s0", capacity_bytes=1e6, price=1.0)]
-        outcome = select_offers(tree, DEMAND, offers, budget=10.0)
-        # s0 is at depth 2; shields c1+c2 (200 bytes of demand).
-        assert outcome.expected_savings == pytest.approx(400.0)
-
-    def test_invalid_inputs(self, tree):
-        with pytest.raises(TopologyError):
-            select_offers(tree, DEMAND, [], budget=-1.0)
-        with pytest.raises(TopologyError):
-            select_offers(
-                tree,
-                DEMAND,
-                [ProxyOffer(name="leaf", node="c1", capacity_bytes=1.0, price=1.0)],
-                budget=1.0,
-            )
-        with pytest.raises(TopologyError):
-            select_offers(tree, {"r0": 1.0}, [], budget=1.0)
-
-    def test_empty_offers(self, tree):
-        outcome = select_offers(tree, DEMAND, [], budget=10.0)
-        assert outcome == BiddingOutcome(
-            accepted=(), total_price=0.0, expected_savings=0.0
-        )
 
 
 class TestSampleClients:
@@ -176,63 +78,3 @@ class TestSampleClients:
         sampled = sample_clients(trace, fraction, seed=seed)
         assert sampled.clients() <= trace.clients()
         assert len(sampled) <= len(trace)
-
-
-class TestBiddingOptimality:
-    """Greedy selection against brute force on small instances."""
-
-    def _tree_and_demand(self, rng):
-        import itertools
-
-        from repro.topology import RoutingTree
-
-        parents = {}
-        demand = {}
-        for region in range(3):
-            region_node = f"g{region}"
-            parents[region_node] = "root"
-            sub = f"g{region}s"
-            parents[sub] = region_node
-            leaf = f"g{region}c"
-            parents[leaf] = sub
-            demand[leaf] = float(rng.integers(0, 100))
-        return RoutingTree("root", parents), demand
-
-    def test_greedy_within_submodular_bound(self):
-        import itertools
-        import math
-
-        import numpy as np
-
-        from repro.dissemination.bidding import _selection_savings
-
-        rng = np.random.default_rng(0)
-        for trial in range(20):
-            tree, demand = self._tree_and_demand(rng)
-            offers = []
-            for index, node in enumerate(sorted(tree.internal_nodes())):
-                offers.append(
-                    ProxyOffer(
-                        name=f"o{index}",
-                        node=node,
-                        capacity_bytes=1e6,
-                        price=float(rng.integers(1, 10)),
-                    )
-                )
-            budget = float(rng.integers(5, 25))
-            outcome = select_offers(tree, demand, offers, budget)
-
-            best = 0.0
-            for size in range(len(offers) + 1):
-                for subset in itertools.combinations(offers, size):
-                    if sum(o.price for o in subset) > budget:
-                        continue
-                    best = max(
-                        best,
-                        _selection_savings(
-                            tree, demand, {o.node for o in subset}
-                        ),
-                    )
-            # Cost-greedy on a budgeted submodular objective: accept the
-            # classical 1/2(1-1/e) bound with slack for ties.
-            assert outcome.expected_savings >= 0.3 * best - 1e-9

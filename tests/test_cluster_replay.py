@@ -1,65 +1,11 @@
-"""Tests for tree statistics and the cluster-level simulator."""
+"""The cluster replay oracle, and the planner's α checked against it."""
 
 import pytest
 
-from repro.errors import SimulationError, TopologyError
-from repro.dissemination import ClusterSimulator
-from repro.topology import RoutingTree, tree_statistics
+from repro.errors import SimulationError
 from repro.trace import Request, Trace
 
-
-@pytest.fixture
-def tree():
-    return RoutingTree(
-        "root",
-        {
-            "r0": "root",
-            "r1": "root",
-            "s0": "r0",
-            "c1": "s0",
-            "c2": "s0",
-            "c3": "r1",
-        },
-    )
-
-
-class TestTreeStatistics:
-    def test_counts(self, tree):
-        stats = tree_statistics(tree)
-        assert stats.n_nodes == 7
-        assert stats.n_leaves == 3
-        assert stats.n_internal == 3
-
-    def test_depths(self, tree):
-        stats = tree_statistics(tree)
-        assert stats.max_depth == 3
-        assert stats.mean_leaf_depth == pytest.approx((3 + 3 + 2) / 3)
-
-    def test_demand_weighted_depth(self, tree):
-        stats = tree_statistics(tree, {"c1": 100.0, "c3": 100.0})
-        assert stats.demand_weighted_depth == pytest.approx(2.5)
-
-    def test_top_subtree_share(self, tree):
-        stats = tree_statistics(tree, {"c1": 70.0, "c2": 10.0, "c3": 20.0})
-        assert stats.top_subtree_demand_share == pytest.approx(0.8)
-
-    def test_no_demand(self, tree):
-        stats = tree_statistics(tree)
-        assert stats.demand_weighted_depth == 0.0
-        assert stats.top_subtree_demand_share == 0.0
-
-    def test_non_leaf_demand_rejected(self, tree):
-        with pytest.raises(TopologyError):
-            tree_statistics(tree, {"r0": 10.0})
-
-    def test_format(self, tree):
-        text = tree_statistics(tree).format()
-        assert "leaves" in text and "max depth" in text
-
-    def test_single_node_tree(self):
-        stats = tree_statistics(RoutingTree("r", {}))
-        assert stats.n_leaves == 0
-        assert stats.max_depth == 0
+from .oracles.cluster_replay import ClusterSimulator
 
 
 def make_trace(pairs):

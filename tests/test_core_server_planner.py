@@ -1,112 +1,10 @@
-"""Tests for the SpeculativeServer and DisseminationPlanner facades."""
+"""Tests for the DisseminationPlanner facade."""
 
 import pytest
 
-from repro.config import BaselineConfig
-from repro.errors import AllocationError, SimulationError
-from repro.core import DisseminationPlanner, SpeculativeServer
-from repro.trace import Document, Request, Trace
-
-SIZES = {"/page": 1000, "/inline": 200, "/next": 500}
-DOCS = {d: Document(doc_id=d, size=s) for d, s in SIZES.items()}
-
-
-def req(t, doc, client="c", remote=True):
-    return Request(
-        timestamp=t, client=client, doc_id=doc, size=SIZES[doc], remote=remote
-    )
-
-
-def training_trace():
-    """Ten visits: /page then /inline always, /next half the time."""
-    requests = []
-    t = 0.0
-    for visit in range(10):
-        client = f"c{visit}"
-        requests.append(req(t, "/page", client))
-        requests.append(req(t + 0.2, "/inline", client))
-        if visit % 2 == 0:
-            requests.append(req(t + 2.0, "/next", client))
-        t += 1000.0
-    return Trace(requests, DOCS.values())
-
-
-class TestSpeculativeServer:
-    def test_respond_includes_strong_dependencies(self):
-        server = SpeculativeServer(DOCS, BaselineConfig(threshold=0.9))
-        server.fit(training_trace())
-        response = server.respond("/page")
-        assert response.speculated == ("/inline",)
-        assert response.total_documents == 2
-
-    def test_lower_threshold_pushes_more(self):
-        server = SpeculativeServer(DOCS, BaselineConfig(threshold=0.4))
-        server.fit(training_trace())
-        response = server.respond("/page")
-        assert set(response.speculated) == {"/inline", "/next"}
-
-    def test_hints_carry_probabilities(self):
-        server = SpeculativeServer(DOCS, BaselineConfig(threshold=0.9))
-        server.fit(training_trace())
-        hints = {h.doc_id: h.probability for h in server.respond("/page").hints}
-        assert hints["/inline"] == pytest.approx(1.0)
-        assert hints["/next"] == pytest.approx(0.5)
-
-    def test_cache_digest_filters(self):
-        server = SpeculativeServer(DOCS, BaselineConfig(threshold=0.9))
-        server.fit(training_trace())
-        response = server.respond("/page", cache_digest=frozenset({"/inline"}))
-        assert response.speculated == ()
-
-    def test_max_size_respected(self):
-        config = BaselineConfig(threshold=0.9, max_size=100)
-        server = SpeculativeServer(DOCS, config)
-        server.fit(training_trace())
-        assert server.respond("/page").speculated == ()
-
-    def test_unknown_document_rejected(self):
-        server = SpeculativeServer(DOCS)
-        with pytest.raises(SimulationError):
-            server.respond("/ghost")
-
-    def test_empty_catalog_rejected(self):
-        with pytest.raises(SimulationError):
-            SpeculativeServer({})
-
-    def test_observe_incremental(self):
-        server = SpeculativeServer(DOCS, BaselineConfig(threshold=0.9))
-        trace = training_trace()
-        half = len(trace) // 2
-        server.observe(Trace(list(trace)[:half], DOCS.values()))
-        server.observe(Trace(list(trace)[half:], DOCS.values()))
-        assert server.respond("/page").speculated == ("/inline",)
-
-    def test_refit_discards_old_counts(self):
-        server = SpeculativeServer(DOCS, BaselineConfig(threshold=0.9))
-        server.fit(training_trace())
-        # New behaviour: /page followed by /next always.
-        fresh = Trace(
-            [req(0, "/page", "z"), req(1, "/next", "z")], DOCS.values()
-        )
-        server.fit(fresh)
-        assert server.respond("/page").speculated == ("/next",)
-
-    def test_aging_server(self):
-        server = SpeculativeServer(
-            DOCS, BaselineConfig(threshold=0.6), decay_per_day=0.5
-        )
-        server.observe(training_trace())
-        # Fresh conflicting behaviour three days later.
-        later = 3 * 86_400.0
-        fresh = Trace(
-            [req(later + i * 100, "/page", f"n{i}") for i in range(6)]
-            + [req(later + i * 100 + 1, "/next", f"n{i}") for i in range(6)],
-            DOCS.values(),
-            sort=True,
-        )
-        server.observe(fresh)
-        response = server.respond("/page")
-        assert "/next" in response.speculated
+from repro.core import DisseminationPlanner
+from repro.errors import AllocationError
+from repro.trace import Request, Trace
 
 
 class TestDisseminationPlanner:

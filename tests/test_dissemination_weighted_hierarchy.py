@@ -1,78 +1,9 @@
-"""Tests for cost-weighted allocation and hierarchical shielding."""
+"""Tests for hierarchical shielding."""
 
 import pytest
 
-from repro.errors import AllocationError, TopologyError
-from repro.dissemination import (
-    HierarchicalShielding,
-    ProxyLevel,
-    ServerModel,
-    exponential_allocation,
-    hop_weights_from_tree,
-    weighted_exponential_allocation,
-)
-from repro.topology import RoutingTree
-
-
-class TestWeightedAllocation:
-    def _servers(self):
-        return [ServerModel("near", 100, 1e-6), ServerModel("far", 100, 1e-6)]
-
-    def test_uniform_weights_match_unweighted(self):
-        servers = self._servers()
-        weighted = weighted_exponential_allocation(
-            servers, {"near": 1.0, "far": 1.0}, 4e6
-        )
-        plain = exponential_allocation(servers, 4e6)
-        assert weighted.allocations == pytest.approx(plain.allocations)
-
-    def test_expensive_server_favoured(self):
-        servers = self._servers()
-        result = weighted_exponential_allocation(
-            servers, {"near": 1.0, "far": 5.0}, 4e6
-        )
-        assert result.allocations["far"] > result.allocations["near"]
-
-    def test_zero_weight_starves_server(self):
-        servers = self._servers()
-        result = weighted_exponential_allocation(
-            servers, {"near": 1.0, "far": 0.0}, 1e6
-        )
-        assert result.allocations["far"] == 0.0
-        assert result.allocations["near"] == pytest.approx(1e6)
-
-    def test_budget_conserved(self):
-        result = weighted_exponential_allocation(
-            self._servers(), {"near": 2.0, "far": 3.0}, 5e6
-        )
-        assert result.used == pytest.approx(5e6)
-
-    def test_missing_weight_rejected(self):
-        with pytest.raises(AllocationError):
-            weighted_exponential_allocation(self._servers(), {"near": 1.0}, 1e6)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(AllocationError):
-            weighted_exponential_allocation(
-                self._servers(), {"near": 1.0, "far": -1.0}, 1e6
-            )
-
-
-class TestHopWeights:
-    def test_depth_difference(self):
-        tree = RoutingTree(
-            "root", {"proxy": "root", "s1": "proxy", "deep": "s1", "s2": "deep"}
-        )
-        weights = hop_weights_from_tree(
-            tree, "proxy", {"near": "s1", "far": "s2"}
-        )
-        assert weights["near"] == 1.0
-        assert weights["far"] == 3.0
-
-    def test_minimum_one(self):
-        tree = RoutingTree("root", {"proxy": "root"})
-        weights = hop_weights_from_tree(tree, "proxy", {"self": "proxy"})
-        assert weights["self"] == 1.0
+from repro.errors import TopologyError
+from repro.dissemination import HierarchicalShielding, ProxyLevel
 
 
 class TestHierarchicalShielding:

@@ -4,22 +4,19 @@ import math
 
 import pytest
 
-from repro.config import BASELINE, BaselineConfig
+from repro.config import BASELINE
 from repro.core import (
     DisseminationPlanner,
     Experiment,
-    SpeculativeServer,
     evaluate_thresholds,
 )
 from repro.dissemination import DisseminationSimulator
 from repro.dissemination.simulator import select_popular_bytes
 from repro.popularity import PopularityProfile, fit_lambda
 from repro.speculation import (
-    DependencyModel,
     SpeculativeServiceSimulator,
     ThresholdPolicy,
     compare,
-    evaluate_policy_predictions,
 )
 from repro.topology import build_clientele_tree, greedy_tree_placement
 from repro.trace import TraceCleaner, read_clf, write_clf
@@ -95,57 +92,6 @@ class TestBothProtocolsTogether:
         profile = PopularityProfile.from_trace(trace)
         curve_bytes, coverage = profile.coverage_curve()
         assert model.lam == pytest.approx(fit_lambda(curve_bytes, coverage))
-
-
-class TestServerFacadeAgainstSimulator:
-    def test_facade_and_simulator_agree_on_push_sets(self, trace):
-        """SpeculativeServer.respond must propose exactly what the
-        simulator's policy selects for the same model and threshold."""
-        split = trace.start_time + 12 * 86_400
-        train = trace.window(trace.start_time, split)
-        model = DependencyModel.estimate(train, window=5.0)
-
-        config = BaselineConfig(threshold=0.3)
-        server = SpeculativeServer(trace.documents, config)
-        server.fit(train)
-        policy = ThresholdPolicy(threshold=0.3)
-
-        sample = {r.doc_id for r in trace}
-        checked = 0
-        for doc_id in sorted(sample)[:40]:
-            facade = server.respond(doc_id).speculated
-            direct = tuple(
-                c.doc_id for c in policy.select(doc_id, model, trace.documents)
-            )
-            assert facade == direct
-            checked += 1
-        assert checked == 40
-
-
-class TestPredictionQualityConsistency:
-    def test_precision_tracks_wasted_bytes(self, trace):
-        """Diagnostic precision and simulator waste measure the same
-        phenomenon: a high-precision policy wastes few pushed bytes."""
-        experiment = Experiment(trace, BASELINE, train_days=12)
-        strict = ThresholdPolicy(threshold=0.8)
-        loose = ThresholdPolicy(threshold=0.05)
-
-        strict_quality = evaluate_policy_predictions(
-            experiment.test, experiment.model, strict
-        )
-        loose_quality = evaluate_policy_predictions(
-            experiment.test, experiment.model, loose
-        )
-        assert strict_quality.precision >= loose_quality.precision
-
-        __, strict_run = experiment.evaluate(strict)
-        __, loose_run = experiment.evaluate(loose)
-
-        def waste(run):
-            pushed = run.metrics.speculated_bytes
-            return run.metrics.wasted_bytes / pushed if pushed else 0.0
-
-        assert waste(strict_run) <= waste(loose_run) + 0.02
 
 
 class TestSweepInternalConsistency:

@@ -21,7 +21,6 @@ from repro.obs import (
     MetricsRegistry,
     ObsBundle,
     ObsConfig,
-    Profiler,
     TimeSeriesRecorder,
     Tracer,
     config_digest,
@@ -243,25 +242,6 @@ class TestExports:
         manifest = observed.observed.manifest
         assert manifest["seed"] == 0
         assert len(manifest["config_digest"]) == 64
-
-
-class TestProfiler:
-    def test_wall_sections_accumulate(self):
-        profiler = Profiler()
-        with profiler.section("work"):
-            sum(range(1000))
-        with profiler.section("work"):
-            sum(range(1000))
-        summary = profiler.summary()
-        assert summary["work"]["calls"] == 2
-        assert summary["work"]["seconds"] >= 0.0
-        assert profiler.wall_seconds("work") == summary["work"]["seconds"]
-
-    def test_cpu_profile_reports_stats(self):
-        profiler = Profiler(cpu=True)
-        with profiler.section("hot"):
-            sorted(range(100, 0, -1))
-        assert "function calls" in profiler.cpu_stats(limit=5)
 
 
 class TestExactCounterMerge:

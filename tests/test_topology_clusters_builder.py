@@ -1,77 +1,11 @@
-"""Tests for clusters, hierarchy, and the clientele tree builder."""
+"""Tests for the clientele tree builder."""
 
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import Cluster, ClusterHierarchy, build_clientele_tree
+from repro.topology import build_clientele_tree
 from repro.trace import Request, Trace
 from repro.workload import GeneratorConfig, SyntheticTraceGenerator
-
-
-class TestCluster:
-    def test_basic(self):
-        c = Cluster(proxy="p0", servers=("s1", "s2"), capacity_bytes=1e6)
-        assert c.n_servers == 2
-
-    def test_empty_servers_rejected(self):
-        with pytest.raises(TopologyError):
-            Cluster(proxy="p0", servers=(), capacity_bytes=1.0)
-
-    def test_duplicate_server_rejected(self):
-        with pytest.raises(TopologyError):
-            Cluster(proxy="p0", servers=("s1", "s1"), capacity_bytes=1.0)
-
-    def test_proxy_in_servers_rejected(self):
-        with pytest.raises(TopologyError):
-            Cluster(proxy="p0", servers=("p0",), capacity_bytes=1.0)
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(TopologyError):
-            Cluster(proxy="p0", servers=("s1",), capacity_bytes=-1.0)
-
-
-class TestClusterHierarchy:
-    def _two_level(self):
-        level0 = [
-            Cluster(proxy="p0", servers=("s1", "s2"), capacity_bytes=1.0),
-            Cluster(proxy="p1", servers=("s2", "s3"), capacity_bytes=1.0),
-        ]
-        level1 = [Cluster(proxy="q0", servers=("p0", "p1"), capacity_bytes=1.0)]
-        return ClusterHierarchy([level0, level1])
-
-    def test_levels(self):
-        h = self._two_level()
-        assert h.n_levels == 2
-        assert {c.proxy for c in h.level(0)} == {"p0", "p1"}
-
-    def test_many_to_many_server_mapping(self):
-        h = self._two_level()
-        assert {c.proxy for c in h.clusters_of_server("s2")} == {"p0", "p1"}
-
-    def test_all_proxies(self):
-        assert self._two_level().all_proxies() == {"p0", "p1", "q0"}
-
-    def test_upper_level_must_front_lower_proxies(self):
-        level0 = [Cluster(proxy="p0", servers=("s1",), capacity_bytes=1.0)]
-        level1 = [Cluster(proxy="q0", servers=("stranger",), capacity_bytes=1.0)]
-        with pytest.raises(TopologyError):
-            ClusterHierarchy([level0, level1])
-
-    def test_duplicate_proxy_rejected(self):
-        level0 = [
-            Cluster(proxy="p0", servers=("s1",), capacity_bytes=1.0),
-            Cluster(proxy="p0", servers=("s2",), capacity_bytes=1.0),
-        ]
-        with pytest.raises(TopologyError):
-            ClusterHierarchy([level0])
-
-    def test_empty_hierarchy_rejected(self):
-        with pytest.raises(TopologyError):
-            ClusterHierarchy([])
-
-    def test_unknown_level(self):
-        with pytest.raises(TopologyError):
-            self._two_level().level(5)
 
 
 class TestBuilder:

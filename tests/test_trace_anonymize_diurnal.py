@@ -1,102 +1,13 @@
-"""Tests for trace anonymization and diurnal arrivals."""
+"""Tests for diurnal arrivals."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.errors import CalibrationError, TraceFormatError
-from repro.trace import Request, Trace, anonymize_trace, summarize
-from repro.topology import build_clientele_tree
+from repro.errors import CalibrationError
+from repro.trace import summarize
 from repro.workload import GeneratorConfig, SyntheticTraceGenerator
-
-
-def req(t, client, doc, size=10, remote=True):
-    return Request(timestamp=t, client=client, doc_id=doc, size=size, remote=remote)
-
-
-@pytest.fixture
-def trace():
-    return Trace(
-        [
-            req(0.0, "alice.example.org", "/secret/report.html", 100),
-            req(1.0, "bob.region-03", "/secret/report.html", 100),
-            req(2.0, "local-1.campus", "/public/index.html", 50, remote=False),
-            req(3.0, "alice.example.org", "/public/index.html", 50),
-        ]
-    )
-
-
-class TestAnonymize:
-    def test_identifiers_replaced(self, trace):
-        anonymous = anonymize_trace(trace, "k1")
-        for request in anonymous:
-            assert "alice" not in request.client
-            assert "secret" not in request.doc_id
-
-    def test_structure_preserved(self, trace):
-        anonymous = anonymize_trace(trace, "k1")
-        assert len(anonymous) == len(trace)
-        assert anonymous.total_bytes() == trace.total_bytes()
-        assert [r.timestamp for r in anonymous] == [r.timestamp for r in trace]
-        assert [r.remote for r in anonymous] == [r.remote for r in trace]
-        original = summarize(trace)
-        mapped = summarize(anonymous)
-        assert mapped.num_clients == original.num_clients
-        assert mapped.num_documents == original.num_documents
-
-    def test_consistent_mapping_within_trace(self, trace):
-        anonymous = anonymize_trace(trace, "k1")
-        # alice appears twice -> same pseudonym both times.
-        assert anonymous[0].client == anonymous[3].client
-        # the report is fetched by two clients -> same doc pseudonym.
-        assert anonymous[0].doc_id == anonymous[1].doc_id
-
-    def test_same_key_same_mapping_across_traces(self, trace):
-        a = anonymize_trace(trace, "k1")
-        b = anonymize_trace(trace, "k1")
-        assert [r.client for r in a] == [r.client for r in b]
-
-    def test_different_key_different_mapping(self, trace):
-        a = anonymize_trace(trace, "k1")
-        b = anonymize_trace(trace, "k2")
-        assert [r.client for r in a] != [r.client for r in b]
-
-    def test_regions_preserved(self, trace):
-        anonymous = anonymize_trace(trace, "k1")
-        regional = [r.client for r in anonymous if r.client.endswith(".region-03")]
-        assert len(regional) == 1
-        campus = [r.client for r in anonymous if r.client.endswith(".campus")]
-        assert len(campus) == 1
-        assert campus[0].startswith("local-")
-
-    def test_regions_dropped_when_asked(self, trace):
-        anonymous = anonymize_trace(trace, "k1", keep_regions=False)
-        assert not any(".region-" in r.client for r in anonymous)
-
-    def test_topology_still_builds(self, trace):
-        anonymous = anonymize_trace(trace, "k1")
-        tree = build_clientele_tree(anonymous)
-        assert anonymous.clients() <= tree.leaves
-
-    def test_catalog_metadata_preserved(self):
-        from repro.trace import Document
-
-        trace = Trace(
-            [req(0.0, "c", "/x", 10)],
-            [Document(doc_id="/x", size=10, kind="embedded", mutable=True)],
-        )
-        anonymous = anonymize_trace(trace, "k")
-        (doc,) = anonymous.documents.values()
-        assert doc.kind == "embedded"
-        assert doc.mutable
-
-    def test_empty_key_rejected(self, trace):
-        with pytest.raises(TraceFormatError):
-            anonymize_trace(trace, "")
-
-    def test_bytes_key_accepted(self, trace):
-        assert len(anonymize_trace(trace, b"binary-key")) == len(trace)
 
 
 class TestDiurnalArrivals:
