@@ -14,7 +14,7 @@ from ..popularity import (
     count_classes,
     fit_lambda,
 )
-from ..speculation import ThresholdPolicy
+from ..speculation import RiderTable, ThresholdPolicy
 from ..trace import Trace, TraceCleaner, read_clf, write_clf
 from ..workload import GeneratorConfig, SyntheticTraceGenerator
 
@@ -795,10 +795,13 @@ def cmd_serve(args) -> None:
         learn=True,
     )
     estimator.warm(trace)
-    policy = ThresholdPolicy(threshold=args.threshold)
-    origin = OriginServer(
-        trace.documents, estimator=estimator, policy=policy, config=BASELINE
+    riders = RiderTable(
+        ThresholdPolicy(threshold=args.threshold),
+        estimator.model,
+        trace.documents,
+        BASELINE.max_size,
     )
+    origin = OriginServer(trace.documents, estimator=estimator, riders=riders)
 
     async def _serve() -> None:
         server = TcpServer(origin.handle, host=args.host, port=args.port)

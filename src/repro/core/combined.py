@@ -30,6 +30,7 @@ from ..obs.trace import Tracer
 from ..speculation.caches import ClientCache, make_cache_factory
 from ..speculation.dependency import DependencyModel
 from ..speculation.policies import SpeculationPolicy
+from ..speculation.riders import RiderTable
 from ..topology.tree import RoutingTree
 from ..trace.records import Trace
 
@@ -151,7 +152,11 @@ class CombinedProtocolSimulator:
 
         config = self._config
         factory = cache_factory or make_cache_factory(config.session_timeout)
-        catalog = self._trace.documents
+        riders = None
+        if policy is not None:
+            riders = RiderTable(
+                policy, self._model, self._trace.documents, config.max_size
+            )
         caches: dict[str, ClientCache] = {}
 
         cache_hits = 0
@@ -227,26 +232,21 @@ class CombinedProtocolSimulator:
                 continue  # the origin never sees it: no speculation
 
             origin_requests += 1
-            if policy is not None:
-                for candidate in policy.select(
-                    request.doc_id, self._model, catalog
-                ):
-                    document = catalog.get(candidate.doc_id)
-                    if document is None or document.size > config.max_size:
-                        continue
-                    if cache.contains(candidate.doc_id):
+            if riders is not None:
+                for rider, rider_size, _ in riders.riders(request.doc_id):
+                    if cache.contains(rider):
                         continue
                     speculated_documents += 1
-                    speculated_bytes += document.size
-                    bytes_hops += document.size * depth
-                    cache.insert(candidate.doc_id, document.size)
+                    speculated_bytes += rider_size
+                    bytes_hops += rider_size * depth
+                    cache.insert(rider, rider_size)
                     if tracer is not None:
                         tracer.event(
                             request.timestamp,
                             "speculation",
                             demand=request.doc_id,
-                            rider=candidate.doc_id,
-                            bytes=document.size,
+                            rider=rider,
+                            bytes=rider_size,
                             client=client,
                         )
             if recorder is not None:

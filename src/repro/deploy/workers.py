@@ -48,6 +48,7 @@ from ..runtime.node import CacheNode
 from ..runtime.origin import OriginServer
 from ..runtime.resilience import CircuitBreaker
 from ..runtime.transport import FrameLedger, Handler, TcpServer
+from ..speculation.riders import RiderTable
 from .bus import (
     TOPIC_ANTI_ENTROPY,
     TOPIC_CONTROL,
@@ -334,11 +335,17 @@ async def _origin_shard_main(ctx: ShardContext) -> None:
     )
     prepared = ctx.prepared
     metrics = default_registry()
+    catalog = prepared.serve.documents
+    estimator = prepared.fresh_estimator()
+    riders = None
+    if ctx.speculative:
+        riders = RiderTable(
+            prepared.policy, estimator.model, catalog, prepared.config.max_size
+        )
     origin = OriginServer(
-        prepared.serve.documents,
-        estimator=prepared.fresh_estimator(),
-        policy=prepared.policy if ctx.speculative else None,
-        config=prepared.config,
+        catalog,
+        estimator=estimator,
+        riders=riders,
         metrics=metrics,
         name=prepared.tree.root,
     )

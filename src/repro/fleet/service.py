@@ -42,6 +42,7 @@ from ..runtime.metrics import live_ratios, verify_conservation
 from ..runtime.service import smoke_workload
 from ..speculation.dependency import DependencyModel
 from ..speculation.metrics import SpeculationRatios
+from ..speculation.riders import RiderTable
 from ..trace.profiler import WorkloadProfile
 from ..trace.sampling import SampledRatioReport, SamplingConfig
 from ..workload.generator import GeneratorConfig
@@ -201,12 +202,17 @@ class _FleetPrepared(PreparedTrace):
         fleet_routes = entry_routes(
             self.tree, self.fleet_plan.node_names(), self.serve.clients()
         )
-        node_policy = self.policy if settings.node_speculation else None
-        #: arm → (plan, routes, origin policy, node policy)
+        # One node rider table for every fleet run: its model is frozen.
+        node_riders = None
+        if settings.node_speculation:
+            node_riders = RiderTable(
+                self.policy, self.model, self.serve.documents, config.max_size
+            )
+        #: arm → (plan, routes, origin policy, node rider table)
         self.arms = {
             "demand": (single_plan.without_holdings(), single_routes, None, None),
             "single": (single_plan, single_routes, self.policy, None),
-            "fleet": (self.fleet_plan, fleet_routes, self.policy, node_policy),
+            "fleet": (self.fleet_plan, fleet_routes, self.policy, node_riders),
         }
 
     def arm(
@@ -219,7 +225,7 @@ class _FleetPrepared(PreparedTrace):
         """Run one arm (``demand`` / ``single`` / ``fleet``) virtually."""
         if kind not in self.arms:
             raise SimulationError(f"unknown fleet arm {kind!r}")
-        plan, routes, origin_policy, node_policy = self.arms[kind]
+        plan, routes, origin_policy, node_riders = self.arms[kind]
         metrics, observed = run_virtual(
             run_live(
                 self.serve,
@@ -231,8 +237,7 @@ class _FleetPrepared(PreparedTrace):
                 settings=self.settings,
                 estimator=self.fresh_estimator(),
                 origin_policy=origin_policy,
-                model=self.model,
-                node_policy=node_policy,
+                node_riders=node_riders,
                 directory_for=(
                     plan.directory_for
                     if plan.probe_mode == "directory"

@@ -31,8 +31,8 @@ from ..obs import (
     RunObservations,
     run_manifest,
 )
-from ..speculation.dependency import DependencyModel
 from ..speculation.policies import SpeculationPolicy, ThresholdPolicy
+from ..speculation.riders import RiderTable
 from ..topology.builder import build_clientele_tree
 from ..topology.tree import RoutingTree
 from ..trace.profiler import TraceProfiler, WorkloadProfile
@@ -267,8 +267,7 @@ async def run_live(
     settings: RunKnobs,
     estimator: OnlineDependencyEstimator,
     origin_policy: SpeculationPolicy | None,
-    model: DependencyModel | None = None,
-    node_policy: SpeculationPolicy | None = None,
+    node_riders: RiderTable | None = None,
     directory_for: Callable[[str], Mapping[str, tuple[str, ...]]] | None = None,
     probe_mode: str = "directory",
     probe_siblings: int = 0,
@@ -293,9 +292,10 @@ async def run_live(
         settings: The shared run knobs (network seed and drop rate,
             load-generator limits).
         estimator: The origin's (warm) dependency estimator.
-        origin_policy: Origin-side speculation; None serves demand only.
-        model: Frozen dependency model for node-side speculation.
-        node_policy: Node-side speculation policy; None disables it.
+        origin_policy: Origin-side speculation, read through a rider
+            table over the estimator's model; None serves demand only.
+        node_riders: Node-side speculation (one table shared by every
+            node, each restricted to its holdings); None disables it.
         directory_for: ``node name → (doc_id → sibling names)`` probe
             map for directory-mode sibling probes.
         probe_mode: ``"directory"`` or ``"hashed"`` sibling choice.
@@ -333,11 +333,15 @@ async def run_live(
         network.attach_faults(injector)
 
     origin_endpoint = network.endpoint(tree.root)
+    origin_riders = None
+    if origin_policy is not None:
+        origin_riders = RiderTable(
+            origin_policy, estimator.model, serve.documents, config.max_size
+        )
     origin = OriginServer(
         serve.documents,
         estimator=estimator,
-        policy=origin_policy,
-        config=config,
+        riders=origin_riders,
         metrics=metrics,
         name=tree.root,
     )
@@ -356,10 +360,7 @@ async def run_live(
             probe_mode=probe_mode,
             probe_siblings=probe_siblings,
             probe_timeout=probe_timeout,
-            model=model,
-            policy=node_policy,
-            catalog=serve.documents,
-            config=config,
+            riders=node_riders,
             upstream_timeout=settings.request_timeout,
             backoff_seed=settings.seed,
         )

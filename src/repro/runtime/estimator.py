@@ -66,10 +66,11 @@ class OnlineDependencyEstimator:
         return self._learn
 
     def warm(self, trace: Trace) -> None:
-        """Train on a history trace, then refresh the full closure.
+        """Train on a history trace, then mark its counts refreshed.
 
         Used at startup (the paper's HistoryLength warm-up) regardless
-        of the ``learn`` flag.
+        of the ``learn`` flag.  No closure row is precomputed: each is
+        computed on its first read (a rider table's first lookup).
         """
         for request in trace:
             self._model.observe(request.client, request.doc_id, request.timestamp)

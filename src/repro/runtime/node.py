@@ -20,7 +20,7 @@ at one caching node of the tree:
 
 A flat region proxy is the degenerate case (the paper's footnote 5): a
 :class:`NodeSpec` with no siblings, the origin as upstream and
-``upstream_distance = depth(region)``, built with no model or policy.
+``upstream_distance = depth(region)``, built with no rider table.
 
 Replies accumulate ``path_hops``, the tree edges the document travelled
 *above* the client's entry node, so the load generator can attribute
@@ -53,11 +53,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..config import BASELINE, BaselineConfig
 from ..errors import RuntimeProtocolError, TransportError
-from ..speculation.dependency import DependencyModel
-from ..speculation.policies import SpeculationPolicy
-from ..trace.records import Document
+from ..speculation.riders import RiderTable
 from .messages import Message, make_error, make_request, make_response
 from .metrics import Counter, MetricsRegistry, default_registry
 from .resilience import (
@@ -126,13 +123,10 @@ class CacheNode:
         probe_siblings: Max siblings probed per miss (``d``); 0
             disables probing.
         probe_timeout: Per-probe timeout in (virtual) seconds.
-        model: Frozen dependency model for local speculation; None
-            disables node-side riders.
-        policy: Speculation policy sharing the origin's semantics;
-            riders are restricted to this node's own holdings (a cache
-            can only push bytes it actually has).
-        catalog: Full document catalog (rider candidate lookup).
-        config: Cost model (``max_size`` caps riders).
+        riders: Rider table (a frozen model under the origin's policy,
+            catalog and MaxSize) for local speculation, restricted to
+            this node's own holdings — a cache can only push bytes it
+            actually has; None disables node-side riders.
         upstream_timeout: Per-forward timeout in seconds (None waits
             forever).
         breaker: Upstream circuit breaker; a default one (4 failures,
@@ -163,10 +157,7 @@ class CacheNode:
         probe_mode: str = "directory",
         probe_siblings: int = 2,
         probe_timeout: float | None = 5.0,
-        model: DependencyModel | None = None,
-        policy: SpeculationPolicy | None = None,
-        catalog: Mapping[str, Document] | None = None,
-        config: BaselineConfig = BASELINE,
+        riders: RiderTable | None = None,
         upstream_timeout: float | None = None,
         breaker: CircuitBreaker | None = None,
         backoff: BackoffPolicy | None = None,
@@ -185,10 +176,7 @@ class CacheNode:
         self._probe_mode = probe_mode
         self._probe_siblings = max(0, probe_siblings)
         self._probe_timeout = probe_timeout
-        self._model = model
-        self._policy = policy
-        self._catalog = catalog if catalog is not None else {}
-        self._config = config
+        self._riders = riders
         self._upstream_timeout = upstream_timeout
         if breaker is None:
             reset = 2.0 * (upstream_timeout if upstream_timeout else 30.0)
@@ -336,21 +324,16 @@ class CacheNode:
         dependency model but can only send documents dissemination
         actually placed here (and the client's digest does not list).
         """
-        if self._policy is None or self._model is None:
+        if self._riders is None:
             return []
         cached = {str(entry) for entry in message.payload.get("digest", ())}
         cached.add(doc_id)
-        riders: list[tuple[str, int]] = []
-        for candidate in self._policy.select(
-            doc_id, self._model, self._catalog
-        ):
-            size = self._holdings.get(candidate.doc_id)
-            if size is None or size > self._config.max_size:
-                continue
-            if candidate.doc_id in cached:
-                continue
-            riders.append((candidate.doc_id, size))
-        return riders
+        holdings = self._holdings
+        return [
+            (rider, holdings[rider])
+            for rider, _, _ in self._riders.riders(doc_id)
+            if rider in holdings and rider not in cached
+        ]
 
     def _local_response(
         self, message: Message, doc_id: str, size: int, *, probe: bool

@@ -1,7 +1,7 @@
 """The live origin (home) server.
 
 Answers ``request`` messages with the demand document plus any
-speculated riders the policy selects — the paper's *speculative
+speculated riders its rider table lists — the paper's *speculative
 service*: the server, not the client, decides what else to send
 (section 3.1).  Each served request also feeds the online dependency
 estimator and a bounded history buffer the dissemination daemon
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..config import BASELINE, BaselineConfig
-from ..speculation.policies import SpeculationPolicy
+from ..speculation.riders import RiderTable
 from ..trace.records import Document, Request, Trace
 from .estimator import OnlineDependencyEstimator
 from .messages import Message, make_error, make_response
@@ -32,9 +31,9 @@ class OriginServer:
         catalog: The servable documents.
         estimator: Online dependency estimator (already warmed, or
             learning in-band).
-        policy: Speculation policy; None serves demand-only (the
-            baseline arm).
-        config: Cost model (``max_size`` caps speculated documents).
+        riders: Rider table over ``estimator.model`` and ``catalog``
+            (its MaxSize caps speculated documents); None serves
+            demand-only (the baseline arm).
         metrics: Shared metrics registry.
         name: Endpoint name used in replies.
         history_limit: Served requests kept for the dissemination
@@ -46,16 +45,14 @@ class OriginServer:
         catalog: dict[str, Document],
         *,
         estimator: OnlineDependencyEstimator,
-        policy: SpeculationPolicy | None = None,
-        config: BaselineConfig = BASELINE,
+        riders: RiderTable | None = None,
         metrics: MetricsRegistry | None = None,
         name: str = "home-server",
         history_limit: int = 200_000,
     ):
         self._catalog = catalog
         self._estimator = estimator
-        self._policy = policy
-        self._config = config
+        self._riders = riders
         self.metrics = metrics if metrics is not None else default_registry()
         self.name = name
         self._history: deque[Request] = deque(maxlen=history_limit)
@@ -125,33 +122,24 @@ class OriginServer:
             self._estimator.observe(str(client), doc_id, float(timestamp))
 
         riders: list[tuple[str, int]] = []
-        if self._policy is not None:
+        if self._riders is not None:
             cached = set(payload.get("digest", ()))
             cached.add(doc_id)  # the demand document rides anyway
-            for candidate in self._policy.select(
-                doc_id, self._estimator.model, self._catalog
-            ):
-                rider = self._catalog.get(candidate.doc_id)
-                if rider is None or rider.size > self._config.max_size:
+            for rider, size, _ in self._riders.riders(doc_id):
+                if rider in cached:
                     continue
-                if candidate.doc_id in cached:
-                    continue
-                riders.append((rider.doc_id, rider.size))
+                riders.append((rider, size))
                 if duplicate:
-                    self.metrics.counter("origin.duplicate_bytes").inc(
-                        rider.size
-                    )
+                    self.metrics.counter("origin.duplicate_bytes").inc(size)
                 else:
                     self.metrics.counter("origin.speculated_documents").inc()
-                    self.metrics.counter("origin.speculated_bytes").inc(
-                        rider.size
-                    )
+                    self.metrics.counter("origin.speculated_bytes").inc(size)
                     self.metrics.trace_event(
                         "speculation",
                         time=float(timestamp),
                         demand=doc_id,
-                        rider=rider.doc_id,
-                        bytes=rider.size,
+                        rider=rider,
+                        bytes=size,
                         client=str(client),
                     )
 

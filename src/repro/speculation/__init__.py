@@ -5,9 +5,12 @@
   traversal strides.
 * :mod:`repro.speculation.aging` — aging and rolling re-estimation of
   the dependency counts (HistoryLength / UpdateCycle).
-* :mod:`repro.speculation.policies` — which documents to send along
-  with a request: threshold on ``p*``, embedding-only, top-k, with the
-  MaxSize cap.
+* :mod:`repro.speculation.policies` — the speculation policy: threshold
+  on ``p*`` (or on direct ``p``), with the MaxSize cap.
+* :mod:`repro.speculation.riders` — which documents ride with a
+  response: the one ranked, catalog- and MaxSize-filtered row per
+  document that the origin, the cache nodes and both replay engines
+  read.
 * :mod:`repro.speculation.caches` — client cache models: none,
   single-session, infinite multi-session, finite LRU; cooperative cache
   digests.
@@ -23,12 +26,8 @@
 
 from .dependency import DependencyModel, PairHistogram
 from .aging import AgingDependencyCounter, RollingEstimator
-from .policies import (
-    EmbeddingOnlyPolicy,
-    SpeculationPolicy,
-    ThresholdPolicy,
-    TopKPolicy,
-)
+from .policies import SpeculationPolicy, ThresholdPolicy
+from .riders import RiderTable
 from .caches import (
     ClientCache,
     InfiniteCache,
@@ -56,8 +55,7 @@ __all__ = [
     "RollingEstimator",
     "SpeculationPolicy",
     "ThresholdPolicy",
-    "EmbeddingOnlyPolicy",
-    "TopKPolicy",
+    "RiderTable",
     "ClientCache",
     "NoCache",
     "SessionCache",

@@ -135,12 +135,10 @@ class AdaptiveBudgetPolicy:
         )
         chosen = inner.select(requested, model, catalog)
         for candidate in chosen:
-            target = catalog.get(candidate.doc_id)
-            if target is not None:
-                # Expected wasted bytes: a push used with frequency p
-                # only costs net bandwidth when it goes unused.
-                self._speculative_bytes += (
-                    1.0 - candidate.probability
-                ) * target.size
+            # Expected wasted bytes: a push used with frequency p only
+            # costs net bandwidth when it goes unused.  (A candidate is
+            # always a catalog member.)
+            size = catalog[candidate.doc_id].size
+            self._speculative_bytes += (1.0 - candidate.probability) * size
         self._steer()
         return chosen

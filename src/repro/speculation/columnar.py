@@ -52,10 +52,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import BaselineConfig
-from ..trace.records import Document, Trace
+from ..trace.records import Trace
 from .dependency import DependencyModel
 from .metrics import SpeculationMetrics
-from .policies import SpeculationPolicy, ThresholdPolicy
+from .policies import ThresholdPolicy
+from .riders import Ranked, pruning, rank_sources
 
 #: Sessions resolved per dense coverage matrix; bounds peak memory of
 #: the hit/miss fixpoint at ``chunk × universe`` int64 cells.
@@ -74,10 +75,10 @@ _trace_sessions: "weakref.WeakKeyDictionary[Trace, dict[float, _SessionTables]]"
     weakref.WeakKeyDictionary()
 )
 
-#: Per-trace, per-model memoized push tables and ``ThresholdPolicy``
-#: ranked tables.  The inner keys pin the policy (frozen dataclass) or
-#: its pruning, the MaxSize caps, and the model's mutation counter, so
-#: an ``observe`` on the model invalidates every entry.
+#: Per-trace, per-model memoized push tables and ranked rider tables.
+#: The inner keys pin the policy (frozen dataclass) or its pruning, the
+#: MaxSize caps, and the model's mutation counter, so an ``observe`` (or
+#: a flushing ``refresh_closure``) on the model invalidates every entry.
 _trace_pushes: "weakref.WeakKeyDictionary[Trace, weakref.WeakKeyDictionary]" = (
     weakref.WeakKeyDictionary()
 )
@@ -208,156 +209,62 @@ class _PushTables:
     """CSR push lists per demanded document code.
 
     ``targets`` are codes in a universe that extends the trace's coded
-    documents with push-only catalog documents; ``sizes`` are catalog
-    sizes (pushes always ship the cataloged size, which may differ from
-    a request's logged size), and ``target_sizes`` folds them down to
-    one size per target code — a push's byte size depends only on its
-    target.
+    documents with push-only catalog documents; ``target_sizes`` holds
+    one catalog size per target code (pushes always ship the cataloged
+    size, which may differ from a request's logged size).
     """
 
     universe: int
     indptr: np.ndarray
     targets: np.ndarray
-    sizes: np.ndarray
     lengths: np.ndarray
     byte_sums: np.ndarray
     target_sizes: np.ndarray
 
 
-def _pack_push_tables(n_docs: int, rows, targets, sizes, universe: int) -> _PushTables:
-    """CSR push tables from row-grouped ``(row, target, size)`` entries."""
-    targets = np.asarray(targets, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    lengths = np.bincount(np.asarray(rows, dtype=np.int64), minlength=n_docs)
+def _cut_push_tables(cut: Ranked, docs: list[str]) -> _PushTables:
+    """CSR push tables from ranked riders cut at ``T_p``.
+
+    Rider codes are the trace's document codes; push-only catalog
+    documents are numbered densely after ``docs``, in ``doc_id`` order.
+    """
+    n_docs = len(docs)
+    index = {doc: code for code, doc in enumerate(docs)}
+    name_codes = np.array([index.get(name, -1) for name in cut.names], np.int64)
+    targets = name_codes[cut.target]
+    extra = targets < 0
+    used = np.unique(cut.target[extra])
+    targets[extra] = n_docs + np.searchsorted(used, cut.target[extra])
+    universe = n_docs + used.size
+    lengths = np.bincount(cut.row, minlength=n_docs)
     indptr = np.concatenate(([0], np.cumsum(lengths)))
-    running = np.concatenate(([0], np.cumsum(sizes)))
+    running = np.concatenate(([0], np.cumsum(cut.size)))
     target_sizes = np.zeros(universe, dtype=np.int64)
-    target_sizes[targets] = sizes
+    target_sizes[targets] = cut.size
     return _PushTables(
         universe=universe,
         indptr=indptr,
         targets=targets,
-        sizes=sizes,
         lengths=lengths,
         byte_sums=running[indptr[1:]] - running[indptr[:-1]],
         target_sizes=target_sizes,
     )
 
 
-def _build_push_tables(
-    docs: list[str],
-    policy: SpeculationPolicy,
-    model: DependencyModel,
-    catalog: dict[str, Document],
-    max_size: float,
-) -> _PushTables:
-    """Resolve every document's push list once through the policy.
-
-    Applies the same catalog-membership and ``MaxSize`` filter as the
-    event loop, in the same candidate order, so the resulting lists are
-    value-identical to the loop's memoized ``push_lists``.
-    """
-    index = {doc: code for code, doc in enumerate(docs)}
-    extra: dict[str, int] = {}
-    rows: list[int] = []
-    columns: list[int] = []
-    column_sizes: list[int] = []
-    for code, doc in enumerate(docs):
-        for candidate in policy.select(doc, model, catalog):
-            document = catalog.get(candidate.doc_id)
-            if document is None or document.size > max_size:
-                continue
-            target = index.get(candidate.doc_id)
-            if target is None:
-                target = extra.setdefault(candidate.doc_id, len(docs) + len(extra))
-            rows.append(code)
-            columns.append(target)
-            column_sizes.append(document.size)
-    universe = len(docs) + len(extra)
-    return _pack_push_tables(len(docs), rows, columns, column_sizes, universe)
-
-
-def _ranked_table(
-    docs: list[str],
-    policy: ThresholdPolicy,
-    model: DependencyModel,
-    catalog: dict[str, Document],
-    max_size: float,
-) -> tuple[np.ndarray, ...]:
-    """Every document's ``select`` candidates down to the pruning floor.
-
-    Returns ``(rows, targets, sizes, probabilities)``, grouped by row and
-    sorted as ``select`` sorts, ``(-probability, doc_id)``, with the
-    catalog and both ``MaxSize`` filters applied: the push lists at
-    ``T_p`` are every row's ``probability >= T_p`` prefix.  The rows are
-    the memoized ``closure_rows`` ``select`` would read (stale after
-    ``observe`` until ``refresh_closure``, as there).
-    """
-    if policy.use_closure:
-        found = model.closure_rows(
-            docs,
-            min_probability=min(policy.min_probability, policy.threshold),
-            max_hops=policy.max_hops,
-        )
-        found_rows = [found[doc] for doc in docs]
-    else:
-        found_rows = [model.successors(doc) for doc in docs]
-    ids = [target for row in found_rows for target in row]
-    probabilities = np.fromiter(
-        (p for row in found_rows for p in row.values()), np.float64, len(ids)
-    )
-    rows = np.repeat(np.arange(len(docs)), [len(row) for row in found_rows])
-    # Per distinct target, in doc_id order: catalog size (-1: filtered
-    # out) and code (push-only documents numbered after ``docs``).
-    distinct = sorted(set(ids))
-    rank = {doc_id: position for position, doc_id in enumerate(distinct)}
-    index = {doc: code for code, doc in enumerate(docs)}
-    cap = min(policy.max_size, max_size)
-    sizes = np.array([getattr(catalog.get(d), "size", -1) for d in distinct], np.int64)
-    sizes[sizes > cap] = -1
-    codes = np.array(
-        [index.get(doc_id, len(docs) + r) for r, doc_id in enumerate(distinct)],
-        np.int64,
-    )
-    ranks = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
-    order = np.lexsort((ranks, -probabilities, rows))
-    order = order[sizes[ranks[order]] >= 0]
-    ranked = ranks[order]
-    return rows[order], codes[ranked], sizes[ranked], probabilities[order]
-
-
-def _cut_push_tables(
-    ranked: tuple[np.ndarray, ...], n_docs: int, threshold: float
-) -> _PushTables:
-    """The push tables at ``T_p``: every ranked row's ``p >= T_p`` prefix."""
-    rows, targets, sizes, probabilities = ranked
-    keep = probabilities >= threshold
-    targets = targets[keep]
-    # Number the surviving push-only targets densely after ``docs``.
-    extra = targets >= n_docs
-    used = np.unique(targets[extra])
-    targets[extra] = n_docs + np.searchsorted(used, targets[extra])
-    universe = n_docs + used.size
-    return _pack_push_tables(n_docs, rows[keep], targets, sizes[keep], universe)
-
-
 def _push_tables(
     trace: Trace,
     docs: list[str],
-    policy: SpeculationPolicy,
+    policy: ThresholdPolicy,
     model: DependencyModel,
     max_size: float,
 ) -> _PushTables:
-    """Memoized push tables: rebuilt only when the model's counts move.
+    """Memoized push tables: rebuilt only when the model's rows move.
 
-    The cache key pins everything the tables are a pure function of —
-    the trace (outer weak key), the model (inner weak key) and its
-    :attr:`~DependencyModel.version`, the frozen policy, and the
-    ``MaxSize`` cap — so repeated replays (sweeps, benchmark repeats)
-    skip the per-document ``select`` calls entirely.  A
-    :class:`ThresholdPolicy` never calls ``select``: its tables are a
-    cut of one :func:`_ranked_table`, memoized under the pruning every
-    ``T_p`` of a sweep shares.
+    Keyed by the trace and model (weak keys), the model's ``version``,
+    the frozen policy and the ``MaxSize`` cap.  They are a ``T_p`` cut
+    of one :func:`~repro.speculation.riders.rank_sources` table,
+    memoized per :func:`~repro.speculation.riders.pruning`, so a sweep
+    ranks once and calls no ``select``.
     """
     per_trace = _trace_pushes.get(trace)
     if per_trace is None:
@@ -367,14 +274,10 @@ def _push_tables(
     if per_model is None:
         per_model = {}
         per_trace[model] = per_model
-    catalog = trace.documents
     version = getattr(model, "version", None)
 
     def memo(key: tuple, build):
-        try:
-            entry = per_model.get(key)
-        except TypeError:  # unhashable policy: build uncached
-            return build()
+        entry = per_model.get(key)
         if entry is not None and entry[0] == version and version is not None:
             return entry[1]
         value = build()
@@ -382,16 +285,14 @@ def _push_tables(
             per_model[key] = (version, value)
         return value
 
-    key = (policy, float(max_size))
-    if type(policy) is not ThresholdPolicy:
-        return memo(
-            key, lambda: _build_push_tables(docs, policy, model, catalog, max_size)
-        )
-    # One ranked table per pruning, shared by every T_p cut from it.
-    floor = min(policy.min_probability, policy.threshold)
-    shared = (policy.use_closure, floor, policy.max_hops, policy.max_size, max_size)
-    ranked = memo(shared, lambda: _ranked_table(docs, policy, model, catalog, max_size))
-    return memo(key, lambda: _cut_push_tables(ranked, len(docs), policy.threshold))
+    ranked = memo(
+        pruning(policy, max_size),
+        lambda: rank_sources(policy, model, docs, trace.documents, max_size),
+    )
+    return memo(
+        (policy, float(max_size)),
+        lambda: _cut_push_tables(ranked.cut(policy.threshold), docs),
+    )
 
 
 def _expand_csr(
@@ -643,20 +544,20 @@ def replay_columnar(
     config: BaselineConfig,
     *,
     model: DependencyModel | None = None,
-    policy: SpeculationPolicy | None = None,
+    policy: ThresholdPolicy | None = None,
 ) -> ColumnarReplay:
     """Replay a trace in vectorized columnar passes.
 
     Semantically identical to the simulator's general event loop for the
     default configuration: per-client ``SessionTimeout`` caches, no
     cooperation, no digests, no prefetchers, and either no policy
-    (baseline) or a pure-``select`` policy over a fixed model.
+    (baseline) or a :class:`ThresholdPolicy` over a fixed model.
 
     Args:
         trace: The access trace to replay.
         config: Cost model and timeouts.
         model: Fixed dependency model (required when ``policy`` given).
-        policy: Speculation policy; ``None`` replays the baseline.
+        policy: The threshold policy; ``None`` replays the baseline.
 
     Returns:
         A :class:`ColumnarReplay` whose counters are bit-identical to

@@ -142,10 +142,11 @@ class DependencyModel:
         #: invalidation in :meth:`refresh_closure`.
         self._dirty: set[str] = set()
         self._engine: SparseDependencyEngine | None = None
-        #: Monotone mutation counter; bumped by :meth:`observe` so
-        #: derived caches (e.g. the columnar replay's memoized push
-        #: tables) can key on ``(model, version)`` and never serve
-        #: selections computed from stale counts.
+        #: Monotone mutation counter; bumped by :meth:`observe` and by
+        #: a :meth:`refresh_closure` that flushes rows, so derived
+        #: caches (rider tables, the columnar replay's push tables) can
+        #: key on ``(model, version)`` and never serve riders the model
+        #: would no longer return.
         self._version = 0
 
     # -- estimation --------------------------------------------------------------
@@ -308,6 +309,7 @@ class DependencyModel:
             for key in stale:
                 del self._closure_cache[key]
             self._dirty = set()
+            self._version += 1  # rows read from now on may differ
         wanted = list(sources or ())
         if wanted:
             self.closure_rows(
@@ -320,7 +322,8 @@ class DependencyModel:
     @property
     def version(self) -> int:
         """Mutation counter: increments whenever :meth:`observe` changes
-        the counts.  Derived caches key on it to stay coherent."""
+        the counts or :meth:`refresh_closure` flushes their stale rows.
+        Derived caches key on it to stay coherent."""
         return self._version
 
     @property

@@ -2,94 +2,30 @@
 
 A policy inspects the dependency model and decides, for a requested
 document ``D_i``, which other documents the server should speculatively
-service.  All policies respect the ``MaxSize`` cap of section 3.2 —
-documents larger than MaxSize are never speculated — and return
-candidates in decreasing probability so the simulator can apply further
-caps (e.g. cooperative-client filtering) in the right order.
+service.  The paper's policy is :class:`ThresholdPolicy`; embedding-only
+speculation is its ``use_closure=False`` form with ``T_p`` near 1.
+:class:`~repro.speculation.riders.RiderTable` applies a policy, with
+the catalog and ``MaxSize`` filter of section 3.2, for every caller.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import ClassVar, Protocol
 
-from ..errors import PolicyError
 from ..trace.records import Document
 from .dependency import DependencyModel
+from .riders import Candidate, RiderTable, SpeculationPolicy, ThresholdRule
 
-
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    """One document a policy proposes to speculate.
-
-    Attributes:
-        doc_id: The candidate document.
-        probability: The policy's estimate that it will be requested.
-    """
-
-    doc_id: str
-    probability: float
-
-
-class SpeculationPolicy(Protocol):
-    """Protocol implemented by all speculation policies."""
-
-    def select(
-        self,
-        requested: str,
-        model: DependencyModel,
-        catalog: dict[str, Document],
-    ) -> list[Candidate]:
-        """Candidates to send along with ``requested``, best first."""
-        ...
-
-
-def _filter_by_size(
-    candidates: list[Candidate],
-    catalog: dict[str, Document],
-    max_size: float,
-) -> list[Candidate]:
-    """Drop candidates exceeding MaxSize or missing from the catalog."""
-    kept = []
-    for candidate in candidates:
-        document = catalog.get(candidate.doc_id)
-        if document is None:
-            continue
-        if document.size <= max_size:
-            kept.append(candidate)
-    return kept
+__all__ = ["Candidate", "SpeculationPolicy", "ThresholdPolicy"]
 
 
 @dataclass(frozen=True)
-class ThresholdPolicy:
+class ThresholdPolicy(ThresholdRule):
     """The paper's baseline policy: speculate ``D_j`` iff ``p*[i,j] >= T_p``.
 
-    Attributes:
-        threshold: ``T_p`` in (0, 1].
-        max_size: MaxSize cap in bytes (``inf`` = no limit).
-        use_closure: Use ``P*`` (default, the paper's baseline) or the
-            direct ``P`` row only — the closure-vs-direct ablation.
-        min_probability: Pruning floor for closure computation.
-        max_hops: Chain-length cap for closure computation.
+    The parameters are :class:`ThresholdRule`'s: ``threshold`` (``T_p``),
+    ``max_size``, ``use_closure``, ``min_probability``, ``max_hops``.
     """
-
-    #: select() is a pure function of (requested, model state): frozen
-    #: parameters, no internal state.  The simulator's fast path may
-    #: memoize selections per document when this is set.
-    select_is_pure: ClassVar[bool] = True
-
-    threshold: float
-    max_size: float = math.inf
-    use_closure: bool = True
-    min_probability: float = 0.01
-    max_hops: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.threshold <= 1.0:
-            raise PolicyError("threshold must be in (0, 1]")
-        if self.max_size <= 0:
-            raise PolicyError("max_size must be positive")
 
     def select(
         self,
@@ -97,116 +33,13 @@ class ThresholdPolicy:
         model: DependencyModel,
         catalog: dict[str, Document],
     ) -> list[Candidate]:
-        """Candidates with ``p*`` (or ``p``) at or above the threshold."""
-        if self.use_closure:
-            row = model.closure_row(
-                requested,
-                min_probability=min(self.min_probability, self.threshold),
-                max_hops=self.max_hops,
-            )
-        else:
-            row = model.successors(requested)
-        candidates = [
-            Candidate(doc_id=target, probability=probability)
-            for target, probability in row.items()
-            if probability >= self.threshold
+        """Candidates with ``p*`` (or ``p``) at or above the threshold.
+
+        The one-row view of a :class:`RiderTable` over this policy alone
+        (no deployment MaxSize).
+        """
+        table = RiderTable(self, model, catalog)
+        return [
+            Candidate(doc_id=doc_id, probability=probability)
+            for doc_id, _, probability in table.riders(requested)
         ]
-        candidates.sort(key=lambda c: (-c.probability, c.doc_id))
-        return _filter_by_size(candidates, catalog, self.max_size)
-
-
-@dataclass(frozen=True)
-class EmbeddingOnlyPolicy:
-    """Speculate only embedding dependencies (``p ≈ 1``).
-
-    The paper observes these cost no wasted bandwidth — an embedded
-    document is certainly needed — but buy under ~5% improvement.
-
-    Attributes:
-        tolerance: How far below 1.0 still counts as an embedding
-            (measurement noise on finite traces).
-        max_size: MaxSize cap in bytes.
-    """
-
-    select_is_pure: ClassVar[bool] = True
-
-    tolerance: float = 0.05
-    max_size: float = math.inf
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tolerance < 1.0:
-            raise PolicyError("tolerance must be in [0, 1)")
-        if self.max_size <= 0:
-            raise PolicyError("max_size must be positive")
-
-    def select(
-        self,
-        requested: str,
-        model: DependencyModel,
-        catalog: dict[str, Document],
-    ) -> list[Candidate]:
-        """Candidates with near-certain direct dependencies only."""
-        floor = 1.0 - self.tolerance
-        candidates = [
-            Candidate(doc_id=target, probability=probability)
-            for target, probability in model.successors(requested).items()
-            if probability >= floor
-        ]
-        candidates.sort(key=lambda c: (-c.probability, c.doc_id))
-        return _filter_by_size(candidates, catalog, self.max_size)
-
-
-@dataclass(frozen=True)
-class TopKPolicy:
-    """Speculate the ``k`` most likely follow-ups above a floor.
-
-    A budget-style alternative to the threshold policy: bounds the
-    per-request speculation volume regardless of how many documents
-    clear a probability bar.
-
-    Attributes:
-        k: Maximum candidates per request.
-        min_probability: Ignore follow-ups below this probability.
-        max_size: MaxSize cap in bytes.
-        use_closure: Rank by ``P*`` (default) or direct ``P``.
-        max_hops: Chain-length cap for closure computation.
-    """
-
-    select_is_pure: ClassVar[bool] = True
-
-    k: int
-    min_probability: float = 0.05
-    max_size: float = math.inf
-    use_closure: bool = True
-    max_hops: int = 8
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise PolicyError("k must be >= 1")
-        if not 0.0 < self.min_probability <= 1.0:
-            raise PolicyError("min_probability must be in (0, 1]")
-        if self.max_size <= 0:
-            raise PolicyError("max_size must be positive")
-
-    def select(
-        self,
-        requested: str,
-        model: DependencyModel,
-        catalog: dict[str, Document],
-    ) -> list[Candidate]:
-        """The k most likely follow-ups above the probability floor."""
-        if self.use_closure:
-            row = model.closure_row(
-                requested,
-                min_probability=self.min_probability,
-                max_hops=self.max_hops,
-            )
-        else:
-            row = model.successors(requested)
-        candidates = [
-            Candidate(doc_id=target, probability=probability)
-            for target, probability in row.items()
-            if probability >= self.min_probability
-        ]
-        candidates.sort(key=lambda c: (-c.probability, c.doc_id))
-        return _filter_by_size(candidates, catalog, self.max_size)[: self.k]

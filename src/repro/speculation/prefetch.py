@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from ..errors import PolicyError
 from ..trace.records import Document
 from .dependency import DependencyModel
-from .policies import Candidate, EmbeddingOnlyPolicy
+from .policies import ThresholdPolicy
+from .riders import Candidate, RiderTable, ThresholdRule
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,16 @@ class PrefetchHints:
         model: DependencyModel,
         catalog: dict[str, Document],
     ) -> list[Candidate]:
-        """The hint list the server attaches to a response."""
-        if self.use_closure:
-            row = model.closure_row(
-                requested,
-                min_probability=self.min_probability,
-                max_hops=self.max_hops,
-            )
-        else:
-            row = model.successors(requested)
-        hints = [
-            Candidate(doc_id=target, probability=probability)
-            for target, probability in row.items()
-            if probability >= self.min_probability and target in catalog
-        ]
-        hints.sort(key=lambda c: (-c.probability, c.doc_id))
-        return hints[: self.max_hints]
+        """The hint list the server attaches to a response: the best
+        ``max_hints`` riders of the rule ``p >= min_probability``."""
+        rule = ThresholdRule(
+            threshold=self.min_probability,
+            use_closure=self.use_closure,
+            min_probability=self.min_probability,
+            max_hops=self.max_hops,
+        )
+        riders = RiderTable(rule, model, catalog).riders(requested)
+        return [Candidate(doc_id, p) for doc_id, _, p in riders[: self.max_hints]]
 
 
 @dataclass(frozen=True)
@@ -97,14 +92,12 @@ class ClientPrefetcher:
         catalog: dict[str, Document],
     ) -> list[str]:
         """Documents the client decides to prefetch, best first."""
-        chosen = []
-        for candidate in self.hints.hints(requested, model, catalog):
-            if candidate.probability < self.threshold:
-                break  # hints are sorted; nothing later qualifies
-            document = catalog.get(candidate.doc_id)
-            if document is not None and document.size <= self.max_size:
-                chosen.append(candidate.doc_id)
-        return chosen
+        return [
+            hint.doc_id
+            for hint in self.hints.hints(requested, model, catalog)
+            if hint.probability >= self.threshold
+            and catalog[hint.doc_id].size <= self.max_size
+        ]
 
 
 @dataclass(frozen=True)
@@ -113,14 +106,17 @@ class HybridProtocol:
 
     Server-initiated speculative service handles documents that are
     near-certainly needed (embedding dependencies — no wasted
-    bandwidth); the remaining probable accesses are hinted and left to
-    client-initiated prefetching.
+    bandwidth: direct ``p >= 1 - embedding_tolerance``); the remaining
+    probable accesses are hinted and left to client-initiated
+    prefetching.
 
     Pass :attr:`policy` and :attr:`prefetcher` to
     :meth:`repro.speculation.simulator.SpeculativeServiceSimulator.run`.
     """
 
-    policy: EmbeddingOnlyPolicy = EmbeddingOnlyPolicy()
+    policy: ThresholdPolicy = ThresholdPolicy(
+        threshold=1.0 - 0.05, use_closure=False
+    )
     prefetcher: ClientPrefetcher = ClientPrefetcher()
 
     @classmethod
@@ -133,8 +129,10 @@ class HybridProtocol:
     ) -> "HybridProtocol":
         """Build a hybrid protocol from the two decision thresholds."""
         return cls(
-            policy=EmbeddingOnlyPolicy(
-                tolerance=embedding_tolerance, max_size=max_size
+            policy=ThresholdPolicy(
+                threshold=1.0 - embedding_tolerance,
+                max_size=max_size,
+                use_closure=False,
             ),
             prefetcher=ClientPrefetcher(
                 threshold=prefetch_threshold, max_size=max_size

@@ -29,9 +29,11 @@ picks between them from its inputs alone.  The general event loop in
 this module handles every configuration.  The vectorized columnar
 engine (:mod:`repro.speculation.columnar`) handles the common one —
 default ``SessionTimeout`` caches, steps 1–4 without cooperation,
-digests or prefetchers, and either no policy or a ``select_is_pure``
-policy over a fixed model — and is bit-identical to the general loop
-there (pinned by ``tests/test_columnar_replay.py``).
+digests or prefetchers, and either no policy or a
+:class:`~repro.speculation.policies.ThresholdPolicy` over a fixed model —
+and is bit-identical to the general loop there (pinned by
+``tests/test_columnar_replay.py``).  Both engines read their riders
+from :mod:`repro.speculation.riders`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from .caches import ClientCache, make_cache_factory
 from .columnar import replay_columnar
 from .dependency import DependencyModel
 from .metrics import SpeculationMetrics
-from .policies import SpeculationPolicy
+from .policies import SpeculationPolicy, ThresholdPolicy
+from .riders import RiderTable
 
 
 @dataclass(frozen=True)
@@ -162,10 +165,7 @@ class SpeculativeServiceSimulator:
             and prefetcher is None
             and (
                 policy is None
-                or (
-                    self._model is not None
-                    and getattr(policy, "select_is_pure", False)
-                )
+                or (self._model is not None and type(policy) is ThresholdPolicy)
             )
         ):
             result = replay_columnar(
@@ -208,6 +208,8 @@ class SpeculativeServiceSimulator:
 
         caches: dict[str, ClientCache] = {}
         pending_pushes: dict[str, dict[str, int]] = {}
+        # One rider table per model object (a rolling estimator swaps).
+        table: RiderTable | None = None
 
         # Byte counters stay integers so byte accounting is exact; only
         # derived ratios and costs are floats.
@@ -258,32 +260,29 @@ class SpeculativeServiceSimulator:
             model = self._model_at(request.timestamp)
 
             if policy is not None:
+                if table is None or table.model is not model:
+                    table = RiderTable(policy, model, catalog, config.max_size)
                 bloom = bloom_for(client, cache) if bloom_for is not None else None
-                for candidate in policy.select(request.doc_id, model, catalog):
-                    document = catalog.get(candidate.doc_id)
-                    if document is None or document.size > config.max_size:
-                        continue
-                    already_cached = cache.contains(candidate.doc_id)
+                for rider, rider_size, _ in table.riders(request.doc_id):
+                    already_cached = cache.contains(rider)
                     if cooperative:
                         believed_cached = (
-                            candidate.doc_id in bloom
-                            if bloom is not None
-                            else already_cached
+                            rider in bloom if bloom is not None else already_cached
                         )
                         if believed_cached:
                             continue
                     speculated_documents += 1
-                    speculated_bytes += document.size
-                    bytes_sent += document.size
+                    speculated_bytes += rider_size
+                    bytes_sent += rider_size
                     if already_cached:
-                        wasted_bytes += document.size
+                        wasted_bytes += rider_size
                         continue
-                    if candidate.doc_id in pending:
-                        wasted_bytes += pending.pop(candidate.doc_id)
-                    cache.insert(candidate.doc_id, document.size)
+                    if rider in pending:
+                        wasted_bytes += pending.pop(rider)
+                    cache.insert(rider, rider_size)
                     if bloom is not None:
-                        bloom.add(candidate.doc_id)
-                    pending[candidate.doc_id] = document.size
+                        bloom.add(rider)
+                    pending[rider] = rider_size
 
             if prefetcher is not None:
                 if prefetch_per_client:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from ..errors import PolicyError
 from ..trace.records import Document
 from .dependency import DependencyModel
+from .riders import rank
 
 
 class UserProfile:
@@ -156,18 +157,6 @@ class UserProfilePrefetcher:
         profile = self._profiles.get(client)
         if profile is None or profile.support(requested) < self.min_support:
             return []
-        ranked = sorted(
-            profile.followups(requested).items(),
-            key=lambda item: (-item[1], item[0]),
-        )
-        chosen = []
-        for target, probability in ranked:
-            if probability < self.threshold:
-                break
-            document = catalog.get(target)
-            if document is None or document.size > self.max_size:
-                continue
-            chosen.append(target)
-            if len(chosen) >= self.max_prefetches:
-                break
-        return chosen
+        followups = [profile.followups(requested)]
+        ranked = rank(followups, catalog, self.max_size, self.threshold).riders()
+        return [doc_id for doc_id, _, _ in ranked[: self.max_prefetches]]

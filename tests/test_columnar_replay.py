@@ -22,17 +22,10 @@ from repro.config import BASELINE
 from repro.core import Experiment, evaluate_thresholds
 from repro.speculation.aging import RollingEstimator
 from repro.speculation.caches import make_cache_factory
-from repro.speculation.columnar import (
-    _build_push_tables,
-    _push_tables,
-    replay_columnar,
-)
+from repro.speculation.columnar import _push_tables, replay_columnar
 from repro.speculation.dependency import DependencyModel
-from repro.speculation.policies import (
-    EmbeddingOnlyPolicy,
-    ThresholdPolicy,
-    TopKPolicy,
-)
+from repro.speculation.policies import ThresholdPolicy
+from repro.speculation.riders import RiderTable
 from repro.speculation.prefetch import ClientPrefetcher
 from repro.speculation.simulator import SpeculativeServiceSimulator
 from repro.speculation.sparse import SparseDependencyEngine, _coded_columns
@@ -56,10 +49,11 @@ def _model(seed: int) -> DependencyModel:
 def _policy(kind: str, parameter: float):
     if kind == "threshold":
         return ThresholdPolicy(threshold=parameter)
-    if kind == "topk":
-        return TopKPolicy(k=max(1, int(parameter * 8)), min_probability=0.05)
+    if kind == "direct":
+        return ThresholdPolicy(threshold=parameter, use_closure=False)
     if kind == "embedding":
-        return EmbeddingOnlyPolicy(tolerance=min(parameter, 0.9))
+        tolerance = min(parameter, 0.9)
+        return ThresholdPolicy(threshold=1.0 - tolerance, use_closure=False)
     assert kind == "baseline"
     return None
 
@@ -78,7 +72,7 @@ class TestColumnarParity:
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=3),
-        kind=st.sampled_from(["baseline", "threshold", "topk", "embedding"]),
+        kind=st.sampled_from(["baseline", "threshold", "direct", "embedding"]),
         parameter=st.floats(min_value=0.05, max_value=0.9),
     )
     def test_columnar_matches_event_and_general(self, seed, kind, parameter):
@@ -140,7 +134,7 @@ class TestColumnarParity:
     @pytest.mark.parametrize("use_closure", [True, False])
     def test_one_trace_replayed_at_many_thresholds(self, use_closure):
         # Every T_p after the first cuts the ranked table the first built;
-        # each cut holds select's lists, in select's order.
+        # each cut holds the one-document rider rows, in their order.
         trace, model = _trace(2), _model(2)
         docs = _coded_columns(trace)[0]
         sim = SpeculativeServiceSimulator(trace, BASELINE, model=model)
@@ -148,11 +142,18 @@ class TestColumnarParity:
             policy = ThresholdPolicy(threshold=threshold, use_closure=use_closure)
             assert sim.run(policy) == _general(sim, policy)
             cut = _push_tables(trace, docs, policy, model, BASELINE.max_size)
-            loop = _build_push_tables(
-                docs, policy, model, trace.documents, BASELINE.max_size
-            )
-            assert cut.indptr.tolist() == loop.indptr.tolist()
-            assert cut.targets.tolist() == loop.targets.tolist()
+            table = RiderTable(policy, model, trace.documents, BASELINE.max_size)
+            # Push-only riders are numbered after ``docs``: compare as None.
+            coded = set(docs)
+            for code, doc in enumerate(docs):
+                span = slice(cut.indptr[code], cut.indptr[code + 1])
+                rows = table.riders(doc)
+                assert [
+                    docs[target] if target < len(docs) else None
+                    for target in cut.targets[span].tolist()
+                ] == [rider if rider in coded else None for rider, _, _ in rows]
+                sizes = cut.target_sizes[cut.targets[span]].tolist()
+                assert sizes == [size for _, size, _ in rows]
 
     @pytest.mark.parametrize("refresh", [False, True])
     @pytest.mark.parametrize("use_closure", [True, False])
@@ -225,10 +226,9 @@ def test_threshold_sweep_selects_nothing_and_closes_once_per_pruning(
 
 @dataclass(frozen=True)
 class _StatefulThreshold:
-    """A policy that does not declare ``select_is_pure``."""
+    """A policy other than ``ThresholdPolicy``: asked through ``select``."""
 
     inner: ThresholdPolicy = ThresholdPolicy(threshold=0.25)
-    select_is_pure = False
 
     def select(self, requested, model, catalog):
         return self.inner.select(requested, model, catalog)
@@ -236,16 +236,17 @@ class _StatefulThreshold:
 
 @dataclass
 class _UnhashablePure:
-    """A pure policy that is a plain (eq, hence unhashable) dataclass."""
+    """A plain (eq, hence unhashable) dataclass policy."""
 
     inner: ThresholdPolicy = ThresholdPolicy(threshold=0.25)
-    select_is_pure = True
 
     def select(self, requested, model, catalog):
         return self.inner.select(requested, model, catalog)
 
 
 def test_unhashable_pure_policy_replays_uncached():
+    # Only ``ThresholdPolicy`` enters the columnar engine; any other
+    # policy replays through the general loop, unmemoized.
     sim = SpeculativeServiceSimulator(_trace(0), BASELINE, model=_model(0))
     policy = _UnhashablePure()
     assert sim.run(policy) == _general(sim, policy)

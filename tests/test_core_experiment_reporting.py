@@ -99,12 +99,12 @@ class TestSweep:
         )
 
     def test_custom_policy_factory(self, experiment):
-        from repro.speculation import TopKPolicy
+        from repro.speculation import ThresholdPolicy
 
         points = evaluate_thresholds(
             experiment,
             [0.2],
-            policy_factory=lambda p: TopKPolicy(k=2, min_probability=p),
+            policy_factory=lambda p: ThresholdPolicy(threshold=p, use_closure=False),
         )
         assert len(points) == 1
 

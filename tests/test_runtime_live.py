@@ -27,6 +27,7 @@ from repro.runtime import (
 from repro.runtime.messages import Message, make_request
 from repro.speculation.metrics import SpeculationRatios
 from repro.speculation.policies import ThresholdPolicy
+from repro.speculation.riders import RiderTable
 from repro.trace.records import Document
 from repro.workload.generator import GeneratorConfig, generate_trace
 
@@ -443,10 +444,11 @@ class TestTcpTransport:
             ).remote_only()
             estimator = OnlineDependencyEstimator(learn=False)
             estimator.warm(trace)
+            riders = RiderTable(
+                ThresholdPolicy(threshold=0.1), estimator.model, trace.documents
+            )
             origin = OriginServer(
-                trace.documents,
-                estimator=estimator,
-                policy=ThresholdPolicy(threshold=0.1),
+                trace.documents, estimator=estimator, riders=riders
             )
             server = TcpServer(origin.handle)
             await server.start()

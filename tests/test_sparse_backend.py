@@ -33,7 +33,7 @@ from repro.speculation.aging import AgingDependencyCounter
 from repro.speculation.caches import make_cache_factory
 from repro.speculation.dependency import DependencyModel
 from repro.speculation.metrics import compare
-from repro.speculation.policies import ThresholdPolicy, TopKPolicy
+from repro.speculation.policies import ThresholdPolicy
 from repro.speculation.simulator import SpeculativeServiceSimulator
 from repro.speculation.user_profiles import UserProfile
 from repro.trace.records import Request, Trace
@@ -204,7 +204,8 @@ def test_fast_path_matches_general_loop(small_trace, session_timeout):
     config = BASELINE.with_updates(session_timeout=session_timeout)
     model = DependencyModel.estimate(small_trace, window=config.stride_timeout)
     simulator = SpeculativeServiceSimulator(small_trace, config, model=model)
-    for policy in (None, ThresholdPolicy(threshold=0.25), TopKPolicy(k=3)):
+    embedding_only = ThresholdPolicy(threshold=0.95, use_closure=False)
+    for policy in (None, ThresholdPolicy(threshold=0.25), embedding_only):
         fast = simulator.run(policy)
         reference = _general_loop(simulator, policy, config)
         assert fast.metrics == reference.metrics

@@ -5,12 +5,7 @@ import math
 import pytest
 
 from repro.errors import PolicyError
-from repro.speculation import (
-    DependencyModel,
-    EmbeddingOnlyPolicy,
-    ThresholdPolicy,
-    TopKPolicy,
-)
+from repro.speculation import DependencyModel, ThresholdPolicy
 from repro.trace import Document
 
 
@@ -86,9 +81,14 @@ class TestThresholdPolicy:
             ThresholdPolicy(threshold=0.5, max_size=0)
 
 
+def _embedding_only(tolerance=0.05, **kwargs):
+    """Embedding-only speculation: direct ``p >= 1 - tolerance``."""
+    return ThresholdPolicy(threshold=1.0 - tolerance, use_closure=False, **kwargs)
+
+
 class TestEmbeddingOnlyPolicy:
     def test_only_certain_dependencies(self, model, catalog):
-        chosen = EmbeddingOnlyPolicy().select("/page", model, catalog)
+        chosen = _embedding_only().select("/page", model, catalog)
         assert [c.doc_id for c in chosen] == ["/inline"]
 
     def test_tolerance_widens(self, catalog):
@@ -97,50 +97,14 @@ class TestEmbeddingOnlyPolicy:
         )
         catalog = dict(catalog)
         catalog["/almost"] = Document(doc_id="/almost", size=10)
-        assert EmbeddingOnlyPolicy(tolerance=0.0).select("/page", model, catalog) == []
-        chosen = EmbeddingOnlyPolicy(tolerance=0.15).select("/page", model, catalog)
+        assert _embedding_only(tolerance=0.0).select("/page", model, catalog) == []
+        chosen = _embedding_only(tolerance=0.15).select("/page", model, catalog)
         assert [c.doc_id for c in chosen] == ["/almost"]
 
     def test_max_size(self, model, catalog):
-        chosen = EmbeddingOnlyPolicy(max_size=100).select("/page", model, catalog)
+        chosen = _embedding_only(max_size=100).select("/page", model, catalog)
         assert chosen == []
 
     def test_invalid_tolerance(self):
         with pytest.raises(PolicyError):
-            EmbeddingOnlyPolicy(tolerance=1.0)
-
-
-class TestTopKPolicy:
-    def test_caps_count(self, model, catalog):
-        chosen = TopKPolicy(k=1, min_probability=0.05).select(
-            "/page", model, catalog
-        )
-        assert len(chosen) == 1
-        assert chosen[0].doc_id == "/inline"
-
-    def test_floor_applied(self, model, catalog):
-        chosen = TopKPolicy(k=10, min_probability=0.6).select(
-            "/page", model, catalog
-        )
-        assert [c.doc_id for c in chosen] == ["/inline"]
-
-    def test_direct_mode(self, model, catalog):
-        chosen = TopKPolicy(k=10, min_probability=0.05, use_closure=False).select(
-            "/page", model, catalog
-        )
-        assert "/deep" not in [c.doc_id for c in chosen]
-
-    def test_size_filter_applies_before_cap(self, model, catalog):
-        chosen = TopKPolicy(k=3, min_probability=0.05, max_size=5_000).select(
-            "/page", model, catalog
-        )
-        assert "/deep" not in [c.doc_id for c in chosen]
-        assert len(chosen) == 2
-
-    def test_invalid(self):
-        with pytest.raises(PolicyError):
-            TopKPolicy(k=0)
-        with pytest.raises(PolicyError):
-            TopKPolicy(k=1, min_probability=0.0)
-        with pytest.raises(PolicyError):
-            TopKPolicy(k=1, max_size=-1)
+            _embedding_only(tolerance=1.0)

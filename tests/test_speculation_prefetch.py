@@ -112,9 +112,11 @@ class TestHybridProtocol:
         hybrid = HybridProtocol.with_thresholds(
             embedding_tolerance=0.1, prefetch_threshold=0.3, max_size=50_000
         )
-        assert hybrid.policy.tolerance == 0.1
+        # Embedding-only speculation: direct p >= 1 - tolerance.
+        assert hybrid.policy == ThresholdPolicy(
+            threshold=1.0 - 0.1, max_size=50_000, use_closure=False
+        )
         assert hybrid.prefetcher.threshold == 0.3
-        assert hybrid.policy.max_size == 50_000
 
     def test_hybrid_run(self, model):
         """Hybrid: /inline (embedding) is pushed; /huge (p=0.6) is

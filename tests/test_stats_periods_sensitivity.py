@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.core import sweep_workload
 from repro.dissemination import DynamicShield
-from repro.speculation import TopKPolicy
+from repro.speculation import ThresholdPolicy
 from repro.trace import Request, Trace, bytes_per_period, requests_per_period
 from repro.workload import GeneratorConfig
 
@@ -74,7 +74,7 @@ class TestSensitivity:
             "jump_probability",
             [0.0, 0.8],
             base_config=self.BASE,
-            policy=TopKPolicy(k=2, min_probability=0.1),
+            policy=ThresholdPolicy(threshold=0.1, use_closure=False),
         )
         predictable, chaotic = points
         assert (
@@ -87,7 +87,7 @@ class TestSensitivity:
             "popularity_alpha",
             [1.0],
             base_config=self.BASE,
-            policy=TopKPolicy(k=1, min_probability=0.5),
+            policy=ThresholdPolicy(threshold=0.5),
         )
         assert len(points) == 1
 
