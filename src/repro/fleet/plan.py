@@ -140,8 +140,10 @@ def _subtree_demand(
     path_cache: dict[str, tuple[str, ...]] = {}
     tallies: dict[str, dict[str, list]] = {site: {} for site in sites}
     per_client: dict[str, float] = {}
-    for request in train:
-        client = request.client
+    columns = train.columns
+    for client, doc_id, size in zip(
+        columns.client_id_list(), columns.doc_id_list(), columns.size.tolist()
+    ):
         path = path_cache.get(client)
         if path is None:
             path = tuple(
@@ -150,16 +152,16 @@ def _subtree_demand(
                 if node in site_set
             )
             path_cache[client] = path
-        per_client[client] = per_client.get(client, 0.0) + request.size
+        per_client[client] = per_client.get(client, 0.0) + size
         for site in path:
             bucket = tallies[site]
-            entry = bucket.get(request.doc_id)
+            entry = bucket.get(doc_id)
             if entry is None:
                 entry = [set(), 0, 0.0]
-                bucket[request.doc_id] = entry
+                bucket[doc_id] = entry
             entry[0].add(client)
             entry[1] += 1
-            entry[2] += request.size
+            entry[2] += size
     per_site = {
         site: {
             doc: (len(entry[0]), entry[1], entry[2])
@@ -508,10 +510,9 @@ def build_fleet_plan(
     # Flat families: sites come from the existing placement functions.
     internal = sorted(tree.internal_nodes())
     per_client_demand: dict[str, float] = {}
-    for request in train:
-        per_client_demand[request.client] = (
-            per_client_demand.get(request.client, 0.0) + request.size
-        )
+    columns = train.columns
+    for client, size in zip(columns.client_id_list(), columns.size.tolist()):
+        per_client_demand[client] = per_client_demand.get(client, 0.0) + size
     n_sites = sum(
         1
         for node in internal

@@ -62,30 +62,33 @@ class PopularityProfile:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "PopularityProfile":
-        """Count accesses per document over a trace."""
-        requests: dict[str, int] = {}
-        remote: dict[str, int] = {}
-        bytes_served: dict[str, int] = {}
-        remote_bytes: dict[str, int] = {}
-        for record in trace:
-            requests[record.doc_id] = requests.get(record.doc_id, 0) + 1
-            bytes_served[record.doc_id] = (
-                bytes_served.get(record.doc_id, 0) + record.size
-            )
-            if record.remote:
-                remote[record.doc_id] = remote.get(record.doc_id, 0) + 1
-                remote_bytes[record.doc_id] = (
-                    remote_bytes.get(record.doc_id, 0) + record.size
-                )
+        """Count accesses per document over a trace (from its columns)."""
+        columns = trace.columns
+        # One slot per doc code, plus a last one that nothing counts into
+        # for cataloged documents outside the id table.
+        slots = len(columns.doc_ids) + 1
+        doc, size, remote = columns.doc, columns.size, columns.remote
+
+        def byte_totals(rows: np.ndarray, sizes: np.ndarray) -> list[int]:
+            totals = np.zeros(slots, dtype=np.int64)
+            np.add.at(totals, rows, sizes)
+            return totals.tolist()
+
+        requests = np.bincount(doc, minlength=slots).tolist()
+        remote_requests = np.bincount(doc[remote], minlength=slots).tolist()
+        bytes_served = byte_totals(doc, size)
+        remote_bytes = byte_totals(doc[remote], size[remote])
+        code = {doc_id: index for index, doc_id in enumerate(columns.doc_ids)}
         stats = {}
         for doc_id, document in trace.documents.items():
+            index = code.get(doc_id, slots - 1)
             stats[doc_id] = DocumentStats(
                 doc_id=doc_id,
                 size=document.size,
-                requests=requests.get(doc_id, 0),
-                remote_requests=remote.get(doc_id, 0),
-                bytes_served=bytes_served.get(doc_id, 0),
-                remote_bytes=remote_bytes.get(doc_id, 0),
+                requests=requests[index],
+                remote_requests=remote_requests[index],
+                bytes_served=bytes_served[index],
+                remote_bytes=remote_bytes[index],
             )
         return cls(stats)
 

@@ -71,9 +71,16 @@ class OnlineDependencyEstimator:
         Used at startup (the paper's HistoryLength warm-up) regardless
         of the ``learn`` flag.  No closure row is precomputed: each is
         computed on its first read (a rider table's first lookup).
+        Reads the trace's columns; no request object is built.
         """
-        for request in trace:
-            self._model.observe(request.client, request.doc_id, request.timestamp)
+        columns = trace.columns
+        observe = self._model.observe
+        for client, doc_id, timestamp in zip(
+            columns.client_id_list(),
+            columns.doc_id_list(),
+            columns.timestamp.tolist(),
+        ):
+            observe(client, doc_id, timestamp)
         self._model.refresh_closure(
             min_probability=self._min_probability, max_hops=self._max_hops
         )

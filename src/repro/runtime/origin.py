@@ -55,7 +55,11 @@ class OriginServer:
         self._riders = riders
         self.metrics = metrics if metrics is not None else default_registry()
         self.name = name
-        self._history: deque[Request] = deque(maxlen=history_limit)
+        # Served demand as (timestamp, client, doc_id, size) rows; the
+        # requests are built only when a replan reads recent_trace().
+        self._history: deque[tuple[float, str, str, int]] = deque(
+            maxlen=history_limit
+        )
         self._dedupe = DuplicateFilter()
 
     async def handle(self, message: Message) -> Message | None:
@@ -112,12 +116,7 @@ class OriginServer:
             self.metrics.counter("origin.requests").inc()
             self.metrics.counter("origin.bytes_served").inc(document.size)
             self._history.append(
-                Request(
-                    timestamp=float(timestamp),
-                    client=str(client),
-                    doc_id=doc_id,
-                    size=document.size,
-                )
+                (float(timestamp), str(client), doc_id, document.size)
             )
             self._estimator.observe(str(client), doc_id, float(timestamp))
 
@@ -154,4 +153,5 @@ class OriginServer:
 
     def recent_trace(self) -> Trace:
         """The buffered served requests as a trace (daemon replan input)."""
-        return Trace(list(self._history), self._catalog.values(), sort=True)
+        requests = [Request(*served) for served in self._history]
+        return Trace(requests, self._catalog.values(), sort=True)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import BaselineConfig
-from ..trace.records import Trace
+from ..trace.records import Trace, TraceColumns
 from .dependency import DependencyModel
 from .metrics import SpeculationMetrics
 from .policies import ThresholdPolicy
@@ -61,13 +61,6 @@ from .riders import Ranked, pruning, rank_sources
 #: Sessions resolved per dense coverage matrix; bounds peak memory of
 #: the hit/miss fixpoint at ``chunk × universe`` int64 cells.
 _SESSION_CHUNK = 4096
-
-#: Per-trace request-size column, memoized alongside the coded columns
-#: of :mod:`repro.speculation.sparse` (weak keys: the cache never pins
-#: a trace in memory).
-_trace_sizes: "weakref.WeakKeyDictionary[Trace, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
 
 #: Per-trace session tables, keyed by ``SessionTimeout`` inside the
 #: weak entry — sweeps and benchmark repeats reuse them across runs.
@@ -97,19 +90,6 @@ def _pairmap_buffer(size: int) -> np.ndarray:
     return _pairmap_scratch[:size]
 
 
-def _sized_column(trace: Trace) -> np.ndarray:
-    """The per-request byte-size column of a trace, memoized."""
-    cached = _trace_sizes.get(trace)
-    if cached is None:
-        cached = np.fromiter(
-            (request.size for request in trace),
-            dtype=np.int64,
-            count=len(trace),
-        )
-        _trace_sizes[trace] = cached
-    return cached
-
-
 @dataclass(frozen=True)
 class ColumnarReplay:
     """Result of one columnar replay.
@@ -130,6 +110,8 @@ class _SessionTables:
     """Client-sorted columns and session structure for one timeout.
 
     ``order`` maps sorted positions back to original trace indices;
+    ``doc`` codes index ``docs``, the requested documents
+    (:func:`_requested`), and client codes are the trace's own;
     ``key_base`` (> any document code, including push-only codes) turns
     ``(session, document)`` pairs into single int64 keys;
     ``unique_sd``/``first_index`` give, per pair, the sorted position of
@@ -137,6 +119,7 @@ class _SessionTables:
     first occurrences in position order.
     """
 
+    docs: list[str]
     order: np.ndarray
     times: np.ndarray
     doc: np.ndarray
@@ -152,10 +135,21 @@ class _SessionTables:
     fo_doc: np.ndarray
 
 
+def _requested(columns: TraceColumns) -> tuple[list[str], np.ndarray]:
+    """The replay's document coding: the documents the trace requests,
+    in id-table order, and each request's index into them.
+
+    A window shares its parent's id table; coding only what it requests
+    keeps the code universe — and the dense ``session × document`` maps
+    of the fixpoint — at the window's own size.
+    """
+    present = np.bincount(columns.doc, minlength=len(columns.doc_ids)) > 0
+    docs = list(map(columns.doc_ids.__getitem__, np.flatnonzero(present).tolist()))
+    return docs, (np.cumsum(present) - 1)[columns.doc]
+
+
 def _session_tables(trace: Trace, timeout: float) -> _SessionTables:
     """Build (or fetch) the session tables for ``(trace, timeout)``."""
-    from .sparse import _coded_columns
-
     per_trace = _trace_sessions.get(trace)
     if per_trace is None:
         per_trace = {}
@@ -164,12 +158,13 @@ def _session_tables(trace: Trace, timeout: float) -> _SessionTables:
     if cached is not None:
         return cached
 
-    docs, times, doc_codes, client_codes = _coded_columns(trace)
+    columns = trace.columns
+    docs, doc_codes = _requested(columns)
     n = len(trace)
-    order = np.argsort(client_codes, kind="stable")
-    t = times[order]
+    order = np.argsort(columns.client, kind="stable")
+    t = columns.timestamp[order]
     d = doc_codes[order]
-    c = client_codes[order]
+    c = columns.client[order]
     boundary = np.ones(n, dtype=bool)
     if n > 1:
         same_client = c[1:] == c[:-1]
@@ -186,6 +181,7 @@ def _session_tables(trace: Trace, timeout: float) -> _SessionTables:
     unique_sd, first_index = np.unique(session_doc, return_index=True)
     fo_pos = np.sort(first_index)
     tables = _SessionTables(
+        docs=docs,
         order=order,
         times=t,
         doc=d,
@@ -208,7 +204,7 @@ def _session_tables(trace: Trace, timeout: float) -> _SessionTables:
 class _PushTables:
     """CSR push lists per demanded document code.
 
-    ``targets`` are codes in a universe that extends the trace's coded
+    ``targets`` are codes in a universe that extends the requested
     documents with push-only catalog documents; ``target_sizes`` holds
     one catalog size per target code (pushes always ship the cataloged
     size, which may differ from a request's logged size).
@@ -262,9 +258,10 @@ def _push_tables(
 
     Keyed by the trace and model (weak keys), the model's ``version``,
     the frozen policy and the ``MaxSize`` cap.  They are a ``T_p`` cut
-    of one :func:`~repro.speculation.riders.rank_sources` table,
-    memoized per :func:`~repro.speculation.riders.pruning`, so a sweep
-    ranks once and calls no ``select``.
+    of one :func:`~repro.speculation.riders.rank_sources` table over
+    ``docs`` (the documents the trace requests), memoized per
+    :func:`~repro.speculation.riders.pruning`, so a sweep ranks once
+    and calls no ``select``.
     """
     per_trace = _trace_pushes.get(trace)
     if per_trace is None:
@@ -563,8 +560,6 @@ def replay_columnar(
         A :class:`ColumnarReplay` whose counters are bit-identical to
         the event loop's.
     """
-    from .sparse import _coded_columns
-
     n = len(trace)
     if n == 0:
         return ColumnarReplay(
@@ -578,10 +573,14 @@ def replay_columnar(
             accesses=0,
             cache_hits=0,
         )
-    docs, _, doc_codes, _ = _coded_columns(trace)
-    sizes = _sized_column(trace)
+    sizes = trace.columns.size
     timeout = config.session_timeout
     caching = timeout > 0
+    if caching:
+        tables = _session_tables(trace, timeout)
+        docs = tables.docs
+    else:
+        docs, doc_codes = _requested(trace.columns)
 
     push: _PushTables | None = None
     if policy is not None:
@@ -615,7 +614,6 @@ def replay_columnar(
             cache_hits=0,
         )
 
-    tables = _session_tables(trace, timeout)
     miss_pos, eps = _resolve_misses(tables, push)
 
     # Misses in original trace order drive the exact service-time fold.

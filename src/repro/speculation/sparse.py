@@ -31,7 +31,6 @@ included.
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -46,54 +45,6 @@ _BLOCK_PAIR_BUDGET = 4_000_000
 #: Sources relaxed together by :meth:`SparseDependencyEngine.closure_rows`;
 #: bounds its dense ``block × documents`` matrices for any batch size.
 _CLOSURE_BLOCK = 64
-
-#: Integer-coded columns per trace.  A :class:`Trace` is immutable by
-#: contract, and the coding depends only on the trace (not on ``window``
-#: or ``stride_timeout``), so re-estimating over the same trace — the
-#:  shape of every sweep and of the benchmark repeats — skips the
-#: Python-level column extraction entirely.  Weak keys keep the cache
-#: from pinning traces in memory.
-_trace_columns: "weakref.WeakKeyDictionary[Trace, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _coded_columns(
-    trace: Trace,
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """``(docs, times, doc_codes, client_codes)`` for a trace, memoized.
-
-    Documents and clients are integer-coded in first-seen order; the
-    code assignment never influences counts, only array layout.  Every
-    step runs as a C-level loop: list comprehensions for the id
-    columns, ``dict.fromkeys`` for ordered dedup, ``map`` + ``fromiter``
-    for the code lookup.
-    """
-    cached = _trace_columns.get(trace)
-    if cached is not None:
-        return cached
-    n_requests = len(trace)
-    doc_ids = [request.doc_id for request in trace]
-    client_ids = [request.client for request in trace]
-    doc_index = {doc: code for code, doc in enumerate(dict.fromkeys(doc_ids))}
-    client_index = {
-        client: code for code, client in enumerate(dict.fromkeys(client_ids))
-    }
-    columns = (
-        list(doc_index),
-        np.asarray(trace.timestamps, dtype=np.float64),
-        np.fromiter(
-            map(doc_index.__getitem__, doc_ids), dtype=np.int64, count=n_requests
-        ),
-        np.fromiter(
-            map(client_index.__getitem__, client_ids),
-            dtype=np.int64,
-            count=n_requests,
-        ),
-    )
-    _trace_columns[trace] = columns
-    return columns
-
 
 def estimate_pair_counts(
     trace: Trace,
@@ -125,15 +76,16 @@ def estimate_pair_counts(
     if n_requests == 0:
         return {}, {}
 
-    docs, times, doc_codes, client_codes = _coded_columns(trace)
+    columns = trace.columns
+    docs = columns.doc_ids
     n_docs = len(docs)
 
     # Regroup per client; the stable sort preserves the trace's time
     # order inside each client segment.
-    order = np.argsort(client_codes, kind="stable")
-    t = times[order]
-    d = doc_codes[order]
-    c = client_codes[order]
+    order = np.argsort(columns.client, kind="stable")
+    t = columns.timestamp[order]
+    d = columns.doc[order]
+    c = columns.client[order]
 
     occurrences = np.bincount(d, minlength=n_docs)
 

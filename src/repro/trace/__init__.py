@@ -5,7 +5,8 @@ log (or a synthetic equivalent) to the cleaned, session/stride-segmented
 request stream that drives both of the paper's protocols:
 
 * :mod:`repro.trace.records` — immutable request/document records and the
-  :class:`~repro.trace.records.Trace` container.
+  :class:`~repro.trace.records.Trace` container, stored as
+  :class:`~repro.trace.records.TraceColumns`.
 * :mod:`repro.trace.clf` — Common Log Format parser and writer, so real
   server logs can drive the simulators.
 * :mod:`repro.trace.cleaning` — the paper's footnote-6 preprocessing
@@ -16,7 +17,7 @@ request stream that drives both of the paper's protocols:
 * :mod:`repro.trace.stats` — summary statistics of a trace.
 """
 
-from .records import Document, Request, Trace
+from .records import Document, Request, Trace, TraceColumns
 from .clf import format_clf_line, parse_clf_line, read_clf, write_clf
 from .cleaning import CleaningReport, TraceCleaner
 from .sessions import Session, Stride, split_sessions, split_strides
@@ -34,6 +35,7 @@ __all__ = [
     "Document",
     "Request",
     "Trace",
+    "TraceColumns",
     "format_clf_line",
     "parse_clf_line",
     "read_clf",

@@ -15,9 +15,9 @@ so experiments can show their preprocessing was faithful.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .records import Request, Trace
+from .records import Document, Request, Trace
 
 #: Path prefixes that identify script/live output in 1995-era servers.
 DEFAULT_SCRIPT_PREFIXES = ("/cgi-bin/", "/cgi/", "/htbin/")
@@ -99,9 +99,16 @@ class TraceCleaner:
         )
 
     def clean(self, trace: Trace) -> tuple[Trace, CleaningReport]:
-        """Return the cleaned trace and a report of what was removed."""
+        """Return the cleaned trace and a report of what was removed.
+
+        The cleaned catalog keeps the input's entry for every kept id; a
+        renamed alias takes its canonical id's entry when the input
+        catalogs one, else the alias's own entry under the canonical id.
+        """
         report = CleaningReport()
         kept: list[Request] = []
+        catalog = trace.documents
+        documents: dict[str, Document] = {}
         for request in trace:
             if request.method != "GET":
                 report.dropped_methods += 1
@@ -122,15 +129,13 @@ class TraceCleaner:
             doc_id = self._alias_map.get(doc_id, doc_id)
             if doc_id != request.doc_id:
                 report.aliases_renamed += 1
-                request = Request(
-                    timestamp=request.timestamp,
-                    client=request.client,
-                    doc_id=doc_id,
-                    size=request.size,
-                    status=request.status,
-                    method=request.method,
-                    remote=request.remote,
-                )
+                if doc_id not in documents and doc_id not in catalog:
+                    documents[doc_id] = replace(
+                        catalog[request.doc_id], doc_id=doc_id
+                    )
+                request = replace(request, doc_id=doc_id)
+            if doc_id in catalog:
+                documents.setdefault(doc_id, catalog[doc_id])
             kept.append(request)
         report.kept = len(kept)
-        return Trace(kept), report
+        return Trace(kept, documents.values()), report

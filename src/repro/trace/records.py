@@ -1,18 +1,27 @@
 """Immutable record types for access traces.
 
-A trace is a time-ordered sequence of :class:`Request` records plus a
-catalog of the :class:`Document` objects those requests touch.  These
-types carry exactly the fields the paper's protocols can observe in a
-server log — timestamp, client, document, size, status — and nothing
-else, honouring the paper's constraint that the protocols use only
-log-derivable information (section 2.1).
+A trace is a time-ordered sequence of accesses plus a catalog of the
+:class:`Document` objects they touch.  An access carries exactly the
+fields the paper's protocols can observe in a server log — timestamp,
+client, document, size, status, method and the remote/local flag — and
+nothing else, honouring the paper's constraint that the protocols use
+only log-derivable information (section 2.1).
+
+A :class:`Trace` stores those fields as :class:`TraceColumns`: numpy
+columns over interned id tables.  Engines read the columns; a
+:class:`Request` object is built only where code needs one (a load
+generator's stream, the general replay loop, the CLF writer), at most
+once per trace.
 """
 
 from __future__ import annotations
 
-import bisect
+import dataclasses
+import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import TraceFormatError
 
@@ -86,6 +95,134 @@ class Request:
         return self.status in SUCCESS_STATUSES
 
 
+@dataclass(frozen=True)
+class TraceColumns:
+    """A trace's accesses as parallel columns over interned id tables.
+
+    Row ``k`` is the ``k``-th access.  ``doc``, ``client`` and ``method``
+    hold codes into ``doc_ids``, ``client_ids`` and ``methods``; a table
+    may name ids no row uses (a window shares its parent's tables).
+    Columns are read-only arrays.
+
+    Attributes:
+        doc_ids: Document id per doc code.
+        client_ids: Client id per client code.
+        methods: HTTP method per method code.
+        timestamp: Seconds since the trace epoch (float64, ascending).
+        doc: Document code per access (int64).
+        client: Client code per access (int64).
+        size: Bytes delivered per access (int64).
+        remote: Remote/local flag per access (bool).
+        status: HTTP status per access (int64).
+        method: Method code per access (int64).
+    """
+
+    doc_ids: tuple[str, ...]
+    client_ids: tuple[str, ...]
+    methods: tuple[str, ...]
+    timestamp: np.ndarray
+    doc: np.ndarray
+    client: np.ndarray
+    size: np.ndarray
+    remote: np.ndarray
+    status: np.ndarray
+    method: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in self._arrays():
+            array.flags.writeable = False
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (
+            self.timestamp,
+            self.doc,
+            self.client,
+            self.size,
+            self.remote,
+            self.status,
+            self.method,
+        )
+
+    def __len__(self) -> int:
+        return self.timestamp.size
+
+    def take(self, index: slice | np.ndarray) -> "TraceColumns":
+        """The rows a slice or a boolean mask selects (same id tables)."""
+        return TraceColumns(
+            self.doc_ids,
+            self.client_ids,
+            self.methods,
+            *(array[index] for array in self._arrays()),
+        )
+
+    def doc_id_list(self) -> list[str]:
+        """The document id of every access, in row order."""
+        return list(map(self.doc_ids.__getitem__, self.doc.tolist()))
+
+    def client_id_list(self) -> list[str]:
+        """The client id of every access, in row order."""
+        return list(map(self.client_ids.__getitem__, self.client.tolist()))
+
+    @classmethod
+    def of_requests(cls, requests: Sequence[Request]) -> "TraceColumns":
+        """Columns of request objects; ids are coded in first-seen order."""
+        doc_ids, doc = _intern([r.doc_id for r in requests])
+        client_ids, client = _intern([r.client for r in requests])
+        methods, method = _intern([r.method for r in requests])
+        n = len(requests)
+        return cls(
+            doc_ids,
+            client_ids,
+            methods,
+            np.fromiter((r.timestamp for r in requests), np.float64, n),
+            doc,
+            client,
+            np.fromiter((r.size for r in requests), np.int64, n),
+            np.fromiter((r.remote for r in requests), bool, n),
+            np.fromiter((r.status for r in requests), np.int64, n),
+            method,
+        )
+
+
+def _first_seen(codes: np.ndarray, n_ids: int) -> np.ndarray:
+    """The distinct values of a code column in order of first appearance."""
+    first = np.full(n_ids, codes.size, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(codes.size, dtype=np.int64))
+    present = np.flatnonzero(first < codes.size)
+    return present[np.argsort(first[present])]
+
+
+def _intern(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """``(table, codes)``: the distinct values in first-seen order, and
+    each value's index in that table."""
+    index = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    codes = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    return tuple(index), codes
+
+
+class TraceRequests(Sequence[Request]):
+    """A trace's accesses as a read-only sequence of :class:`Request`.
+
+    Reading an element builds the trace's request objects (once per
+    trace).  ``Trace(trace.requests, documents)`` adopts the columns
+    instead and builds nothing.
+    """
+
+    __slots__ = ("trace",)
+
+    def __init__(self, trace: "Trace"):
+        self.trace = trace
+
+    def __len__(self) -> int:
+        return len(self.trace)
+
+    def __getitem__(self, index):
+        return self.trace._materialized()[index]
+
+    def __iter__(self) -> Iterator[Request]:
+        return iter(self.trace._materialized())
+
+
 class Trace:
     """A time-ordered sequence of requests with a document catalog.
 
@@ -93,10 +230,12 @@ class Trace:
     unordered input (e.g. merged logs) and sort it on ingest.
 
     Args:
-        requests: The access records.
-        documents: Catalog of documents; missing entries are synthesised
-            from the largest size observed per ``doc_id`` so that real
-            logs (which carry no catalog) still work.
+        requests: The access records, or another trace's
+            :attr:`requests` view (whose columns are adopted as they are).
+        documents: Catalog of documents.  Colliding ids keep the largest
+            cataloged size; an entry smaller than a request for it, or a
+            missing one, is synthesised from the largest size requested,
+            so that real logs (which carry no catalog) still work.
         sort: Sort requests by timestamp instead of requiring order.
     """
 
@@ -107,72 +246,96 @@ class Trace:
         *,
         sort: bool = False,
     ):
-        reqs = list(requests)
-        if sort:
-            reqs.sort(key=lambda r: r.timestamp)
+        if isinstance(requests, TraceRequests):
+            source = requests.trace
+            self._adopt(source._columns, source._objects, documents)
         else:
-            for earlier, later in zip(reqs, reqs[1:]):
-                if later.timestamp < earlier.timestamp:
-                    raise TraceFormatError(
-                        "requests out of order; pass sort=True to sort on ingest"
-                    )
-        self._requests: list[Request] = reqs
-        self._timestamps: list[float] = [r.timestamp for r in reqs]
+            objects = list(requests)
+            if sort:
+                objects.sort(key=lambda r: r.timestamp)
+            self._adopt(TraceColumns.of_requests(objects), objects, documents)
 
-        # Colliding catalog ids keep the largest cataloged size — the
-        # same rule merge() documents, so merging traces and building
-        # one from concatenated catalogs agree.
-        catalog: dict[str, Document] = {}
-        for document in documents:
-            known = catalog.get(document.doc_id)
-            if known is None or document.size > known.size:
-                catalog[document.doc_id] = document
-        for request in reqs:
-            known = catalog.get(request.doc_id)
-            if known is None or request.size > known.size:
-                catalog[request.doc_id] = Document(
-                    doc_id=request.doc_id,
-                    size=max(request.size, known.size if known else 0),
-                    kind=known.kind if known else "page",
-                    home_server=known.home_server if known else "origin",
-                    mutable=known.mutable if known else False,
+    @classmethod
+    def from_columns(
+        cls, columns: TraceColumns, documents: Iterable[Document] = ()
+    ) -> "Trace":
+        """A trace over time-ordered columns; ``documents`` as in the
+        constructor.
+
+        Raises:
+            TraceFormatError: If the timestamps are out of order.
+        """
+        trace = cls.__new__(cls)
+        trace._adopt(columns, None, documents)
+        return trace
+
+    def _adopt(
+        self,
+        columns: TraceColumns,
+        objects: list[Request] | None,
+        documents: Iterable[Document],
+    ) -> None:
+        times = columns.timestamp
+        if np.any(times[1:] < times[:-1]):
+            raise TraceFormatError(
+                "requests out of order; pass sort=True to sort on ingest"
+            )
+        self._columns = columns
+        self._objects = objects
+        self._documents = _catalog(documents, columns)
+
+    def _materialized(self) -> list[Request]:
+        """The request objects, built on first use."""
+        if self._objects is None:
+            columns = self._columns
+            self._objects = list(
+                map(
+                    Request,
+                    columns.timestamp.tolist(),
+                    columns.client_id_list(),
+                    columns.doc_id_list(),
+                    columns.size.tolist(),
+                    columns.status.tolist(),
+                    map(columns.methods.__getitem__, columns.method.tolist()),
+                    columns.remote.tolist(),
                 )
-        self._documents = catalog
+            )
+        return self._objects
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._requests)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[Request]:
-        return iter(self._requests)
+        return iter(self._materialized())
 
     def __getitem__(self, index: int) -> Request:
-        return self._requests[index]
+        return self._materialized()[index]
 
     def __repr__(self) -> str:
         span = self.duration
         return (
-            f"Trace({len(self._requests)} requests, "
+            f"Trace({len(self)} requests, "
             f"{len(self._documents)} documents, {span:.0f}s span)"
         )
 
     # -- accessors -----------------------------------------------------------
 
     @property
-    def requests(self) -> Sequence[Request]:
-        """The underlying request list (read-only view by convention)."""
-        return self._requests
+    def columns(self) -> TraceColumns:
+        """The accesses as columns (what the vectorized engines read)."""
+        return self._columns
 
     @property
-    def timestamps(self) -> Sequence[float]:
-        """Request timestamps in trace order (read-only by convention).
+    def requests(self) -> TraceRequests:
+        """The accesses as a read-only sequence of :class:`Request`."""
+        return TraceRequests(self)
 
-        Kept alongside the requests for binary searches; exposed so
-        vectorized consumers can build arrays without re-walking the
-        request objects.
-        """
-        return self._timestamps
+    @property
+    def timestamps(self) -> np.ndarray:
+        """Request timestamps in trace order (a read-only float64 column)."""
+        return self._columns.timestamp
 
     @property
     def documents(self) -> dict[str, Document]:
@@ -182,12 +345,14 @@ class Trace:
     @property
     def start_time(self) -> float:
         """Timestamp of the first request (0.0 for an empty trace)."""
-        return self._timestamps[0] if self._timestamps else 0.0
+        times = self._columns.timestamp
+        return float(times[0]) if times.size else 0.0
 
     @property
     def end_time(self) -> float:
         """Timestamp of the last request (0.0 for an empty trace)."""
-        return self._timestamps[-1] if self._timestamps else 0.0
+        times = self._columns.timestamp
+        return float(times[-1]) if times.size else 0.0
 
     @property
     def duration(self) -> float:
@@ -196,7 +361,9 @@ class Trace:
 
     def clients(self) -> set[str]:
         """The set of distinct client identifiers."""
-        return {r.client for r in self._requests}
+        columns = self._columns
+        codes = _first_seen(columns.client, len(columns.client_ids))
+        return set(map(columns.client_ids.__getitem__, codes.tolist()))
 
     def document_size(self, doc_id: str) -> int:
         """Size in bytes of a cataloged document.
@@ -211,7 +378,7 @@ class Trace:
 
     def total_bytes(self) -> int:
         """Total bytes delivered across all requests."""
-        return sum(r.size for r in self._requests)
+        return int(self._columns.size.sum())
 
     # -- derived traces -------------------------------------------------------
 
@@ -222,33 +389,42 @@ class Trace:
         is cheap.  The catalog keeps this trace's entries for the
         documents the window's requests reference.
         """
-        lo = bisect.bisect_left(self._timestamps, start)
-        hi = bisect.bisect_left(self._timestamps, end)
-        return self._derived(self._requests[lo:hi], self._timestamps[lo:hi])
+        lo, hi = np.searchsorted(self._columns.timestamp, (start, end)).tolist()
+        return self._subtrace(slice(lo, hi))
 
     def filter(self, predicate) -> "Trace":
         """Return a new trace keeping requests where ``predicate(r)`` holds."""
-        subset = [r for r in self._requests if predicate(r)]
-        return self._derived(subset, [r.timestamp for r in subset])
-
-    def _derived(self, subset: list[Request], timestamps: list[float]) -> "Trace":
-        """``Trace(subset, [its documents])`` without re-checking what
-        this trace guarantees: order, and each document's largest size."""
-        trace = Trace.__new__(Trace)
-        trace._requests = subset
-        trace._timestamps = timestamps
-        catalog = self._documents
-        trace._documents = {r.doc_id: catalog[r.doc_id] for r in subset}
-        return trace
+        keep = np.fromiter(map(predicate, self._materialized()), bool, len(self))
+        return self._subtrace(keep)
 
     def remote_only(self) -> "Trace":
         """The sub-trace of remote accesses (section 2's focus)."""
-        return self.filter(lambda r: r.remote)
+        return self._subtrace(self._columns.remote)
+
+    def _subtrace(self, rows: slice | np.ndarray) -> "Trace":
+        """The sub-trace of ``rows`` (a slice or a boolean mask), without
+        re-checking what this trace guarantees: order, and each
+        document's largest size.  Built objects are shared."""
+        trace = Trace.__new__(Trace)
+        columns = trace._columns = self._columns.take(rows)
+        objects = self._objects
+        if objects is not None:
+            if isinstance(rows, slice):
+                objects = objects[rows]
+            else:
+                objects = list(itertools.compress(objects, rows.tolist()))
+        trace._objects = objects
+        catalog, doc_ids = self._documents, columns.doc_ids
+        codes = _first_seen(columns.doc, len(doc_ids))
+        trace._documents = {
+            doc_ids[code]: catalog[doc_ids[code]] for code in codes.tolist()
+        }
+        return trace
 
     def by_client(self) -> dict[str, list[Request]]:
         """Group requests per client, preserving time order."""
         groups: dict[str, list[Request]] = {}
-        for request in self._requests:
+        for request in self._materialized():
             groups.setdefault(request.client, []).append(request)
         return groups
 
@@ -266,3 +442,30 @@ class Trace:
             requests.extend(trace.requests)
             documents.extend(trace.documents.values())
         return cls(requests, documents, sort=True)
+
+
+def _catalog(
+    documents: Iterable[Document], columns: TraceColumns
+) -> dict[str, Document]:
+    """The catalog rule: colliding ids keep the largest cataloged size
+    (the rule :meth:`Trace.merge` documents, so merging traces and
+    building one from concatenated catalogs agree); every requested
+    document then gets at least its largest requested size, and missing
+    ones are appended in first-request order."""
+    catalog: dict[str, Document] = {}
+    for document in documents:
+        known = catalog.get(document.doc_id)
+        if known is None or document.size > known.size:
+            catalog[document.doc_id] = document
+    doc_ids = columns.doc_ids
+    codes = _first_seen(columns.doc, len(doc_ids))
+    largest = np.zeros(len(doc_ids), dtype=np.int64)
+    np.maximum.at(largest, columns.doc, columns.size)
+    for code, size in zip(codes.tolist(), largest[codes].tolist()):
+        doc_id = doc_ids[code]
+        known = catalog.get(doc_id)
+        if known is None:
+            catalog[doc_id] = Document(doc_id=doc_id, size=size)
+        elif size > known.size:
+            catalog[doc_id] = dataclasses.replace(known, size=size)
+    return catalog

@@ -141,7 +141,11 @@ class ClientPopulation:
         schedule stream) maps each to the client a scalar draw of the
         same double would pick.
         """
-        return self.clients[bisect_left(self._cdf, u)]
+        return self.clients[self.index_at(u)]
+
+    def index_at(self, u: float) -> int:
+        """The index in :attr:`clients` of :meth:`client_at`'s client."""
+        return bisect_left(self._cdf, u)
 
     def region_of(self, client_id: str) -> int:
         """Region index of a client id generated by this population.

@@ -47,10 +47,13 @@ unsharded trace (:func:`merge_streams`).
 
 Session seeds skip the per-session ``SeedSequence``: one vectorised
 pass of its hash (:mod:`repro.workload.seeds`) yields a block's PCG64
-seed words, bit for bit.  One session loop feeds both outputs:
-:meth:`SyntheticTraceGenerator.stream` keeps a bounded heap of in-flight
-sessions (peak memory: the site, the schedule, the overlapping
-sessions); :meth:`~SyntheticTraceGenerator.generate` stable-sorts once.
+seed words, bit for bit.  One session loop feeds both outputs.  A
+session is a client code plus ``(timestamp, document code)`` columns;
+:meth:`~SyntheticTraceGenerator.generate` appends them to the trace's
+columns and stable-sorts once, building no :class:`Request`, while
+:meth:`SyntheticTraceGenerator.stream` turns them into requests in a
+bounded heap of in-flight sessions (peak memory: the site, the
+schedule, the overlapping sessions).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CalibrationError
-from ..trace.records import Request, Trace
+from ..trace.records import Request, Trace, TraceColumns
 from ..trace.sampling import client_hash
 from .clients import Client, ClientPopulation
 from .seeds import SeedWords, spawn_words
@@ -271,12 +274,20 @@ class SyntheticTraceGenerator:
         # Generation epoch: repeated stream()/generate() calls on one
         # instance produce fresh (but reproducible) traffic.
         self._epoch = 0
-        # Per-page walk table: (doc_id, size, ((embedded_id, size), ...)).
-        size = {d.doc_id: d.size for d in self.site.documents()}
+        # Interned id tables: documents in catalog order, clients in
+        # population order.  The walk emits document codes; the page
+        # table holds (page code, embedded codes) per page.
+        documents = self.site.documents()
+        self._doc_ids = tuple(d.doc_id for d in documents)
+        self._doc_sizes = np.array([d.size for d in documents], dtype=np.int64)
+        code = {doc_id: index for index, doc_id in enumerate(self._doc_ids)}
         self._page_table = [
-            (p.doc_id, size[p.doc_id], tuple((e, size[e]) for e in p.embedded))
+            (code[p.doc_id], tuple(code[e] for e in p.embedded))
             for p in self.site.pages
         ]
+        clients = self.population.clients
+        self._client_ids = tuple(c.client_id for c in clients)
+        self._client_remote = np.array([not c.local for c in clients], dtype=bool)
         self._refresh_live_links()
 
     def _substream(self, *key: int) -> np.random.Generator:
@@ -336,13 +347,13 @@ class SyntheticTraceGenerator:
             self._links[page_index] = self.site.resample_links(page_index, rng)
         return bool(hits) or bool(newborn.any())
 
-    def _session_requests(
+    def _session_walk(
         self,
         client: Client,
         start_time: float,
         rng: np.random.Generator | None = None,
-    ) -> list[Request]:
-        """Generate one browsing session's requests.
+    ) -> tuple[list[float], list[int]]:
+        """One browsing session's ``(timestamps, document codes)``.
 
         Args:
             client: The session's client.
@@ -359,27 +370,26 @@ class SyntheticTraceGenerator:
         think_time_mean = config.think_time_mean
         pages = self._page_table
         live_links = self._live_links
-        client_id = client.client_id
-        remote = not client.local
-        requests: list[Request] = []
-        fetched: set[str] = set()
+        times: list[float] = []
+        codes: list[int] = []
+        fetched: set[int] = set()
         now = start_time
         page_index = self._sample_entry_page(client, rng)
 
         while True:
-            doc_id, size, embedded = pages[page_index]
-            if doc_id not in fetched:
-                fetched.add(doc_id)
-                requests.append(Request(now, client_id, doc_id, size, remote=remote))
+            code, embedded = pages[page_index]
+            if code not in fetched:
+                fetched.add(code)
+                times.append(now)
+                codes.append(code)
             inline_time = now
-            for doc_id, size in embedded:
-                if doc_id in fetched:
+            for code in embedded:
+                if code in fetched:
                     continue
-                fetched.add(doc_id)
+                fetched.add(code)
                 inline_time += gap
-                requests.append(
-                    Request(inline_time, client_id, doc_id, size, remote=remote)
-                )
+                times.append(inline_time)
+                codes.append(code)
 
             links = live_links[page_index]
             if not links or random() >= continue_probability:
@@ -389,7 +399,7 @@ class SyntheticTraceGenerator:
             else:
                 page_index = links[int(rng.integers(len(links)))]
             now = inline_time + rng.exponential(think_time_mean)
-        return requests
+        return times, codes
 
     def _session_schedule(self, rng: np.random.Generator) -> np.ndarray:
         """Sorted session start times for one generation epoch.
@@ -478,8 +488,9 @@ class SyntheticTraceGenerator:
 
     def _sessions(
         self, epoch: int, shard_index: int = 0, shard_count: int = 1
-    ) -> Iterator[tuple[float, list[Request]]]:
-        """The one session loop: ``(start, requests)`` in start order.
+    ) -> Iterator[tuple[float, int, list[float], list[int]]]:
+        """The one session loop, in start order: ``(start, client code,
+        timestamps, document codes)`` per session.
 
         Replays the epoch's schedule, day-by-day churn and page births
         and the client assignment — shared by every shard — and walks
@@ -488,7 +499,8 @@ class SyntheticTraceGenerator:
         schedule_rng = self._substream(_DOMAIN_SCHEDULE, epoch)
         churn_rng = self._substream(_DOMAIN_CHURN, epoch)
         starts = self._session_schedule(schedule_rng)
-        client_at = self.population.client_at
+        population = self.population
+        client_ids = self._client_ids
 
         # Start from the site's original link structure and birth state.
         self._links = [p.links for p in self.site.pages]
@@ -512,16 +524,19 @@ class SyntheticTraceGenerator:
                     if any([self._advance_day(d, churn_rng) for d in days]):
                         self._refresh_live_links()
                     current_day = day
-                client = client_at(uniforms[offset])
+                client = population.index_at(uniforms[offset])
                 if (
                     shard_count > 1
-                    and client_hash(client.client_id) % shard_count != shard_index
+                    and client_hash(client_ids[client]) % shard_count != shard_index
                 ):
                     continue
                 session_rng = np.random.Generator(
                     np.random.PCG64(SeedWords(seed_words[offset]))
                 )
-                yield start, self._session_requests(client, start, session_rng)
+                times, codes = self._session_walk(
+                    population.clients[client], start, session_rng
+                )
+                yield start, client, times, codes
 
     def _stream(
         self, shard_index: int, shard_count: int, epoch: int
@@ -532,13 +547,20 @@ class SyntheticTraceGenerator:
         # over session-major generation order.
         pending: list[tuple[float, int, Request]] = []
         sequence = 0
-        for start, requests in self._sessions(epoch, shard_index, shard_count):
+        doc_ids, sizes = self._doc_ids, self._doc_sizes.tolist()
+        sessions = self._sessions(epoch, shard_index, shard_count)
+        for start, client, times, codes in sessions:
             # Everything timestamped at or before this session's start
             # can no longer be preceded by anything: emit it.
             while pending and pending[0][0] <= start:
                 yield heapq.heappop(pending)[2]
-            for request in requests:
-                heapq.heappush(pending, (request.timestamp, sequence, request))
+            client_id = self._client_ids[client]
+            remote = bool(self._client_remote[client])
+            for timestamp, code in zip(times, codes):
+                request = Request(
+                    timestamp, client_id, doc_ids[code], sizes[code], remote=remote
+                )
+                heapq.heappush(pending, (timestamp, sequence, request))
                 sequence += 1
         while pending:
             yield heapq.heappop(pending)[2]
@@ -546,16 +568,39 @@ class SyntheticTraceGenerator:
     def generate(self) -> Trace:
         """Generate the full trace (sorted by time, catalog attached).
 
-        Materialises the sessions in generation order and stable-sorts
-        them once by timestamp — the order :meth:`stream` yields for the
-        same epoch, which it advances the same way.
+        Appends the sessions' columns in generation order and
+        stable-sorts them once by timestamp — the order :meth:`stream`
+        yields for the same epoch, which it advances the same way.  No
+        :class:`Request` is built.
         """
-        requests = [
-            request
-            for __, session in self._sessions(self._claim_epoch(None))
-            for request in session
-        ]
-        return Trace(requests, self.site.documents(), sort=True)
+        times: list[float] = []
+        codes: list[int] = []
+        clients: list[int] = []
+        lengths: list[int] = []
+        for __, client, session_times, session_codes in self._sessions(
+            self._claim_epoch(None)
+        ):
+            times += session_times
+            codes += session_codes
+            clients.append(client)
+            lengths.append(len(session_times))
+        timestamp = np.array(times, dtype=np.float64)
+        order = np.argsort(timestamp, kind="stable")
+        doc = np.array(codes, dtype=np.int64)[order]
+        client = np.repeat(np.array(clients, dtype=np.int64), lengths)[order]
+        columns = TraceColumns(
+            doc_ids=self._doc_ids,
+            client_ids=self._client_ids,
+            methods=("GET",),
+            timestamp=timestamp[order],
+            doc=doc,
+            client=client,
+            size=self._doc_sizes[doc],
+            remote=self._client_remote[client],
+            status=np.full(doc.size, 200, dtype=np.int64),
+            method=np.zeros(doc.size, dtype=np.int64),
+        )
+        return Trace.from_columns(columns, self.site.documents())
 
 
 def merge_streams(*streams: Iterable[Request]) -> Iterator[Request]:

@@ -28,7 +28,7 @@ from repro.speculation.policies import ThresholdPolicy
 from repro.speculation.riders import RiderTable
 from repro.speculation.prefetch import ClientPrefetcher
 from repro.speculation.simulator import SpeculativeServiceSimulator
-from repro.speculation.sparse import SparseDependencyEngine, _coded_columns
+from repro.speculation.sparse import SparseDependencyEngine
 from repro.trace import Trace
 from repro.workload import GeneratorConfig, SyntheticTraceGenerator
 
@@ -136,7 +136,9 @@ class TestColumnarParity:
         # Every T_p after the first cuts the ranked table the first built;
         # each cut holds the one-document rider rows, in their order.
         trace, model = _trace(2), _model(2)
-        docs = _coded_columns(trace)[0]
+        docs = sorted(
+            {r.doc_id for r in trace}, key=trace.columns.doc_ids.index
+        )
         sim = SpeculativeServiceSimulator(trace, BASELINE, model=model)
         for threshold in (0.95, 0.5, 0.25, 0.1, 0.05, 0.25, 0.005, 0.95):
             policy = ThresholdPolicy(threshold=threshold, use_closure=use_closure)

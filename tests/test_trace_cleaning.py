@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.trace import Request, Trace, TraceCleaner
+from repro.trace import Document, Request, Trace, TraceCleaner
+from repro.workload import generate_trace
 
 
 def req(doc, t=0.0, status=200, method="GET", size=10):
@@ -105,3 +106,26 @@ class TestIdempotence:
         assert [r.doc_id for r in twice] == [r.doc_id for r in once]
         assert report.dropped == 0
         assert report.aliases_renamed == 0
+
+
+class TestCatalog:
+    def test_synthetic_catalog_survives_cleaning(self):
+        trace = generate_trace(0)
+        cleaned, report = TraceCleaner(canonicalize=False).clean(trace)
+        assert report.dropped == 0
+        kinds = {doc.kind for doc in cleaned.documents.values()}
+        assert kinds == {"page", "embedded"}
+        for doc_id, document in cleaned.documents.items():
+            assert document == trace.documents[doc_id]
+
+    def test_alias_takes_its_canonical_entry(self):
+        catalog = [
+            Document("/dir", 500, kind="page", home_server="www2", mutable=True),
+            Document("/old/index.html", 40, kind="embedded"),
+        ]
+        trace = Trace([req("/dir/index.html", 0), req("/old/index.html", 1)], catalog)
+        cleaned, report = TraceCleaner().clean(trace)
+        assert report.aliases_renamed == 2
+        assert cleaned.documents["/dir"] == catalog[0]
+        # No canonical entry: the alias's own entry, renamed.
+        assert cleaned.documents["/old"] == Document("/old", 40, kind="embedded")

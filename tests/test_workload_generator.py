@@ -69,17 +69,18 @@ class TestGeneration:
     def test_no_refetch_within_session(self, small_generator):
         """The per-session browser cache never refetches a document."""
         client = small_generator.population.clients[0]
-        requests = small_generator._session_requests(client, 0.0)
-        ids = [r.doc_id for r in requests]
-        assert len(ids) == len(set(ids))
+        times, codes = small_generator._session_walk(client, 0.0)
+        assert len(codes) == len(times)
+        assert len(codes) == len(set(codes))
 
     def test_session_contains_embedded_objects(self, small_generator):
         # Over many sessions, at least some must fetch inline objects.
         saw_embedded = False
         for i in range(200):
             client = small_generator.population.clients[i % 10]
-            for request in small_generator._session_requests(client, 0.0):
-                if small_generator.site.document(request.doc_id).kind == "embedded":
+            __, codes = small_generator._session_walk(client, 0.0)
+            for code in codes:
+                if small_generator.site.documents()[code].kind == "embedded":
                     saw_embedded = True
         assert saw_embedded
 

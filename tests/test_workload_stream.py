@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CalibrationError
-from repro.trace import Trace
+from repro.trace import Request, Trace
 from repro.workload import (
     GeneratorConfig,
     SyntheticTraceGenerator,
@@ -71,11 +71,25 @@ class TestStreamEquivalence:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"seed{c.seed}")
     def test_stream_matches_reference_batch(self, config):
         # The reference order is a stable sort of the session-major
-        # requests, done here rather than by the code under test.
+        # requests, done here rather than by the code under test.  A
+        # session is a client index plus (timestamp, catalog index)
+        # columns.
         streamed = list(SyntheticTraceGenerator(config).stream())
-        sessions = SyntheticTraceGenerator(config)._sessions(epoch=0)
+        generator = SyntheticTraceGenerator(config)
+        documents = generator.site.documents()
+        clients = generator.population.clients
         reference = sorted(
-            (request for __, requests in sessions for request in requests),
+            (
+                Request(
+                    timestamp,
+                    clients[client].client_id,
+                    documents[code].doc_id,
+                    documents[code].size,
+                    remote=not clients[client].local,
+                )
+                for __, client, times, codes in generator._sessions(epoch=0)
+                for timestamp, code in zip(times, codes)
+            ),
             key=lambda request: request.timestamp,
         )
         _requests_equal(streamed, reference)
