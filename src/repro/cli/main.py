@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve",
         help="serve a synthetic catalog over real TCP with in-band "
-        "speculation (length-prefixed binary or JSON frames)",
+        "speculation (length-prefixed binary frames)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(

@@ -17,6 +17,8 @@ the closest synthetic equivalent:
 * :mod:`repro.workload.generator` — the trace generator proper.
 * :mod:`repro.workload.seeds` — per-session ``SeedSequence`` states,
   derived a block of sessions at a time.
+* :mod:`repro.workload.draws` — numpy's ``Generator`` draws for a block
+  of per-session PCG64 streams at once, bit for bit.
 * :mod:`repro.workload.calibration` — the paper-reported target
   statistics and checks that a generated trace matches them.
 """
@@ -29,12 +31,7 @@ from .distributions import (
 from .sitegraph import Page, SiteGraph
 from .clients import ClientPopulation
 from .updates import UpdateProcess, UpdateEvent
-from .generator import (
-    GeneratorConfig,
-    SyntheticTraceGenerator,
-    generate_trace,
-    merge_streams,
-)
+from .generator import GeneratorConfig, SyntheticTraceGenerator
 from .calibration import PAPER_TARGETS, CalibrationCheck, check_calibration
 from .presets import preset, preset_names
 from .fit import FittedWorkload, fit_generator_config
@@ -50,8 +47,6 @@ __all__ = [
     "UpdateEvent",
     "GeneratorConfig",
     "SyntheticTraceGenerator",
-    "generate_trace",
-    "merge_streams",
     "PAPER_TARGETS",
     "CalibrationCheck",
     "check_calibration",

@@ -16,7 +16,6 @@ the paper's remote/local split.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,9 +110,8 @@ class ClientPopulation:
         activity = np.empty(len(clients))
         activity[order] = weights
         self._activity = activity
-        cdf = np.cumsum(activity)
-        cdf[-1] = 1.0
-        self._cdf: list[float] = cdf.tolist()
+        self._cdf = np.cumsum(activity)
+        self._cdf[-1] = 1.0
         self._rng = rng
 
     def __len__(self) -> int:
@@ -125,27 +123,21 @@ class ClientPopulation:
         """Draw a client according to its activity weight.
 
         Args:
-            rng: Draw from this generator instead of the bound one —
-                used by the trace generator's schedule substream so the
-                client assignment of session *k* is a fixed function of
-                the seed, independent of any other drawing.
+            rng: Draw from this generator instead of the bound one.
         """
         source = self._rng if rng is None else rng
-        return self.client_at(source.random())
+        return self.clients[int(self.index_at(source.random()))]
 
-    def client_at(self, u: float) -> Client:
-        """The client whose activity-CDF interval holds ``u`` in [0, 1).
+    def index_at(self, u: float | np.ndarray) -> np.ndarray:
+        """Index in :attr:`clients` of the client whose activity-CDF
+        interval holds each uniform ``u`` in [0, 1).
 
-        The one inverse-CDF lookup behind :meth:`sample_client`, exposed
-        so a caller holding a block of uniforms (the trace generator's
-        schedule stream) maps each to the client a scalar draw of the
-        same double would pick.
+        The one inverse-CDF lookup behind :meth:`sample_client`; the
+        trace generator maps a block of its schedule stream's uniforms
+        at once, each to the client a scalar draw of the same double
+        would pick.
         """
-        return self.clients[self.index_at(u)]
-
-    def index_at(self, u: float) -> int:
-        """The index in :attr:`clients` of :meth:`client_at`'s client."""
-        return bisect_left(self._cdf, u)
+        return np.searchsorted(self._cdf, u, side="left")
 
     def region_of(self, client_id: str) -> int:
         """Region index of a client id generated by this population.

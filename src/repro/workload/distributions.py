@@ -62,6 +62,12 @@ class BoundedZipf:
         """Probability of each rank, index 0 = rank 1 (most popular)."""
         return self._pmf
 
+    @property
+    def cdf(self) -> np.ndarray:
+        """Cumulative probability of each rank: :meth:`sample` maps a
+        uniform ``u`` to the first rank whose entry is ``>= u``."""
+        return self._cdf
+
     def sample(
         self,
         size: int | None = None,

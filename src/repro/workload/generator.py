@@ -42,33 +42,41 @@ domain-separated substreams derived with
 Because session *k*'s randomness is a pure function of
 ``(seed, epoch, k)``, the stream can be **sharded by client hash**:
 every shard replays the shared schedule and churn and generates only
-its member sessions, and the N shard streams merge back to the exact
-unsharded trace (:func:`merge_streams`).
+its member sessions, and the N shard streams merge back (a
+timestamp-keyed ``heapq.merge``) to the exact unsharded trace.
 
-Session seeds skip the per-session ``SeedSequence``: one vectorised
-pass of its hash (:mod:`repro.workload.seeds`) yields a block's PCG64
-seed words, bit for bit.  One session loop feeds both outputs.  A
-session is a client code plus ``(timestamp, document code)`` columns;
-:meth:`~SyntheticTraceGenerator.generate` appends them to the trace's
+**The lockstep walk.**  Sessions are walked a block at a time, all of a
+block's sessions at once: one pass of the ``SeedSequence`` hash
+(:mod:`repro.workload.seeds`) yields the block's PCG64 seed words, and
+:class:`~repro.workload.draws.StreamLanes` steps every session's stream
+as uint64 arrays, making numpy's ``random``/``integers``/
+``exponential`` draws bit for bit.  Each round moves every live session
+one page on; a ``(session, document)`` bitmap is the browser cache.  A
+session draws exactly what a walk on its own ``Generator`` would, so
+the trace is the same request for request (the scalar walk is the test
+oracle, ``tests/oracles/session_walk.py``).  One block walk feeds both
+outputs: :meth:`~SyntheticTraceGenerator.generate` appends the blocks'
 columns and stable-sorts once, building no :class:`Request`, while
 :meth:`SyntheticTraceGenerator.stream` turns them into requests in a
 bounded heap of in-flight sessions (peak memory: the site, the
-schedule, the overlapping sessions).
+schedule, one block).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ..errors import CalibrationError
 from ..trace.records import Request, Trace, TraceColumns
 from ..trace.sampling import client_hash
-from .clients import Client, ClientPopulation
-from .seeds import SeedWords, spawn_words
+from .clients import ClientPopulation
+from .draws import StreamLanes
+from .seeds import spawn_words
 from .sitegraph import SiteGraph
 
 #: ``SeedSequence`` spawn-key domains for the generator's substreams.
@@ -78,9 +86,13 @@ _DOMAIN_SCHEDULE = 2
 _DOMAIN_CHURN = 3
 _DOMAIN_SESSION = 4
 
-#: Sessions whose seed words and client draws are derived together; a
-#: fixed block keeps the per-stream buffers flat in ``n_sessions``.
-_SESSION_BLOCK = 4_096
+#: Sessions walked together: their seed words, client draws and walk
+#: state are derived at once, and a fixed block keeps those buffers
+#: flat in ``n_sessions``.
+_SESSION_BLOCK = 16_384
+
+#: The bit of a document code's byte in the fetched-documents bitmap.
+_BITS = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -204,6 +216,28 @@ class GeneratorConfig:
         )
 
 
+@dataclass(frozen=True)
+class _SiteView:
+    """The site as a session walks it on one day: born flags per page,
+    and per page its live links (born targets) in CSR order."""
+
+    born: np.ndarray
+    link_count: np.ndarray
+    link_target: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A walked block: per session its start, client code and row
+    count; its rows' timestamps and document codes, session-major."""
+
+    starts: np.ndarray
+    clients: np.ndarray
+    lengths: np.ndarray
+    times: np.ndarray
+    codes: np.ndarray
+
+
 class SyntheticTraceGenerator:
     """Generates server traces from a site graph and client population.
 
@@ -243,9 +277,7 @@ class SyntheticTraceGenerator:
         # Local clients rank pages differently from remote clients: a
         # fixed permutation maps the shared Zipf ranks onto the local
         # audience's own favourites.
-        self._local_page_order: list[int] = self._rng.permutation(
-            self.site.n_pages
-        ).tolist()
+        self._local_page_order = self._rng.permutation(self.site.n_pages)
         # Live link table (mutated by churn); starts as the site's links.
         self._links: list[tuple[int, ...]] = [p.links for p in self.site.pages]
         # Birth day per page (0 = exists from the start).
@@ -275,20 +307,25 @@ class SyntheticTraceGenerator:
         # instance produce fresh (but reproducible) traffic.
         self._epoch = 0
         # Interned id tables: documents in catalog order, clients in
-        # population order.  The walk emits document codes; the page
-        # table holds (page code, embedded codes) per page.
+        # population order.  The walk reads pages as document codes:
+        # each page's own code and its embedded codes (CSR).
         documents = self.site.documents()
         self._doc_ids = tuple(d.doc_id for d in documents)
         self._doc_sizes = np.array([d.size for d in documents], dtype=np.int64)
         code = {doc_id: index for index, doc_id in enumerate(self._doc_ids)}
-        self._page_table = [
-            (code[p.doc_id], tuple(code[e] for e in p.embedded))
-            for p in self.site.pages
-        ]
+        pages = self.site.pages
+        self._page_code = np.array([code[p.doc_id] for p in pages], dtype=np.int64)
+        self._embedded_count = np.array(
+            [len(p.embedded) for p in pages], dtype=np.int64
+        )
+        self._embedded_first = np.cumsum(self._embedded_count) - self._embedded_count
+        self._embedded_code = np.array(
+            [code[e] for p in pages for e in p.embedded], dtype=np.int64
+        )
         clients = self.population.clients
         self._client_ids = tuple(c.client_id for c in clients)
         self._client_remote = np.array([not c.local for c in clients], dtype=bool)
-        self._refresh_live_links()
+        self._client_region = np.array([c.region for c in clients], dtype=np.int64)
 
     def _substream(self, *key: int) -> np.random.Generator:
         """A domain-separated RNG substream of the generator's seed."""
@@ -307,36 +344,10 @@ class SyntheticTraceGenerator:
             self._region_page_order[region] = order
         return order
 
-    def _refresh_live_links(self) -> None:
-        """Rebuild the walk's view of the site: born flags and, per
-        page, the born targets of its live links as plain ints."""
-        born = self._born_pages = self._born.tolist()
-        self._live_links = [
-            tuple(t for t in links if born[t]) for links in self._links
-        ]
-
-    def _sample_entry_page(
-        self, client: Client, rng: np.random.Generator
-    ) -> int:
-        """An entry page that already exists (born)."""
-        affinity = self.config.region_affinity
-        sample = self.site.popularity.sample
-        born = self._born_pages
-        for __ in range(64):
-            page_index = sample(rng=rng)
-            if client.local:
-                page_index = self._local_page_order[page_index]
-            elif affinity > 0 and rng.random() < affinity:
-                page_index = int(self._region_order(client.region)[page_index])
-            if born[page_index]:
-                return page_index
-        born_indices = np.nonzero(self._born)[0]
-        return int(born_indices[int(rng.integers(len(born_indices)))])
-
     def _advance_day(self, day: int, rng: np.random.Generator) -> bool:
         """One day of evolution: the day's new pages are born and a
         random subset of pages' links is rewired.  Returns whether
-        either happened (the walk's link table is then stale)."""
+        either happened (the walk's view of the site is then stale)."""
         newborn = self._birth_day == day
         self._born |= newborn
         churn = self.config.link_churn_per_day
@@ -347,59 +358,19 @@ class SyntheticTraceGenerator:
             self._links[page_index] = self.site.resample_links(page_index, rng)
         return bool(hits) or bool(newborn.any())
 
-    def _session_walk(
-        self,
-        client: Client,
-        start_time: float,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[list[float], list[int]]:
-        """One browsing session's ``(timestamps, document codes)``.
-
-        Args:
-            client: The session's client.
-            start_time: Virtual start time of the session.
-            rng: The session's dedicated substream; defaults to the
-                construction stream (convenient for structural tests).
-        """
-        config = self.config
-        rng = self._rng if rng is None else rng
-        random = rng.random
-        gap = config.embedded_gap
-        continue_probability = config.continue_probability
-        jump_probability = config.jump_probability
-        think_time_mean = config.think_time_mean
-        pages = self._page_table
-        live_links = self._live_links
-        times: list[float] = []
-        codes: list[int] = []
-        fetched: set[int] = set()
-        now = start_time
-        page_index = self._sample_entry_page(client, rng)
-
-        while True:
-            code, embedded = pages[page_index]
-            if code not in fetched:
-                fetched.add(code)
-                times.append(now)
-                codes.append(code)
-            inline_time = now
-            for code in embedded:
-                if code in fetched:
-                    continue
-                fetched.add(code)
-                inline_time += gap
-                times.append(inline_time)
-                codes.append(code)
-
-            links = live_links[page_index]
-            if not links or random() >= continue_probability:
-                break
-            if random() < jump_probability:
-                page_index = self._sample_entry_page(client, rng)
-            else:
-                page_index = links[int(rng.integers(len(links)))]
-            now = inline_time + rng.exponential(think_time_mean)
-        return times, codes
+    def _site_view(self) -> _SiteView:
+        """The walk's view of today's site: born flags and live links."""
+        counts = np.fromiter(map(len, self._links), np.int64, len(self._links))
+        targets = np.fromiter(
+            chain.from_iterable(self._links), np.int64, int(counts.sum())
+        )
+        owner = np.repeat(np.arange(len(counts)), counts)
+        live = self._born[targets]
+        return _SiteView(
+            born=self._born.copy(),
+            link_count=np.bincount(owner[live], minlength=len(counts)),
+            link_target=targets[live],
+        )
 
     def _session_schedule(self, rng: np.random.Generator) -> np.ndarray:
         """Sorted session start times for one generation epoch.
@@ -442,9 +413,8 @@ class SyntheticTraceGenerator:
         before them, so the iterator yields in exact timestamp order
         (ties broken by generation order — the order a stable sort of
         the materialized trace produces).  Peak memory holds the site,
-        the schedule array and the briefly overlapping sessions, not
-        the trace: it is flat in ``n_sessions`` up to the 8-byte-per-
-        session schedule.
+        the schedule array and one block of sessions, not the trace: it
+        is flat in ``n_sessions`` up to the 8-byte-per-session schedule.
 
         Args:
             shard_index: This shard's index in ``0..shard_count-1``.
@@ -453,8 +423,8 @@ class SyntheticTraceGenerator:
                 and generate only sessions of bucket ``shard_index``'s
                 clients.  Every shard replays the shared schedule,
                 churn and client assignment, so the ``shard_count``
-                streams of the same epoch merge back
-                (:func:`merge_streams`) to the exact unsharded trace.
+                streams of the same epoch merge back (a timestamp-keyed
+                ``heapq.merge``) to the exact unsharded trace.
             epoch: Generation epoch; None uses (and advances) the
                 instance's epoch counter, so repeated calls produce
                 fresh traffic.  Shards of one logical trace must be
@@ -486,11 +456,10 @@ class SyntheticTraceGenerator:
             self._epoch += 1
         return epoch
 
-    def _sessions(
+    def _blocks(
         self, epoch: int, shard_index: int = 0, shard_count: int = 1
-    ) -> Iterator[tuple[float, int, list[float], list[int]]]:
-        """The one session loop, in start order: ``(start, client code,
-        timestamps, document codes)`` per session.
+    ) -> Iterator[_Block]:
+        """The one session loop, a block of sessions at a time.
 
         Replays the epoch's schedule, day-by-day churn and page births
         and the client assignment — shared by every shard — and walks
@@ -499,44 +468,193 @@ class SyntheticTraceGenerator:
         schedule_rng = self._substream(_DOMAIN_SCHEDULE, epoch)
         churn_rng = self._substream(_DOMAIN_CHURN, epoch)
         starts = self._session_schedule(schedule_rng)
-        population = self.population
-        client_ids = self._client_ids
+        member = None
+        if shard_count > 1:
+            member = np.array(
+                [client_hash(c) % shard_count == shard_index for c in self._client_ids]
+            )
 
         # Start from the site's original link structure and birth state.
         self._links = [p.links for p in self.site.pages]
         self._born = self._birth_day == 0
-        self._refresh_live_links()
+        view = self._site_view()
         current_day = 0
         for first in range(0, len(starts), _SESSION_BLOCK):
-            block_starts = starts[first : first + _SESSION_BLOCK].tolist()
+            block_starts = starts[first : first + _SESSION_BLOCK]
             count = len(block_starts)
             # The client draws follow the schedule on its substream, one
             # double per session: a block of them is the same doubles as
             # ``count`` scalar draws, and every shard consumes them all.
-            uniforms = schedule_rng.random(count).tolist()
+            clients = self.population.index_at(schedule_rng.random(count))
+            # Replay the site's evolution up to each day the block
+            # spans; a session walks the view of its start day.
+            days, day_of_session = np.unique(
+                (block_starts // 86_400.0).astype(np.int64), return_inverse=True
+            )
+            views = [view]
+            view_of_day = []
+            for day in days.tolist():
+                if current_day < day:
+                    changed = [
+                        self._advance_day(d, churn_rng)
+                        for d in range(current_day + 1, day + 1)
+                    ]
+                    if any(changed):
+                        view = self._site_view()
+                        views.append(view)
+                    current_day = day
+                view_of_day.append(len(views) - 1)
+            day_view = np.array(view_of_day, dtype=np.int64)[day_of_session]
             seed_words = spawn_words(
                 self.config.seed, (_DOMAIN_SESSION, epoch), first, count
             )
-            for offset, start in enumerate(block_starts):
-                day = int(start // 86_400.0)
-                if current_day < day:
-                    days = range(current_day + 1, day + 1)
-                    if any([self._advance_day(d, churn_rng) for d in days]):
-                        self._refresh_live_links()
-                    current_day = day
-                client = population.index_at(uniforms[offset])
-                if (
-                    shard_count > 1
-                    and client_hash(client_ids[client]) % shard_count != shard_index
-                ):
-                    continue
-                session_rng = np.random.Generator(
-                    np.random.PCG64(SeedWords(seed_words[offset]))
-                )
-                times, codes = self._session_walk(
-                    population.clients[client], start, session_rng
-                )
-                yield start, client, times, codes
+            if member is not None:
+                walked = member[clients]
+                block_starts, clients = block_starts[walked], clients[walked]
+                day_view, seed_words = day_view[walked], seed_words[walked]
+            yield self._walk(block_starts, clients, day_view, views, seed_words)
+
+    def _walk(
+        self,
+        starts: np.ndarray,
+        clients: np.ndarray,
+        day_view: np.ndarray,
+        views: list[_SiteView],
+        seed_words: np.ndarray,
+    ) -> _Block:
+        """Walk a block of sessions in lockstep.
+
+        Session ``i`` starts at ``starts[i]`` as client ``clients[i]``,
+        reads ``views[day_view[i]]`` of the site and draws from the PCG64
+        stream seeded by ``seed_words[i]``.  Each round advances every
+        live session by one page visit, and each draw advances each
+        drawing session's own stream (:class:`StreamLanes`) by what the
+        scalar walk's draw would consume, so every session makes the
+        same draws in the same order as a walk on its own
+        ``Generator``.
+        """
+        config = self.config
+        lanes = StreamLanes(seed_words)
+        n_pages = self.site.n_pages
+        # The views' page tables, flattened view-major: a session reads
+        # page ``p`` at ``base + p``.
+        base = day_view * n_pages
+        born = np.concatenate([v.born for v in views])
+        link_count = np.concatenate([v.link_count for v in views])
+        link_target = np.concatenate([v.link_target for v in views])
+        link_first = np.cumsum(link_count) - link_count
+        # Each view's born pages, for the entry draw's fallback.
+        born_lists = [np.flatnonzero(v.born) for v in views]
+        born_count = np.array([len(p) for p in born_lists], dtype=np.int64)
+        born_first = np.cumsum(born_count) - born_count
+        born_pages = np.concatenate(born_lists)
+        local = ~self._client_remote[clients]
+        affinity = config.region_affinity
+        if affinity > 0:
+            region = self._client_region[clients]
+            region_order = np.stack(
+                [self._region_order(r) for r in range(int(region.max(initial=0)) + 1)]
+            )
+        cdf = self.site.popularity.cdf
+        local_order = self._local_page_order
+
+        def entry_pages(sessions: np.ndarray) -> np.ndarray:
+            """An entry page that already exists (born), per session."""
+            chosen = np.empty(len(sessions), dtype=np.int64)
+            pending = np.arange(len(sessions))
+            for __ in range(64):
+                drawing = sessions[pending]
+                pages = np.searchsorted(cdf, lanes.random(drawing), side="left")
+                at_home = local[drawing]
+                pages[at_home] = local_order[pages[at_home]]
+                if affinity > 0:
+                    away = np.flatnonzero(~at_home)
+                    near = away[lanes.random(drawing[away]) < affinity]
+                    pages[near] = region_order[region[drawing[near]], pages[near]]
+                ok = born[base[drawing] + pages]
+                chosen[pending[ok]] = pages[ok]
+                pending = pending[~ok]
+                if not pending.size:
+                    return chosen
+            drawing = sessions[pending]
+            view = day_view[drawing]
+            pick = lanes.integers(drawing, born_count[view])
+            chosen[pending] = born_pages[born_first[view] + pick]
+            return chosen
+
+        # The in-session browser cache: one bit per (session, document).
+        stride = (len(self._doc_ids) + 7) >> 3
+        row = np.arange(len(starts)) * stride
+        fetched = np.zeros(len(starts) * stride, dtype=np.uint8)
+        out_session: list[np.ndarray] = []
+        out_time: list[np.ndarray] = []
+        out_code: list[np.ndarray] = []
+
+        def fetch(sessions: np.ndarray, codes: np.ndarray) -> np.ndarray:
+            """Mark ``codes`` fetched; returns which were not already."""
+            cell = row[sessions] + (codes >> 3)
+            bit = _BITS[codes & 7]
+            new = (fetched[cell] & bit) == 0
+            fetched[cell[new]] |= bit[new]
+            return new
+
+        def emit(sessions: np.ndarray, times: np.ndarray, codes: np.ndarray) -> None:
+            out_session.append(sessions)
+            out_time.append(times)
+            out_code.append(codes)
+
+        gap = config.embedded_gap
+
+        def visit(sessions: np.ndarray, now: np.ndarray) -> np.ndarray:
+            """Fetch each session's page, then its inline objects one
+            slot at a time; returns the time of each one's last inline."""
+            pages = page[sessions]
+            codes = self._page_code[pages]
+            new = fetch(sessions, codes)
+            emit(sessions[new], now[new], codes[new])
+            inline = now.copy()
+            count = self._embedded_count[pages]
+            first = self._embedded_first[pages]
+            for slot in range(int(count.max(initial=0))):
+                has = np.flatnonzero(count > slot)
+                codes = self._embedded_code[first[has] + slot]
+                new = fetch(sessions[has], codes)
+                hit = has[new]
+                inline[hit] += gap
+                emit(sessions[hit], inline[hit], codes[new])
+            return inline
+
+        active = np.arange(len(starts))
+        page = entry_pages(active)
+        inline = visit(active, starts.astype(np.float64))
+        while active.size:
+            where = base[active] + page[active]
+            count = link_count[where]
+            going = np.flatnonzero(count > 0)
+            going = going[lanes.random(active[going]) < config.continue_probability]
+            active, inline = active[going], inline[going]
+            where, count = where[going], count[going]
+            if not active.size:
+                break
+            jump = lanes.random(active) < config.jump_probability
+            if jump.any():
+                page[active[jump]] = entry_pages(active[jump])
+            follow = np.flatnonzero(~jump)
+            if follow.size:
+                pick = lanes.integers(active[follow], count[follow])
+                page[active[follow]] = link_target[link_first[where[follow]] + pick]
+            now = inline + lanes.exponential(active, config.think_time_mean)
+            inline = visit(active, now)
+
+        session = np.concatenate(out_session)
+        order = np.argsort(session, kind="stable")
+        return _Block(
+            starts=starts,
+            clients=clients,
+            lengths=np.bincount(session, minlength=len(starts)),
+            times=np.concatenate(out_time)[order],
+            codes=np.concatenate(out_code)[order],
+        )
 
     def _stream(
         self, shard_index: int, shard_count: int, epoch: int
@@ -548,46 +666,46 @@ class SyntheticTraceGenerator:
         pending: list[tuple[float, int, Request]] = []
         sequence = 0
         doc_ids, sizes = self._doc_ids, self._doc_sizes.tolist()
-        sessions = self._sessions(epoch, shard_index, shard_count)
-        for start, client, times, codes in sessions:
-            # Everything timestamped at or before this session's start
-            # can no longer be preceded by anything: emit it.
-            while pending and pending[0][0] <= start:
-                yield heapq.heappop(pending)[2]
-            client_id = self._client_ids[client]
-            remote = bool(self._client_remote[client])
-            for timestamp, code in zip(times, codes):
-                request = Request(
-                    timestamp, client_id, doc_ids[code], sizes[code], remote=remote
-                )
-                heapq.heappush(pending, (timestamp, sequence, request))
-                sequence += 1
+        for block in self._blocks(epoch, shard_index, shard_count):
+            ends = np.cumsum(block.lengths).tolist()
+            row = 0
+            for start, client, end in zip(
+                block.starts.tolist(), block.clients.tolist(), ends
+            ):
+                # Everything timestamped at or before this session's
+                # start can no longer be preceded by anything: emit it.
+                while pending and pending[0][0] <= start:
+                    yield heapq.heappop(pending)[2]
+                client_id = self._client_ids[client]
+                remote = bool(self._client_remote[client])
+                # Per-session slices keep a block's rows out of Python
+                # objects until the session is pushed.
+                times, codes = block.times[row:end], block.codes[row:end]
+                for timestamp, code in zip(times.tolist(), codes.tolist()):
+                    request = Request(
+                        timestamp, client_id, doc_ids[code], sizes[code], remote=remote
+                    )
+                    heapq.heappush(pending, (timestamp, sequence, request))
+                    sequence += 1
+                row = end
         while pending:
             yield heapq.heappop(pending)[2]
 
     def generate(self) -> Trace:
         """Generate the full trace (sorted by time, catalog attached).
 
-        Appends the sessions' columns in generation order and
+        Appends the blocks' columns in generation order and
         stable-sorts them once by timestamp — the order :meth:`stream`
         yields for the same epoch, which it advances the same way.  No
         :class:`Request` is built.
         """
-        times: list[float] = []
-        codes: list[int] = []
-        clients: list[int] = []
-        lengths: list[int] = []
-        for __, client, session_times, session_codes in self._sessions(
-            self._claim_epoch(None)
-        ):
-            times += session_times
-            codes += session_codes
-            clients.append(client)
-            lengths.append(len(session_times))
-        timestamp = np.array(times, dtype=np.float64)
+        blocks = list(self._blocks(self._claim_epoch(None)))
+        timestamp = np.concatenate([b.times for b in blocks])
         order = np.argsort(timestamp, kind="stable")
-        doc = np.array(codes, dtype=np.int64)[order]
-        client = np.repeat(np.array(clients, dtype=np.int64), lengths)[order]
+        doc = np.concatenate([b.codes for b in blocks])[order]
+        client = np.concatenate(
+            [np.repeat(b.clients, b.lengths) for b in blocks]
+        )[order]
         columns = TraceColumns(
             doc_ids=self._doc_ids,
             client_ids=self._client_ids,
@@ -602,24 +720,3 @@ class SyntheticTraceGenerator:
         )
         return Trace.from_columns(columns, self.site.documents())
 
-
-def merge_streams(*streams: Iterable[Request]) -> Iterator[Request]:
-    """Merge time-ordered request streams into one time-ordered stream.
-
-    The inverse of sharded generation: merging the ``shard_count``
-    shard streams of one epoch yields the exact unsharded trace.  Each
-    input must already be sorted by timestamp (what
-    :meth:`SyntheticTraceGenerator.stream` produces); the merge is lazy
-    and keeps only one pending request per stream.
-    """
-    return heapq.merge(*streams, key=lambda request: request.timestamp)
-
-
-def generate_trace(seed: int = 0, **overrides) -> Trace:
-    """Convenience wrapper: build a generator and return its trace.
-
-    Keyword overrides are applied to the default
-    :class:`GeneratorConfig`, e.g. ``generate_trace(7, n_pages=100)``.
-    """
-    config = GeneratorConfig(seed=seed, **overrides)
-    return SyntheticTraceGenerator(config).generate()

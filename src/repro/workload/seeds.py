@@ -6,9 +6,10 @@ Building one ``SeedSequence`` per session costs ~14 µs, nearly all of it
 numpy's entropy-pool hash run in Python-level loops.  That hash is a
 fixed sequence of uint32 multiply/xor/shift steps (frozen by NEP 19's
 stream-compatibility policy), so :func:`spawn_words` runs it once,
-column-wise over uint32 arrays, for a whole block of consecutive ``k``;
-:class:`SeedWords` then hands one row to ``PCG64`` — the same streams,
-bit for bit, at ~2 µs per generator.
+column-wise over uint32 arrays, for a whole block of consecutive ``k``.
+:class:`~repro.workload.draws.StreamLanes` seeds one PCG64 stream per
+row from them — the same streams, bit for bit, with no ``SeedSequence``
+or ``Generator`` object per session.
 """
 
 from __future__ import annotations
@@ -71,17 +72,3 @@ def spawn_words(
     state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
-
-class SeedWords(np.random.bit_generator.ISeedSequence):
-    """One precomputed :func:`spawn_words` row, as a ``PCG64`` seed.
-
-    ``np.random.Generator(np.random.PCG64(SeedWords(row)))`` is the
-    generator ``default_rng`` builds from the matching ``SeedSequence``.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        """The row itself (``PCG64`` asks for exactly 4 uint64 words)."""
-        return self.words

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import DependencyModelError
 from repro.speculation.dependency import DependencyModel
-from repro.workload.generator import generate_trace
+from repro.workload.generator import GeneratorConfig, SyntheticTraceGenerator
 
 
 def replay(trace, **kwargs):
@@ -24,9 +24,11 @@ class TestBatchParity:
         [(5.0, None), (5.0, 5.0), (2.0, 10.0), (30.0, math.inf)],
     )
     def test_identical_counts(self, window, stride_timeout):
-        trace = generate_trace(
-            7, n_pages=60, n_clients=40, n_sessions=300, duration_days=10
-        )
+        trace = SyntheticTraceGenerator(
+            GeneratorConfig(
+                seed=7, n_pages=60, n_clients=40, n_sessions=300, duration_days=10
+            )
+        ).generate()
         batch = DependencyModel.estimate(
             trace, window=window, stride_timeout=stride_timeout
         )
@@ -37,9 +39,11 @@ class TestBatchParity:
         assert incremental.pair_counts == batch.pair_counts
 
     def test_identical_probabilities(self):
-        trace = generate_trace(
-            11, n_pages=50, n_clients=30, n_sessions=250, duration_days=8
-        )
+        trace = SyntheticTraceGenerator(
+            GeneratorConfig(
+                seed=11, n_pages=50, n_clients=30, n_sessions=250, duration_days=8
+            )
+        ).generate()
         batch = DependencyModel.estimate(trace, window=5.0)
         incremental = replay(trace, window=5.0)
         for source in batch.pair_counts:
@@ -113,9 +117,11 @@ class TestRefreshClosure:
         assert model.closure_row("a") != stale
 
     def test_bounded_refresh_precomputes_requested_rows(self):
-        trace = generate_trace(
-            3, n_pages=40, n_clients=20, n_sessions=150, duration_days=5
-        )
+        trace = SyntheticTraceGenerator(
+            GeneratorConfig(
+                seed=3, n_pages=40, n_clients=20, n_sessions=150, duration_days=5
+            )
+        ).generate()
         model = replay(trace, window=5.0)
         sources = sorted(model.pair_counts)[:5]
         assert model.refresh_closure(sources) == len(sources)

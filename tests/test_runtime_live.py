@@ -29,7 +29,7 @@ from repro.speculation.metrics import SpeculationRatios
 from repro.speculation.policies import ThresholdPolicy
 from repro.speculation.riders import RiderTable
 from repro.trace.records import Document
-from repro.workload.generator import GeneratorConfig, generate_trace
+from repro.workload.generator import GeneratorConfig, SyntheticTraceGenerator
 
 SMALL = GeneratorConfig(
     seed=2, n_pages=50, n_clients=40, n_sessions=250, duration_days=6
@@ -176,9 +176,11 @@ class TestBatchParity:
 class TestDaemon:
     def test_push_once_replaces_proxy_holdings(self):
         async def scenario():
-            trace = generate_trace(
-                5, n_pages=30, n_clients=10, n_sessions=80, duration_days=3
-            ).remote_only()
+            trace = SyntheticTraceGenerator(
+                GeneratorConfig(
+                    seed=5, n_pages=30, n_clients=10, n_sessions=80, duration_days=3
+                )
+            ).generate().remote_only()
             network = InMemoryNetwork(seed=0)
             estimator = OnlineDependencyEstimator(learn=True)
             origin_endpoint = network.endpoint("home-server")
@@ -218,9 +220,11 @@ class TestDaemon:
 
     def test_unreachable_proxy_degrades_not_fails(self):
         async def scenario():
-            trace = generate_trace(
-                5, n_pages=30, n_clients=10, n_sessions=80, duration_days=3
-            ).remote_only()
+            trace = SyntheticTraceGenerator(
+                GeneratorConfig(
+                    seed=5, n_pages=30, n_clients=10, n_sessions=80, duration_days=3
+                )
+            ).generate().remote_only()
             network = InMemoryNetwork(seed=0)
             estimator = OnlineDependencyEstimator(learn=False)
             estimator.warm(trace)
@@ -265,9 +269,11 @@ class TestDaemon:
         interval = 5.0
 
         async def scenario():
-            trace = generate_trace(
-                5, n_pages=30, n_clients=10, n_sessions=80, duration_days=3
-            ).remote_only()
+            trace = SyntheticTraceGenerator(
+                GeneratorConfig(
+                    seed=5, n_pages=30, n_clients=10, n_sessions=80, duration_days=3
+                )
+            ).generate().remote_only()
             network = InMemoryNetwork(seed=0)
             estimator = OnlineDependencyEstimator(learn=True)
             origin_endpoint = network.endpoint("home-server")
@@ -439,9 +445,11 @@ class TestCacheNode:
 class TestTcpTransport:
     def test_round_trip_with_speculation(self):
         async def scenario():
-            trace = generate_trace(
-                9, n_pages=40, n_clients=20, n_sessions=150, duration_days=4
-            ).remote_only()
+            trace = SyntheticTraceGenerator(
+                GeneratorConfig(
+                    seed=9, n_pages=40, n_clients=20, n_sessions=150, duration_days=4
+                )
+            ).generate().remote_only()
             estimator = OnlineDependencyEstimator(learn=False)
             estimator.warm(trace)
             riders = RiderTable(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.trace import Document, Request, Trace, TraceCleaner
-from repro.workload import generate_trace
+from repro.workload import GeneratorConfig, SyntheticTraceGenerator
 
 
 def req(doc, t=0.0, status=200, method="GET", size=10):
@@ -110,7 +110,7 @@ class TestIdempotence:
 
 class TestCatalog:
     def test_synthetic_catalog_survives_cleaning(self):
-        trace = generate_trace(0)
+        trace = SyntheticTraceGenerator(GeneratorConfig(seed=0)).generate()
         cleaned, report = TraceCleaner(canonicalize=False).clean(trace)
         assert report.dropped == 0
         kinds = {doc.kind for doc in cleaned.documents.values()}

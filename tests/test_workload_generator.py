@@ -9,7 +9,6 @@ from repro.workload import (
     GeneratorConfig,
     SyntheticTraceGenerator,
     check_calibration,
-    generate_trace,
 )
 from repro.workload.calibration import touched_bytes_fraction
 
@@ -60,29 +59,35 @@ class TestGeneration:
         ]
 
     def test_different_seeds_differ(self):
-        a = generate_trace(1, n_pages=50, n_clients=20, n_sessions=100)
-        b = generate_trace(2, n_pages=50, n_clients=20, n_sessions=100)
+        a, b = (
+            SyntheticTraceGenerator(
+                GeneratorConfig(seed=seed, n_pages=50, n_clients=20, n_sessions=100)
+            ).generate()
+            for seed in (1, 2)
+        )
         assert [(r.timestamp, r.doc_id) for r in a] != [
             (r.timestamp, r.doc_id) for r in b
         ]
 
-    def test_no_refetch_within_session(self, small_generator):
+    def test_no_refetch_within_session(self):
         """The per-session browser cache never refetches a document."""
-        client = small_generator.population.clients[0]
-        times, codes = small_generator._session_walk(client, 0.0)
-        assert len(codes) == len(times)
-        assert len(codes) == len(set(codes))
+        generator = SyntheticTraceGenerator(SMALL)
+        for block in generator._blocks(epoch=0):
+            assert len(block.times) == len(block.codes) == block.lengths.sum()
+            ends = np.cumsum(block.lengths)
+            for codes in np.split(block.codes, ends[:-1]):
+                assert len(codes) == len(set(codes.tolist()))
 
-    def test_session_contains_embedded_objects(self, small_generator):
+    def test_session_contains_embedded_objects(self):
         # Over many sessions, at least some must fetch inline objects.
-        saw_embedded = False
-        for i in range(200):
-            client = small_generator.population.clients[i % 10]
-            __, codes = small_generator._session_walk(client, 0.0)
-            for code in codes:
-                if small_generator.site.documents()[code].kind == "embedded":
-                    saw_embedded = True
-        assert saw_embedded
+        generator = SyntheticTraceGenerator(SMALL)
+        documents = generator.site.documents()
+        fetched = {
+            documents[code].kind
+            for block in generator._blocks(epoch=0)
+            for code in block.codes.tolist()
+        }
+        assert "embedded" in fetched
 
 
 class TestStrideStructure:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.workload.generator import _DOMAIN_SESSION, _SESSION_BLOCK
-from repro.workload.seeds import SeedWords, spawn_words
+from repro.workload.seeds import spawn_words
+
+from .oracles.session_walk import SeedWords
 
 SEEDS = [0, 1, 2**40 + 3]
 EPOCHS = [0, 5]
@@ -55,7 +57,7 @@ def test_words_do_not_depend_on_block_boundaries(seed):
     assert np.array_equal(whole, halves)
 
 
-@pytest.mark.parametrize("session", [0, 1, 199, _SESSION_BLOCK, 2**20])
+@pytest.mark.parametrize("session", [0, 1, 199, 4096, _SESSION_BLOCK, 2**20])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_seeded_generator_draws_match_default_rng(seed, session):
     (row,) = session_seed_words(seed, 5, session, 1)

@@ -1,17 +1,19 @@
 """Streaming generation: stream()/generate() equivalence and sharding."""
 
+import dataclasses
 import heapq
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CalibrationError
-from repro.trace import Request, Trace
-from repro.workload import (
-    GeneratorConfig,
-    SyntheticTraceGenerator,
-    merge_streams,
-)
+from repro.trace import Trace
+from repro.workload import GeneratorConfig, SyntheticTraceGenerator, generator
+
+from .oracles import session_walk
+from .oracles.session_walk import merge_streams
 
 BASE = GeneratorConfig(
     seed=3, n_pages=60, n_clients=40, n_sessions=300, duration_days=10
@@ -70,28 +72,11 @@ class TestStreamEquivalence:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"seed{c.seed}")
     def test_stream_matches_reference_batch(self, config):
-        # The reference order is a stable sort of the session-major
-        # requests, done here rather than by the code under test.  A
-        # session is a client index plus (timestamp, catalog index)
-        # columns.
+        # The reference is the scalar per-session walk, its requests
+        # stable-sorted by timestamp in the test oracle rather than by
+        # the code under test.
         streamed = list(SyntheticTraceGenerator(config).stream())
-        generator = SyntheticTraceGenerator(config)
-        documents = generator.site.documents()
-        clients = generator.population.clients
-        reference = sorted(
-            (
-                Request(
-                    timestamp,
-                    clients[client].client_id,
-                    documents[code].doc_id,
-                    documents[code].size,
-                    remote=not clients[client].local,
-                )
-                for __, client, times, codes in generator._sessions(epoch=0)
-                for timestamp, code in zip(times, codes)
-            ),
-            key=lambda request: request.timestamp,
-        )
+        reference = session_walk.requests(SyntheticTraceGenerator(config))
         _requests_equal(streamed, reference)
 
     def test_stream_is_time_ordered(self):
@@ -108,6 +93,86 @@ class TestStreamEquivalence:
         batch.generate()
         assert streaming._links == batch._links
         assert np.array_equal(streaming._born, batch._born)
+
+
+configs = st.builds(
+    GeneratorConfig,
+    seed=st.integers(0, 2**32),
+    n_pages=st.integers(2, 40),
+    n_clients=st.integers(6, 30),
+    n_sessions=st.integers(1, 120),
+    duration_days=st.floats(0.5, 6.0),
+    link_churn_per_day=st.sampled_from([0.0, 0.1, 0.5]),
+    new_page_fraction=st.sampled_from([0.0, 0.3, 0.9]),
+    region_affinity=st.sampled_from([0.0, 0.4, 1.0]),
+    diurnal_amplitude=st.sampled_from([0.0, 0.7]),
+    local_fraction=st.sampled_from([0.0, 0.3, 0.8]),
+    n_regions=st.integers(1, 5),
+)
+
+
+class TestBlockWalkMatchesScalarWalk:
+    """The lockstep walk against the scalar oracle, request for request."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config=configs,
+        block=st.sampled_from([5, 64, generator._SESSION_BLOCK]),
+        shards=st.integers(1, 3),
+        epoch=st.integers(0, 1),
+    )
+    def test_stream_and_generate_match_the_oracle(
+        self, config, block, shards, epoch
+    ):
+        # Small blocks put block boundaries (and the site replay across
+        # them) inside these few-session traces.
+        with mock.patch.object(generator, "_SESSION_BLOCK", block):
+            for shard in range(shards):
+                reference = session_walk.requests(
+                    SyntheticTraceGenerator(config), epoch, shard, shards
+                )
+                streamed = SyntheticTraceGenerator(config).stream(
+                    shard_index=shard, shard_count=shards, epoch=epoch
+                )
+                _requests_equal(list(streamed), reference)
+            batch = SyntheticTraceGenerator(config)
+            for __ in range(epoch + 1):  # generate() advances the epoch
+                trace = batch.generate()
+            reference = session_walk.requests(SyntheticTraceGenerator(config), epoch)
+            _requests_equal(list(trace), reference)
+
+    def test_generate_builds_no_per_session_generator(self, monkeypatch):
+        """Reduced paper shape (one block): no bit generator, ``Generator``
+        or seed object per session — the walk steps its streams as
+        arrays, with one scalar engine per block for the ziggurat's
+        slow path."""
+        config = dataclasses.replace(
+            GeneratorConfig.paper_scale(0), n_clients=850, n_sessions=2800
+        )
+        subject = SyntheticTraceGenerator(config)
+        built = {"PCG64": 0, "Generator": 0, "SeedWords": 0}
+
+        def counting(name, make):
+            def build(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+
+            return build
+
+        monkeypatch.setattr(np.random, "PCG64", counting("PCG64", np.random.PCG64))
+        monkeypatch.setattr(
+            np.random, "Generator", counting("Generator", np.random.Generator)
+        )
+        monkeypatch.setattr(
+            session_walk.SeedWords,
+            "__init__",
+            counting("SeedWords", session_walk.SeedWords.__init__),
+        )
+        assert len(subject.generate()) > config.n_sessions
+        assert built == {"PCG64": 1, "Generator": 1, "SeedWords": 0}
+        # The counters see a per-session generator built the scalar way.
+        session_walk.session_rng(config.seed, 0, 0)
+        assert built == {"PCG64": 2, "Generator": 2, "SeedWords": 1}
 
 
 class TestSharding:
