@@ -9,33 +9,41 @@ handful of vectorized passes:
    contiguously (preserving time order); session boundaries fall where a
    client changes or an inter-request gap reaches ``SessionTimeout``.
    Session caches are cleared at boundaries, so hit/miss resolution is
-   independent across sessions.  The sorted columns, session ids and
-   first-occurrence tables depend only on ``(trace, SessionTimeout)``
-   and are memoized per trace.
+   independent across sessions.  Everything that does not depend on
+   ``T_p`` — the client-sorted order, the first-occurrence tables, each
+   first occurrence's rank in its session, and the merge keys of step
+   4 — depends only on ``(trace, SessionTimeout)`` and is memoized per
+   trace.
 2. **Hit/miss fixpoint.**  Within a session, a document is cached from
    its first event (demand request or speculative push) onward.  Only
    the *first* request of each ``(session, document)`` pair can miss,
    and only documents that appear in some push list can be covered
    before their first request — every other first occurrence misses
-   outright, and its push list seeds a coverage matrix holding the
-   earliest covering position per ``(session, document)``.  The
-   remaining *pushable* first occurrences are resolved in
-   level-synchronous rounds over their rank within the session: round
-   ``k`` decides every session's ``k``-th pushable occurrence at once
-   (hit iff covered at an earlier position), then scatters the new
-   misses' push lists.  Sessions are chunked so the dense matrix stays
-   bounded.
+   outright.  Sessions are replayed in blocks of ``_SESSION_BLOCK``:
+   each block expands its first occurrences' push lists once and looks
+   every push's target up among the session's first occurrences, a few
+   hundred sessions at a time in a dense lookup window that lives only
+   as long as the replay.  The *pushable* first occurrences are then
+   decided once each, in rank order within their session: round ``k``
+   decides every session's ``k``-th pushable occurrence (a hit iff an
+   earlier miss pushed its document), and only the pushes of the
+   round's new misses are scattered.
 3. **Counters.**  All byte counters are exact integer sums.
    ``service_time`` accumulates ``ServCost + CommCost × size`` over the
    misses *in original trace order* via ``np.add.accumulate`` — a
    strict left fold, bit-identical to the event loop's running ``+=``.
-4. **Wasted bytes.**  Ineffective pushes (target already cached in the
-   session) are charged immediately; effective pushes are charged iff
-   the pending entry they create is later *replaced* by another push or
-   survives to the end of the trace — resolved by merging effective
-   pushes and cache hits per ``(client, document)`` and checking each
-   push's successor event, exactly the event loop's pending-dict
-   semantics.
+4. **Wasted bytes.**  Every pushed byte is wasted except a push whose
+   pending entry a cache hit consumes.  A push that lands ahead of its
+   target's first request in the session is consumed by that request,
+   a *covered* hit.  A push to a document the session never requests
+   stays pending until a later session of the client: per block, one
+   sort of single int64 keys — ``(client, document)`` pair, position,
+   event kind — merges those pushes with the covered hits and with the
+   second request of each missed document, and such a push is consumed
+   iff its successor in that order is a second request, the event
+   loop's pending-dict semantics.  Pending pushes outlive sessions, so
+   a client's pushes still pending at a block's end carry into the
+   next block.
 
 Bit-exactness contract: for every configuration this engine covers the
 returned metrics equal the event loop's **exactly** (``==`` on every
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +67,18 @@ from .metrics import SpeculationMetrics
 from .policies import ThresholdPolicy
 from .riders import Ranked, pruning, rank_sources
 
-#: Sessions resolved per dense coverage matrix; bounds peak memory of
-#: the hit/miss fixpoint at ``chunk × universe`` int64 cells.
-_SESSION_CHUNK = 4096
+#: Sessions replayed per block.  A block's push events are the replay's
+#: working set, so the block size bounds its memory whatever the trace's
+#: length.
+_SESSION_BLOCK = 4096
+
+#: Cells of the dense lookup window that maps a block's pushes to their
+#: targets' first occurrences (int32, so 1 MiB), a few hundred sessions
+#: at a time; allocated per replay and freed on return.
+_LOOKUP_CELLS = 1 << 18
+
+#: Event kinds in the pending-push merge (the low two key bits).
+_REPEAT, _COVERED, _PUSH = 0, 1, 2
 
 #: Per-trace session tables, keyed by ``SessionTimeout`` inside the
 #: weak entry — sweeps and benchmark repeats reuse them across runs.
@@ -75,19 +93,6 @@ _trace_sessions: "weakref.WeakKeyDictionary[Trace, dict[float, _SessionTables]]"
 _trace_pushes: "weakref.WeakKeyDictionary[Trace, weakref.WeakKeyDictionary]" = (
     weakref.WeakKeyDictionary()
 )
-
-#: Reusable scratch for the dense ``session × document`` pair map; a
-#: fresh multi-megabyte allocation per replay costs more in page
-#: faults than the fill itself.  Grown on demand, never shrunk.
-_pairmap_scratch = np.zeros(0, dtype=np.int32)
-
-
-def _pairmap_buffer(size: int) -> np.ndarray:
-    """A reusable int32 scratch array of at least ``size`` elements."""
-    global _pairmap_scratch
-    if _pairmap_scratch.size < size:
-        _pairmap_scratch = np.empty(size, dtype=np.int32)
-    return _pairmap_scratch[:size]
 
 
 @dataclass(frozen=True)
@@ -110,29 +115,33 @@ class _SessionTables:
     """Client-sorted columns and session structure for one timeout.
 
     ``order`` maps sorted positions back to original trace indices;
-    ``doc`` codes index ``docs``, the requested documents
-    (:func:`_requested`), and client codes are the trace's own;
-    ``key_base`` (> any document code, including push-only codes) turns
-    ``(session, document)`` pairs into single int64 keys;
-    ``unique_sd``/``first_index`` give, per pair, the sorted position of
-    the session's first request for the document; ``fo_*`` list those
-    first occurrences in position order.
+    documents are coded by their index into ``docs``, the requested
+    documents (:func:`_requested`); ``session_client`` is each session's
+    client code, non-decreasing.  ``key_base`` exceeds every document
+    code, push-only codes included.  ``fo_*`` list the first
+    occurrences — the first request of each ``(session, document)``
+    pair — in position order, ``fo_rank`` being each one's rank among
+    its session's and ``fo_later`` whether its client has a later
+    session.  The ``*_key`` arrays are each first occurrence's
+    keys in the pending-push merge (:func:`_used_bytes`): a
+    ``(client, document)`` pair shifted left by ``key_shift`` bits,
+    then ``4 × position`` plus an event kind.
     """
 
     docs: list[str]
     order: np.ndarray
-    times: np.ndarray
-    doc: np.ndarray
-    client: np.ndarray
-    session: np.ndarray
     session_client: np.ndarray
     n_sessions: int
     key_base: int
-    unique_sd: np.ndarray
-    first_index: np.ndarray
     fo_pos: np.ndarray
     fo_sess: np.ndarray
     fo_doc: np.ndarray
+    fo_rank: np.ndarray
+    fo_later: np.ndarray
+    push_key: np.ndarray
+    cover_key: np.ndarray
+    repeat_key: np.ndarray
+    key_shift: int
 
 
 def _requested(columns: TraceColumns) -> tuple[list[str], np.ndarray]:
@@ -140,8 +149,8 @@ def _requested(columns: TraceColumns) -> tuple[list[str], np.ndarray]:
     in id-table order, and each request's index into them.
 
     A window shares its parent's id table; coding only what it requests
-    keeps the code universe — and the dense ``session × document`` maps
-    of the fixpoint — at the window's own size.
+    keeps the code universe — and the replay's pair lookup — at the
+    window's own size.
     """
     present = np.bincount(columns.doc, minlength=len(columns.doc_ids)) > 0
     docs = list(map(columns.doc_ids.__getitem__, np.flatnonzero(present).tolist()))
@@ -173,28 +182,45 @@ def _session_tables(trace: Trace, timeout: float) -> _SessionTables:
         else:
             boundary[1:] = ~(same_client & ((t[1:] - t[:-1]) < timeout))
     session = np.cumsum(boundary) - 1
-    n_sessions = int(session[-1]) + 1
+    session_client = c[np.flatnonzero(boundary)]
+    later = np.append(session_client[1:] == session_client[:-1], False)
     # Any push target lives in the catalog, so catalog size bounds the
     # whole code universe — the keys stay valid for every policy.
     key_base = len(trace.documents) + 1
+    key_shift = (4 * n).bit_length()
+    if (len(columns.client_ids) * key_base).bit_length() + key_shift > 63:
+        raise OverflowError("trace too large for the columnar merge keys")
+
+    # Each (session, document) pair's requests, in position order: the
+    # first is the pair's first occurrence, the second a sure cache hit.
     session_doc = session * np.int64(key_base) + d
-    unique_sd, first_index = np.unique(session_doc, return_index=True)
-    fo_pos = np.sort(first_index)
+    by_pair = np.argsort(session_doc, kind="stable")
+    grouped = session_doc[by_pair]
+    heads = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    repeats = heads[np.diff(np.append(heads, n)) > 1]
+    second = np.full(n, -1)
+    second[by_pair[repeats]] = by_pair[repeats + 1]
+    fo_pos = np.sort(by_pair[heads])
+    second = second[fo_pos]
+    fo_sess = session[fo_pos]
+    fo_doc = d[fo_pos]
+    owner = (c[fo_pos] * np.int64(key_base)) << key_shift
+    pair = owner + (fo_doc << key_shift)
     tables = _SessionTables(
         docs=docs,
         order=order,
-        times=t,
-        doc=d,
-        client=c,
-        session=session,
-        session_client=c[np.flatnonzero(boundary)],
-        n_sessions=n_sessions,
+        session_client=session_client,
+        n_sessions=session_client.size,
         key_base=key_base,
-        unique_sd=unique_sd,
-        first_index=first_index,
         fo_pos=fo_pos,
-        fo_sess=session[fo_pos],
-        fo_doc=d[fo_pos],
+        fo_sess=fo_sess,
+        fo_doc=fo_doc,
+        fo_rank=np.arange(fo_pos.size) - np.searchsorted(fo_sess, fo_sess),
+        fo_later=later[fo_sess],
+        push_key=owner + (fo_pos << 2) + _PUSH,
+        cover_key=pair + (fo_pos << 2) + _COVERED,
+        repeat_key=np.where(second >= 0, pair + (second << 2) + _REPEAT, -1),
+        key_shift=key_shift,
     )
     per_trace[timeout] = tables
     return tables
@@ -292,27 +318,6 @@ def _push_tables(
     )
 
 
-def _expand_csr(
-    row_codes: np.ndarray, indptr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat CSR positions and within-row offsets for many rows at once.
-
-    Returns ``(positions, offsets)`` where ``positions`` indexes the CSR
-    data arrays row by row and ``offsets`` is each element's 0-based
-    position inside its row.
-    """
-    lengths = indptr[row_codes + 1] - indptr[row_codes]
-    total = int(lengths.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
-    positions = offsets + np.repeat(indptr[row_codes], lengths)
-    return positions, offsets
-
-
 def _service_fold(sizes: np.ndarray, config: BaselineConfig) -> float:
     """Left-fold ``ServCost + CommCost × size`` exactly as ``+=`` does."""
     if sizes.size == 0:
@@ -321,219 +326,179 @@ def _service_fold(sizes: np.ndarray, config: BaselineConfig) -> float:
     return float(np.add.accumulate(terms)[-1])
 
 
-@dataclass(frozen=True)
-class _EffectivePushes:
-    """One row per ``(session, target)`` push group with a live head.
+def _session_blocks(tables: _SessionTables) -> Iterator[tuple[slice, int]]:
+    """``(first_occurrences, next_client)`` per block of
+    ``_SESSION_BLOCK`` sessions: the block's slice of the first
+    occurrences, and the client of the next block's first session
+    (``-1`` after the last block)."""
+    for start in range(0, tables.n_sessions, _SESSION_BLOCK):
+        stop = min(start + _SESSION_BLOCK, tables.n_sessions)
+        f_lo, f_hi = np.searchsorted(tables.fo_sess, (start, stop)).tolist()
+        next_client = (
+            int(tables.session_client[stop]) if stop < tables.n_sessions else -1
+        )
+        yield slice(f_lo, f_hi), next_client
 
-    A group's earliest push is *effective* when it lands before the
-    target's first demand request in the session (or the target is
-    never requested there); every other push in the group is wasted on
-    arrival.  ``position`` is the effective push's trigger position in
-    the client-sorted order.
+
+def _target_occurrences(
+    tables: _SessionTables,
+    fos: slice,
+    src: np.ndarray,
+    tgt: np.ndarray,
+    ends: np.ndarray,
+    lookup: np.ndarray,
+) -> np.ndarray:
+    """Each push's target as a block-local first-occurrence index, or
+    ``-1`` where the source's session never requests it.
+
+    ``src``/``tgt`` are the pushes' sources (block-local) and targets,
+    ``ends`` the cumulative push counts of the block's sources.  The
+    sessions are looked up ``len(lookup) // key_base`` at a time in the
+    dense ``lookup`` window (all ``-1``, one row per session), which
+    each window fills with its first occurrences and resets after.
     """
-
-    session: np.ndarray
-    target: np.ndarray
-    position: np.ndarray
+    key_base = tables.key_base
+    span = lookup.size // key_base
+    sessions = tables.fo_sess[fos]
+    rows = (sessions % span) * key_base
+    firsts = rows + tables.fo_doc[fos]
+    cells = rows.take(src) + tgt
+    starts = np.arange(sessions[0] // span, sessions[-1] // span + 2) * span
+    bounds = np.searchsorted(sessions, starts).tolist()
+    targets = np.empty(src.size, dtype=np.int64)
+    for lo, hi in zip(bounds, bounds[1:]):
+        lookup[firsts[lo:hi]] = np.arange(lo, hi)
+        pushes = slice(ends[lo], ends[hi])
+        targets[pushes] = lookup[cells[pushes]]
+        lookup[firsts[lo:hi]] = -1
+    return targets
 
 
 def _resolve_misses(
     tables: _SessionTables, push: _PushTables | None
-) -> tuple[np.ndarray, _EffectivePushes | None]:
-    """Miss positions (sorted order) and effective pushes, via fixpoint.
+) -> tuple[np.ndarray, int]:
+    """Miss flags per first occurrence, and the pushed bytes a hit used.
 
     Baseline runs (no pushes) miss on every first occurrence.  With
-    pushes, only first occurrences of *pushable* documents need
-    resolution; everything else misses outright and merely seeds the
-    coverage map with its push list.
+    pushes, a first occurrence of a document no push list names misses
+    outright; the *pushable* ones are decided once each, block by block.
 
-    The undecided events are solved by alternating (Jacobi) iteration
-    of the antitone operator ``F(S) = {e : no earlier event of S pushes
-    e's document}`` starting from the all-miss state.  ``F``'s unique
-    fixpoint is the event loop's miss set (uniqueness by induction on
-    each event's rank in its session), successive iterates bracket it
-    from both sides, and after ``k`` steps the iterate is exact on the
-    first ``k`` ranks — so iterate-equality certifies the fixpoint and
-    the rank bound caps the loop.  In practice coverage chains are
-    shallow and a handful of passes converge, independent of session
-    length.
+    Per block, every first occurrence's push list is expanded once and
+    each push's target is looked up among the session's first
+    occurrences (:func:`_target_occurrences`).  A push matters for
+    hit/miss only when it lands *ahead* of the target's first request.
+    The known misses' pushes mark their targets covered up front.  The
+    pushable first occurrences are then decided in rank order within
+    their session: round ``k`` takes each session's ``k``-th pushable
+    occurrence, which is a hit iff covered — every push that can cover
+    it comes from an earlier occurrence, already decided — and
+    scatters the pushes of the round's misses.  That is the event
+    loop's miss set, by induction on the rank.
 
-    Each pass recomputes earliest-push positions over the *compressed
-    pair domain* — one slot per requested ``(session, document)`` pair,
-    i.e. per first occurrence — with one masked scatter: push events
-    are expanded once in trigger-position order, and a reversed
-    fancy-index assignment makes the *smallest* position win every slot
-    — no ``np.minimum.at``.  Pushes from the always-missing (known)
-    events form a static base folded in with one ``np.minimum``; only
-    the undecided events' pushes are re-scattered per pass.  At the
-    fixpoint the coverage map holds, per requested pair, the earliest
-    push among the actual misses: the head push of a pair's group is
-    effective iff that position precedes the pair's first request.
-    Groups whose target is never requested in the session always keep
-    an effective head; they are recovered in one dense
-    ``session × universe`` pass at the end.
+    Each covered hit used one push of its document's catalog size; the
+    misses' pushes to documents their session never requests can only
+    be used in a later session of the client (:func:`_used_bytes`).
     """
-    fo_pos = tables.fo_pos
+    miss = np.ones(tables.fo_pos.size, dtype=bool)
     if push is None or push.targets.size == 0:
-        return fo_pos, None
-    universe = push.universe
-    pushable = np.zeros(universe, dtype=bool)
+        return miss, 0
+    pushable = np.zeros(push.universe, dtype=bool)
     pushable[push.targets] = True
-    fo_pushable = pushable[tables.fo_doc]
-    miss_fo = ~fo_pushable
-    sentinel = tables.order.size  # larger than any sorted position
-    ep_sess: list[np.ndarray] = []
-    ep_target: list[np.ndarray] = []
-    ep_position: list[np.ndarray] = []
+    lookup = np.full(max(_LOOKUP_CELLS, tables.key_base), -1, dtype=np.int32)
+    used = 0
+    carry = np.zeros(0, dtype=np.int64)
+    for fos, next_client in _session_blocks(tables):
+        docs = tables.fo_doc[fos]
+        n_fo = docs.size
+        lengths = push.lengths[docs]
+        ends = np.concatenate(([0], np.cumsum(lengths)))
+        src = np.repeat(np.arange(n_fo), lengths)
+        offsets = push.indptr[docs] - ends[:-1]
+        tgt = push.targets[np.arange(src.size) + offsets.take(src)]
+        tfo = _target_occurrences(tables, fos, src, tgt, ends, lookup)
+        # Block-local indices are in position order: a push from ``src``
+        # lands ahead of its target's first request iff ``src < tfo``.
+        ahead = src < tfo
 
-    for chunk_start in range(0, tables.n_sessions, _SESSION_CHUNK):
-        chunk_stop = min(chunk_start + _SESSION_CHUNK, tables.n_sessions)
-        f_lo = int(np.searchsorted(tables.fo_sess, chunk_start, side="left"))
-        f_hi = int(np.searchsorted(tables.fo_sess, chunk_stop, side="left"))
-        n_pairs = f_hi - f_lo
-        if n_pairs == 0:
-            continue
-        sess_rel = tables.fo_sess[f_lo:f_hi] - chunk_start
-        docs_c = tables.fo_doc[f_lo:f_hi]
-        pos_c = tables.fo_pos[f_lo:f_hi]
-        und_mask = fo_pushable[f_lo:f_hi]
-        dense_size = (chunk_stop - chunk_start) * universe
+        block_miss = ~pushable[docs]
+        covered = np.zeros(n_fo, dtype=bool)
+        covered[tfo[ahead & block_miss.take(src)]] = True
+        undecided = ~block_miss
+        seen = np.cumsum(undecided)
+        seen -= undecided
+        rank = seen - seen[np.arange(n_fo) - tables.fo_rank[fos]]
+        events = np.flatnonzero(undecided)
+        edges = np.flatnonzero(ahead & undecided.take(src))
+        rounds = int(rank[events].max()) + 1 if events.size else 0
+        # Group events and their pushes by round: a radix sort on small
+        # unsigned ranks.
+        rank = rank.astype(np.min_scalar_type(rounds))
+        events = events[np.argsort(rank[events], kind="stable")]
+        edges = edges[np.argsort(rank.take(src[edges]), kind="stable")]
+        edge_src, edge_tgt = src[edges], tfo[edges]
+        event_bounds = np.searchsorted(rank[events], np.arange(rounds + 1)).tolist()
+        edge_bounds = np.searchsorted(rank[edge_src], np.arange(rounds + 1)).tolist()
+        for k in range(rounds):
+            now = events[event_bounds[k] : event_bounds[k + 1]]
+            block_miss[now] = ~covered[now]
+            pushes = slice(edge_bounds[k], edge_bounds[k + 1])
+            covered[edge_tgt[pushes][block_miss[edge_src[pushes]]]] = True
+        miss[fos] = block_miss
 
-        # Map dense (session, target) cells to pair slots: every
-        # requested pair is a first occurrence, so the chunk's first
-        # occurrences enumerate the slots.
-        pairmap = _pairmap_buffer(dense_size)
-        pairmap.fill(-1)
-        dense_req = sess_rel * np.int64(universe) + docs_c
-        pairmap[dense_req] = np.arange(n_pairs, dtype=np.int32)
-
-        # Expand every first occurrence's push list once, in trigger
-        # (position) order, so reversed assignment is a min-scatter.
-        positions, _ = _expand_csr(docs_c, push.indptr)
-        counts = push.lengths[docs_c]
-        src_fo = np.repeat(np.arange(n_pairs, dtype=np.int64), counts)
-        p_tgt = push.targets[positions]
-        p_cell = sess_rel[src_fo] * np.int64(universe) + p_tgt
-        p_at = pos_c[src_fo]
-        p_code = pairmap[p_cell]
-        src_known = ~und_mask[src_fo]
-
-        # Static base: pushes from always-missing events onto requested
-        # pairs (earliest position per slot via reversed assignment).
-        base = np.full(n_pairs, sentinel, dtype=np.int64)
-        in_base = src_known & (p_code >= 0)
-        base[p_code[in_base][::-1]] = p_at[in_base][::-1]
-
-        # Dynamic half: undecided events' pushes onto requested pairs.
-        in_iter = ~src_known & (p_code >= 0)
-        u_code = p_code[in_iter][::-1]
-        u_at = p_at[in_iter][::-1]
-        u_src = src_fo[in_iter][::-1]
-
-        und_idx = np.flatnonzero(und_mask)
-        und_pos = pos_c[und_idx]
-        miss_pairs = np.ones(n_pairs, dtype=bool)
-        cover = np.empty(n_pairs, dtype=np.int64)
-        for _ in range(und_idx.size + 1):
-            active = miss_pairs[u_src]
-            cover.fill(sentinel)
-            cover[u_code[active]] = u_at[active]
-            np.minimum(cover, base, out=cover)
-            new_miss = cover[und_idx] >= und_pos
-            if np.array_equal(new_miss, miss_pairs[und_idx]):
-                break
-            miss_pairs[und_idx] = new_miss
-        else:  # exhausted the rank bound: re-derive coverage once
-            active = miss_pairs[u_src]
-            cover.fill(sentinel)
-            cover[u_code[active]] = u_at[active]
-            np.minimum(cover, base, out=cover)
-        miss_fo[f_lo:f_hi] = miss_pairs
-
-        # Effective pushes on requested pairs: straight off the cover.
-        eff = cover < pos_c
-        if eff.any():
-            ep_sess.append(sess_rel[eff] + chunk_start)
-            ep_target.append(docs_c[eff])
-            ep_position.append(cover[eff])
-
-        # Effective pushes on never-requested targets: each such group
-        # keeps its earliest push.  The push events are position-
-        # ordered, so ``np.unique``'s first-occurrence index is the
-        # group minimum.
-        stray = (p_code < 0) & miss_pairs[src_fo]
-        if stray.any():
-            cells, first = np.unique(p_cell[stray], return_index=True)
-            ep_sess.append(cells // universe + chunk_start)
-            ep_target.append(cells % universe)
-            ep_position.append(p_at[stray][first])
-    eps = _EffectivePushes(
-        session=np.concatenate(ep_sess) if ep_sess else np.zeros(0, np.int64),
-        target=np.concatenate(ep_target)
-        if ep_target
-        else np.zeros(0, np.int64),
-        position=np.concatenate(ep_position)
-        if ep_position
-        else np.zeros(0, np.int64),
-    )
-    return fo_pos[miss_fo], eps
+        hits = ~block_miss
+        used += int(push.target_sizes[docs] @ hits)
+        # Pushes to documents the session never requests stay pending;
+        # only a later session of the client can consume them.
+        stray = (block_miss & tables.fo_later[fos]).take(src) & (tfo < 0)
+        if carry.size or stray.any():
+            merged = np.concatenate(
+                (
+                    carry,
+                    tables.push_key[fos].take(src[stray])
+                    + (tgt[stray] << tables.key_shift),
+                    tables.cover_key[fos][hits],
+                    tables.repeat_key[fos][block_miss],
+                )
+            )
+            block_used, carry = _used_bytes(tables, push, merged, next_client)
+            used += block_used
+    return miss, used
 
 
-def _wasted_bytes(
-    tables: _SessionTables,
-    push: _PushTables,
-    eps: _EffectivePushes,
-    miss_pos: np.ndarray,
-    speculated_bytes: int,
-) -> int:
-    """Total bytes of speculated documents never used, exactly.
+def _used_bytes(
+    tables: _SessionTables, push: _PushTables, events: np.ndarray, next_client: int
+) -> tuple[int, np.ndarray]:
+    """Bytes of pushes left pending across sessions that a hit consumed,
+    and the pushes still pending for ``next_client``.
 
-    Part 1 — ineffective pushes: every pushed byte except the effective
-    group heads (:class:`_EffectivePushes`) is wasted on arrival, so
-    their total is ``speculated_bytes`` minus the heads'.
+    Per ``(client, document)`` pair the event loop keeps one pending
+    push: a push that lands on an uncached document sets it —
+    replacing, and so wasting, the one before — and a cache hit
+    consumes it.  A push that lands ahead of the document's first
+    request in its session is always consumed by that request, a
+    *covered* hit (counted by the caller).  What stays open are the
+    pushes to documents the session never requests.  Their run per
+    ``(session, document)`` is never split by another event of the
+    pair and every push of it has the catalog size, so in key order
+    such a push is consumed iff its successor is the pair's *repeat* —
+    the second request in the session of a document whose first request
+    missed.  A covered hit in between means a push replaced it.
 
-    Part 2 — pending replacement and leftovers: per ``(client,
-    document)``, an effective push's bytes are *used* only when the
-    next effective-push-or-hit event is a hit (the hit deletes the
-    pending entry); a successor push replaces — and wastes — it, and a
-    push with no successor is wasted at the end of the trace.  Pushes
-    and requests never share a position, so doubling positions (+1 for
-    pushes) gives a collision-free merge key.
+    ``events`` are merge keys (:class:`_SessionTables`); entries of
+    ``-1`` (first occurrences with no repeat) are skipped.  Pushes still
+    pending at the block's end for ``next_client``, whose sessions go on
+    in the next block, are returned to carry over.
     """
-    ep_sizes = push.target_sizes[eps.target]
-    wasted = speculated_bytes - int(ep_sizes.sum())
-    if eps.target.size == 0:
-        return wasted
-
-    hit_mask = np.ones(tables.order.size, dtype=bool)
-    hit_mask[miss_pos] = False
-    hit_pos = np.flatnonzero(hit_mask)
-    ev_client = np.concatenate(
-        [tables.session_client[eps.session], tables.client[hit_pos]]
-    )
-    ev_doc = np.concatenate([eps.target, tables.doc[hit_pos]])
-    ev_key = np.concatenate([eps.position * 2 + 1, hit_pos * 2])
-    ev_is_hit = np.concatenate(
-        [
-            np.zeros(eps.target.size, dtype=bool),
-            np.ones(hit_pos.size, dtype=bool),
-        ]
-    )
-    ev_size = np.concatenate(
-        [ep_sizes, np.zeros(hit_pos.size, dtype=np.int64)]
-    )
-    merged = np.lexsort(
-        (ev_key, ev_client * np.int64(tables.key_base) + ev_doc)
-    )
-    m_client = ev_client[merged]
-    m_doc = ev_doc[merged]
-    m_is_hit = ev_is_hit[merged]
-    m_size = ev_size[merged]
-    used = np.zeros(merged.size, dtype=bool)
-    if merged.size > 1:
-        same_pair = (m_client[:-1] == m_client[1:]) & (m_doc[:-1] == m_doc[1:])
-        used[:-1] = same_pair & m_is_hit[1:]
-    return wasted + int(m_size[~m_is_hit & ~used].sum())
+    events = np.sort(events[events >= 0])
+    pair = events >> tables.key_shift
+    kind = events & 3
+    same_pair = pair[1:] == pair[:-1]
+    pushed = kind == _PUSH
+    consumed = pushed[:-1] & (kind[1:] == _REPEAT) & same_pair
+    used = int(push.target_sizes[pair[:-1][consumed] % tables.key_base].sum())
+    pending = np.append(~same_pair, True) & pushed
+    carry = events[pending][pair[pending] // tables.key_base == next_client]
+    return used, carry
 
 
 def replay_columnar(
@@ -614,7 +579,8 @@ def replay_columnar(
             cache_hits=0,
         )
 
-    miss_pos, eps = _resolve_misses(tables, push)
+    miss_fo, used_bytes = _resolve_misses(tables, push)
+    miss_pos = tables.fo_pos[miss_fo]
 
     # Misses in original trace order drive the exact service-time fold.
     miss_original = np.zeros(n, dtype=bool)
@@ -637,17 +603,9 @@ def replay_columnar(
             cache_hits=n - n_miss,
         )
 
-    miss_docs = tables.doc[miss_pos]
+    miss_docs = tables.fo_doc[miss_fo]
     speculated_documents = int(push.lengths[miss_docs].sum())
     speculated_bytes = int(push.byte_sums[miss_docs].sum())
-    # ``eps`` is None only when the policy never pushes anything, in
-    # which case nothing was speculated and nothing can be wasted.
-    wasted_bytes = (
-        0
-        if eps is None
-        else _wasted_bytes(tables, push, eps, miss_pos, speculated_bytes)
-    )
-
     return ColumnarReplay(
         metrics=SpeculationMetrics(
             bytes_sent=miss_bytes + speculated_bytes,
@@ -657,7 +615,7 @@ def replay_columnar(
             accessed_bytes=accessed_bytes,
             speculated_documents=speculated_documents,
             speculated_bytes=speculated_bytes,
-            wasted_bytes=wasted_bytes,
+            wasted_bytes=speculated_bytes - used_bytes,
         ),
         accesses=n,
         cache_hits=n - n_miss,

@@ -79,27 +79,25 @@ class ClientPopulation:
         remote_regions = max(1, n_regions - 1) if n_regions > 1 else 1
         region_sampler = BoundedZipf(remote_regions, region_alpha, rng)
 
-        clients: list[Client] = []
-        for index in range(n_local):
-            clients.append(
-                Client(
-                    client_id=f"local-{index:05d}.campus",
-                    region=0,
-                    local=True,
-                )
+        clients = [
+            Client(client_id=f"local-{index:05d}.campus", region=0, local=True)
+            for index in range(n_local)
+        ]
+        # One vector draw: the same ranks, and the same stream state
+        # after, as ``n_remote`` scalar draws.
+        regions = (
+            (1 + region_sampler.sample(n_remote)).tolist()
+            if n_regions > 1
+            else [0] * n_remote
+        )
+        clients.extend(
+            Client(
+                client_id=f"c{index:05d}.region-{region:02d}",
+                region=region,
+                local=False,
             )
-        for index in range(n_remote):
-            if n_regions > 1:
-                region = 1 + int(region_sampler.sample())
-            else:
-                region = 0
-            clients.append(
-                Client(
-                    client_id=f"c{index:05d}.region-{region:02d}",
-                    region=region,
-                    local=False,
-                )
-            )
+            for index, region in enumerate(regions)
+        )
         self.clients: list[Client] = clients
 
         # Activity skew: shuffle so heavy clients are spread over regions,
@@ -109,50 +107,17 @@ class ClientPopulation:
         weights /= weights.sum()
         activity = np.empty(len(clients))
         activity[order] = weights
-        self._activity = activity
         self._cdf = np.cumsum(activity)
         self._cdf[-1] = 1.0
-        self._rng = rng
 
     def __len__(self) -> int:
         return len(self.clients)
-
-    def sample_client(
-        self, rng: np.random.Generator | None = None
-    ) -> Client:
-        """Draw a client according to its activity weight.
-
-        Args:
-            rng: Draw from this generator instead of the bound one.
-        """
-        source = self._rng if rng is None else rng
-        return self.clients[int(self.index_at(source.random()))]
 
     def index_at(self, u: float | np.ndarray) -> np.ndarray:
         """Index in :attr:`clients` of the client whose activity-CDF
         interval holds each uniform ``u`` in [0, 1).
 
-        The one inverse-CDF lookup behind :meth:`sample_client`; the
-        trace generator maps a block of its schedule stream's uniforms
-        at once, each to the client a scalar draw of the same double
-        would pick.
+        The trace generator maps a block of its schedule stream's
+        uniforms at once: a client drawn by activity weight.
         """
         return np.searchsorted(self._cdf, u, side="left")
-
-    def region_of(self, client_id: str) -> int:
-        """Region index of a client id generated by this population.
-
-        Falls back to hashing for foreign ids so traces from other
-        sources can still be mapped onto a topology.
-        """
-        for client in self.clients:
-            if client.client_id == client_id:
-                return client.region
-        return hash(client_id) % self.n_regions
-
-    def clients_by_region(self) -> dict[int, list[Client]]:
-        """Group clients per region index."""
-        groups: dict[int, list[Client]] = {}
-        for client in self.clients:
-            groups.setdefault(client.region, []).append(client)
-        return groups

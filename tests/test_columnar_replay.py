@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.speculation.columnar as columnar_module
 import repro.speculation.simulator as simulator_module
 from repro.config import BASELINE
 from repro.core import Experiment, evaluate_thresholds
@@ -189,6 +197,128 @@ class TestColumnarParity:
             assert dispatched.accesses == forced.accesses
             assert dispatched.cache_hits == forced.cache_hits
             assert dispatched.prefetch_requests == 0
+
+
+#: Session-block and lookup-window sizes far below the defaults, so a
+#: replay spans many blocks — a client's sessions straddle them and its
+#: pending pushes carry over — and many lookup windows (one cell budget
+#: below ``key_base`` means one session per window).
+_SMALL_BLOCKS = [(1, 1), (3, 1), (3, 1 << 18)]
+
+
+#: Session timeouts for the block tests: one session per client, and
+#: many — a client's pending pushes outlive its sessions.
+_TIMEOUTS = [BASELINE.session_timeout, 1800.0]
+
+
+def _assert_blocked_replays_match_general(trace, model, block, cells):
+    with (
+        mock.patch.object(columnar_module, "_SESSION_BLOCK", block),
+        mock.patch.object(columnar_module, "_LOOKUP_CELLS", cells),
+    ):
+        for timeout in _TIMEOUTS:
+            config = BASELINE.with_updates(session_timeout=timeout)
+            sim = SpeculativeServiceSimulator(trace, config, model=model)
+            for threshold in (0.95, 0.25, 0.05):
+                policy = ThresholdPolicy(threshold=threshold)
+                general = sim.run(
+                    policy, cache_factory=make_cache_factory(timeout)
+                )
+                assert sim.run(policy) == general
+
+
+@functools.lru_cache(maxsize=1)
+def _paper_shaped() -> Experiment:
+    """A reduced paper-shaped Figure-5 input: the test half of the trace
+    and the model of its train half."""
+    config = dataclasses.replace(
+        GeneratorConfig.paper_scale(0), n_clients=300, n_sessions=3_000
+    )
+    trace = SyntheticTraceGenerator(config).generate()
+    return Experiment(trace, BASELINE, train_days=60.0)
+
+
+class TestSessionBlocks:
+    @pytest.mark.parametrize("block, cells", _SMALL_BLOCKS)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_clients=st.integers(min_value=1, max_value=8),
+        n_sessions=st.integers(min_value=1, max_value=60),
+    )
+    def test_small_blocks_match_general(
+        self, block, cells, seed, n_clients, n_sessions
+    ):
+        config = GeneratorConfig(
+            seed=seed,
+            n_pages=24,
+            n_clients=n_clients,
+            n_sessions=n_sessions,
+            duration_days=4,
+        )
+        trace = SyntheticTraceGenerator(config).generate()
+        model = DependencyModel.estimate(trace, window=5.0)
+        _assert_blocked_replays_match_general(trace, model, block, cells)
+
+    @pytest.mark.parametrize("block, cells", _SMALL_BLOCKS)
+    def test_paper_shaped_small_blocks_match_general(self, block, cells):
+        experiment = _paper_shaped()
+        _assert_blocked_replays_match_general(
+            experiment.test, experiment.model, block, cells
+        )
+
+
+#: Traced peak of one ``T_p = 0.05`` policy replay at paper scale, seed
+#: 0, when the hit/miss fixpoint kept a dense ``session × document`` map
+#: per 4 096 sessions: the bound the replay must stay within.
+_DENSE_MAP_REPLAY_PEAK = 23_730_066
+
+_MEMORY_PROBE = """
+    import gc, json, tracemalloc
+    from repro.config import BASELINE
+    from repro.core.experiment import train_test_split
+    from repro.speculation import columnar
+    from repro.speculation.dependency import DependencyModel
+    from repro.speculation.policies import ThresholdPolicy
+    from repro.speculation.simulator import SpeculativeServiceSimulator
+    from repro.workload import GeneratorConfig, SyntheticTraceGenerator
+
+    trace = SyntheticTraceGenerator(GeneratorConfig.paper_scale(0)).generate()
+    train, test = train_test_split(trace, 60.0)
+    model = DependencyModel.estimate(train, window=BASELINE.stride_timeout)
+    policy = ThresholdPolicy(threshold=0.05)
+    tables = columnar._session_tables(test, BASELINE.session_timeout)
+    columnar._push_tables(test, tables.docs, policy, model, BASELINE.max_size)
+    sim = SpeculativeServiceSimulator(test, BASELINE, model=model)
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    run = sim.run(policy)
+    gc.collect()
+    after, peak = tracemalloc.get_traced_memory()
+    print(json.dumps({"retained": after - before, "peak": peak - before}))
+"""
+
+
+def test_policy_replay_frees_what_it_allocates():
+    # A fresh interpreter, so no earlier test's buffer hides a retained
+    # one; the session and push tables are memoized before the replay.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_MEMORY_PROBE)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    traced = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert traced["retained"] < 64 * 1024
+    assert traced["peak"] <= _DENSE_MAP_REPLAY_PEAK
 
 
 #: The paper's Figure-5 T_p grid.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CalibrationError
+from repro.workload.distributions import BoundedZipf
 from repro.workload import ClientPopulation, UpdateProcess
 from repro.workload.updates import CLASS_UPDATE_RATES, MUTABLE_UPDATE_RATE
 
@@ -38,36 +39,32 @@ class TestClientPopulation:
 
     def test_sample_respects_population(self):
         pop = ClientPopulation(50, rng(1))
-        for _ in range(100):
-            assert pop.sample_client() in pop.clients
+        indices = pop.index_at(rng(3).random(100))
+        assert ((indices >= 0) & (indices < len(pop))).all()
 
     def test_activity_skew(self):
         pop = ClientPopulation(100, rng(2), activity_alpha=1.2)
-        counts: dict[str, int] = {}
-        for _ in range(5000):
-            c = pop.sample_client()
-            counts[c.client_id] = counts.get(c.client_id, 0) + 1
-        top = max(counts.values())
+        counts = np.bincount(pop.index_at(rng(3).random(5000)), minlength=len(pop))
         # Heavy skew: the busiest client gets far more than the 50 of uniform.
-        assert top > 150
+        assert counts.max() > 150
 
-    def test_region_of_known_client(self):
-        pop = ClientPopulation(20, rng(), n_regions=4)
-        client = pop.clients[-1]
-        assert pop.region_of(client.client_id) == client.region
-
-    def test_region_of_foreign_client_stable(self):
-        pop = ClientPopulation(20, rng(), n_regions=4)
-        a = pop.region_of("unknown.example.org")
-        b = pop.region_of("unknown.example.org")
-        assert a == b
-        assert 0 <= a < 4
-
-    def test_clients_by_region_partition(self):
-        pop = ClientPopulation(150, rng(), n_regions=6)
-        groups = pop.clients_by_region()
-        total = sum(len(v) for v in groups.values())
-        assert total == 150
+    def test_remote_regions_are_one_vector_draw(self):
+        # The regions are the ranks n_remote scalar draws would give, and
+        # the activity shuffle after them reads the stream where those
+        # draws leave it.
+        vector, scalar = rng(4), rng(4)
+        pop = ClientPopulation(7_203, vector, n_regions=16, local_fraction=0.0)
+        zipf = BoundedZipf(15, 0.8, scalar)
+        assert [c.region for c in pop.clients] == [
+            1 + zipf.sample() for _ in range(7_203)
+        ]
+        weights = np.arange(1, 7_204, dtype=np.float64) ** -0.9
+        activity = np.empty(7_203)
+        activity[scalar.permutation(7_203)] = weights / weights.sum()
+        cdf = np.cumsum(activity)
+        cdf[-1] = 1.0
+        u = rng(5).random(10_000)
+        assert np.array_equal(pop.index_at(u), np.searchsorted(cdf, u))
 
     def test_all_local_rejected(self):
         with pytest.raises(CalibrationError):

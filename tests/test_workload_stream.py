@@ -1,7 +1,6 @@
 """Streaming generation: stream()/generate() equivalence and sharding."""
 
 import dataclasses
-import heapq
 from unittest import mock
 
 import numpy as np
@@ -203,21 +202,6 @@ class TestSharding:
         assert not (seen[0] & seen[1])
         assert not (seen[0] & seen[2])
         assert not (seen[1] & seen[2])
-
-    def test_merge_streams_is_heapq_merge_on_timestamp(self):
-        config = BASE
-        parts = [
-            list(
-                SyntheticTraceGenerator(config).stream(
-                    shard_index=i, shard_count=2, epoch=0
-                )
-            )
-            for i in range(2)
-        ]
-        expected = list(
-            heapq.merge(*parts, key=lambda request: request.timestamp)
-        )
-        _requests_equal(list(merge_streams(*parts)), expected)
 
     def test_bad_shard_args_raise(self):
         generator = SyntheticTraceGenerator(BASE)
